@@ -79,6 +79,20 @@ def _load_spec_file(path: str) -> dict:
     return data
 
 
+def _as_int(value: Any, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_seed(value: Any, name: str) -> int:
+    seed = _as_int(value, name)
+    if seed < 0:
+        raise ConfigError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 def _resolve_shape(args, config: dict) -> NetworkShape:
     ml = args.ml if args.ml is not None else config.get("ml")
     m = args.m if args.m is not None else config.get("m")
@@ -86,19 +100,22 @@ def _resolve_shape(args, config: dict) -> NetworkShape:
     n = args.n if args.n is not None else config.get("n", 1)
     if ml is not None and m is not None:
         raise ConfigError("give either --m or --ml, not both")
+    k = None if k is None else _as_int(k, "k")
     if ml is not None:
-        counts = [int(x) for x in ml]
+        if not isinstance(ml, list):
+            raise ConfigError(f"ml must be a list of message counts, got {ml!r}")
+        counts = [_as_int(x, "ml") for x in ml]
         if k is not None:
             if len(counts) == 1:
-                counts = counts * int(k)
-            elif len(counts) != int(k):
+                counts = counts * k
+            elif len(counts) != k:
                 raise ConfigError(f"--ml lists {len(counts)} receivers but --k is {k}")
     elif m is not None:
-        counts = [int(m)] * int(k or 1)
+        counts = [_as_int(m, "m")] * (k or 1)
     else:
         raise ConfigError("message count is required (--m or --ml)")
     try:
-        shape = NetworkShape(tuple(counts), int(n))
+        shape = NetworkShape(tuple(counts), _as_int(n, "n"))
     except ValueError as exc:
         raise ConfigError(str(exc))
     if shape.total_qubits > MAX_TOTAL_QUBITS:
@@ -109,13 +126,15 @@ def _resolve_shape(args, config: dict) -> NetworkShape:
 
 
 def _message_pairs(source: dict, total: int) -> list[tuple[complex, complex]]:
+    if not isinstance(source, dict):
+        raise ConfigError(f"messages must be a JSON object, got {source!r}")
     kind = source.get("kind", "random")
     if kind == "random":
-        rng = np.random.default_rng(int(source.get("seed", DEFAULT_MESSAGE_SEED)))
+        rng = np.random.default_rng(_as_seed(source.get("seed", DEFAULT_MESSAGE_SEED), "messages seed"))
         return list(MessageSpec.random(total, rng).qubits)
     if kind == "preset":
         name = source.get("name", "plus")
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
         return [PRESETS[name]] * total
     if kind == "explicit":
@@ -203,20 +222,22 @@ def cmd_run(args) -> int:
     enumerate_mode = args.enumerate or config.get("mode") == "enumerate" or defector is not None
     mode = "enumerate" if enumerate_mode else "sampled"
     seed = args.seed if args.seed is not None else config.get("seed")
-    if mode == "sampled" and seed is None:
-        raise ConfigError("sampled mode needs --seed (or use --enumerate)")
+    if mode == "sampled":
+        if seed is None:
+            raise ConfigError("sampled mode needs --seed (or use --enumerate)")
+        seed = _as_seed(seed, "seed")
     scenario = {
         "message_counts": list(shape.message_counts),
         "num_agents": shape.num_agents,
         "mode": mode,
-        "seed": None if mode == "enumerate" else int(seed),
+        "seed": None if mode == "enumerate" else seed,
         "defector": defector,
         "message_source": source,
     }
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": "run", "scenario": scenario}
 
     if defector is not None:
-        defector = int(defector)
+        defector = _as_int(defector, "defector")
         if not 1 <= defector <= shape.num_agents:
             raise ConfigError(f"defector must be in 1..{shape.num_agents}")
         flat_spec = MessageSpec(tuple(q for s in specs for q in s.qubits))
@@ -244,9 +265,9 @@ def cmd_run(args) -> int:
             transcripts = [t for branch in run_multi_receiver(specs, shape, "enumerate") for t in branch]
     else:
         if shape.num_receivers == 1:
-            transcripts = [run_controlled_teleport(specs[0], shape, "sampled", seed=int(seed))]
+            transcripts = [run_controlled_teleport(specs[0], shape, "sampled", seed=seed)]
         else:
-            transcripts = list(run_multi_receiver(specs, shape, "sampled", seed=int(seed)))
+            transcripts = list(run_multi_receiver(specs, shape, "sampled", seed=seed))
 
     min_fid = min(t.fidelity for t in transcripts)
     ok = min_fid >= 1.0 - FIDELITY_BAR
@@ -276,8 +297,8 @@ def _diag_matches(report, qubit: int, spec: MessageSpec) -> bool:
 def _parse_m_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return list(range(_as_int(lo, "--m"), _as_int(hi, "--m") + 1))
+    return [_as_int(text, "--m")]
 
 
 def cmd_compare(args) -> int:

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .protocol import (
-    _baseline_copy_branches,
-    _enumerate_paths,
-    _extract_substate,
+    _BELL_ORDER,
+    _event_qubits,
     _initial_state,
-    measured_fixed_bits,
+    _measure_baseline_copy,
+    measure_all,
     protocol_events,
 )
 from .resources import MessageSpec, NetworkShape
@@ -102,9 +103,28 @@ def _clifford_group() -> np.ndarray:
 _CLIFFORDS = _clifford_group()
 
 
-def recovery_unitaries(num_random: int = 1000, seed: int = 7) -> np.ndarray:
+_DEFAULT_GRID = (1000, 7)
+
+
+def recovery_unitaries(num_random: int = _DEFAULT_GRID[0], seed: int = _DEFAULT_GRID[1]) -> np.ndarray:
     """Search grid: 24 Cliffords plus Haar-random unitaries (QR of a complex
-    Gaussian matrix), stacked as (count, 2, 2)."""
+    Gaussian matrix), stacked as (count, 2, 2).
+
+    The default grid is built once, on first use, and shared read-only.
+    """
+    if (num_random, seed) == _DEFAULT_GRID:
+        return _default_grid()
+    return _build_grid(num_random, seed)
+
+
+@lru_cache(maxsize=1)
+def _default_grid() -> np.ndarray:
+    grid = _build_grid(*_DEFAULT_GRID)
+    grid.setflags(write=False)
+    return grid
+
+
+def _build_grid(num_random: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_random, 2, 2)) + 1j * rng.standard_normal((num_random, 2, 2))
     qs = []
@@ -170,31 +190,44 @@ def analyze_defection(
     us = recovery_unitaries() if unitaries is None else unitaries
     state, registry = _initial_state(specs, shape)
     events = tuple(e for e in protocol_events(shape) if e != ("ghz", defector))
-    pair_ids = [(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    total = shape.total_messages
-    keep = [registry.receiver_epr(r, i) for r, i in pair_ids] + [registry.agent(defector)]
-    flat_qubits = [q for s in specs for q in s.qubits]
+    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
+    outcomes, probs, kept = measure_all(
+        state, [_event_qubits(e, registry) for e in events], keep + [registry.agent(defector)]
+    )
+    return _reports(outcomes, probs, kept, [q for s in specs for q in s.qubits], defector, us)
 
+
+def _reports(
+    outcomes: np.ndarray,
+    probs: np.ndarray,
+    kept: np.ndarray,
+    qubits: Sequence[tuple[complex, complex]],
+    defector: int,
+    unitaries: np.ndarray,
+    message_index: int | None = None,
+) -> list[DefectionReport]:
+    """One report per branch of ``measure_all`` output whose kept qubits are
+    the received ones with the defector's qubit on top; its columns are the
+    Bell outcomes, then the cooperators' bits."""
+    total = len(qubits)
+    halves = kept.reshape(len(kept), 2, 1 << total)
+    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
     reports = []
-    for outcomes, prob, final in _enumerate_paths(state, events, registry, "hadamard_z"):
-        fixed = measured_fixed_bits(outcomes, registry, "hadamard_z")
-        sub = _extract_substate(final.amplitudes, fixed, keep)
-        joint = partial_trace(sub, range(total))
-        bells = tuple(outcomes[("bell", r, i)] for r, i in pair_ids)
-        per_qubit, off, best, forms = _qubit_reports(joint, flat_qubits, bells, us)
-        bits = tuple(
-            int(outcomes[("ghz", j)]) for j in range(shape.num_agents + 1) if j != defector
-        )
+    for row, prob, mat in zip(outcomes.tolist(), probs.tolist(), joints):
+        joint = DensityMatrix(mat)
+        bells = tuple(_BELL_ORDER[o] for o in row[:total])
+        per_qubit, off, best, forms = _qubit_reports(joint, qubits, bells, unitaries)
         reports.append(DefectionReport(
             defector=defector,
             bell_outcomes=bells,
-            cooperator_bits=bits,
+            cooperator_bits=tuple(row[total:]),
             probability=prob,
             joint_density=joint,
             per_qubit_density=per_qubit,
             off_diagonal_norm=off,
             max_fidelity=best,
             conforms_to=forms,
+            message_index=message_index,
         ))
     return reports
 
@@ -219,28 +252,10 @@ def analyze_baseline_defection(
     if not 0 <= defector < shape.num_agents:
         raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
     us = recovery_unitaries() if unitaries is None else unitaries
-    n = shape.num_agents
     reports = []
-    for index, (alpha, beta) in enumerate(spec.qubits):
-        for outcome, bits, prob, state in _baseline_copy_branches(alpha, beta, n, skip=defector):
-            fixed = {0: 0, 1: 1 if outcome not in _PHI else 0}
-            for j, bit in zip((j for j in range(n) if j != defector), bits):
-                fixed[3 + j] = bit
-            sub = _extract_substate(state.amplitudes, fixed, [2, 3 + defector])
-            rho = partial_trace(sub, [0])
-            per_qubit, off, best, forms = _qubit_reports(rho, [(alpha, beta)], (outcome,), us)
-            reports.append(DefectionReport(
-                defector=defector,
-                bell_outcomes=(outcome,),
-                cooperator_bits=bits,
-                probability=prob,
-                joint_density=rho,
-                per_qubit_density=per_qubit,
-                off_diagonal_norm=off,
-                max_fidelity=best,
-                conforms_to=forms,
-                message_index=index,
-            ))
+    for index, pair in enumerate(spec.qubits):
+        outcomes, probs, kept = _measure_baseline_copy(*pair, shape.num_agents, skip=defector)
+        reports += _reports(outcomes, probs, kept, [pair], defector, us, index)
     return reports
 
 

@@ -4,13 +4,18 @@ Runs the entangling protocol (one sender, n controlling agents, k receivers)
 and the per-copy GHZ baseline, either sampling one branch with a seeded RNG or
 exhaustively enumerating every measurement branch.  Transcripts record the
 classical traffic, the applied corrections, and the reconstruction fidelity.
+
+Every measurement acts on its own qubits, so all of them commute.  One
+executor, ``measure_all``, therefore rotates each measured pair or qubit into
+its measurement basis in one pass over the state and reads every branch off
+the result, instead of collapsing a copy of the state once per branch.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -23,22 +28,21 @@ from .resources import (
     prepare_message_state,
 )
 from .states import (
+    _BELL_MATRIX,
+    HADAMARD,
+    ZERO_BRANCH_ATOL,
     BellOutcome,
     PauliOp,
     StateVector,
-    _apply_1q,
-    apply_hadamard,
-    fidelity,
-    measure_bell,
-    measure_x,
-    measure_z,
-    partial_trace,
+    _pick,
     tensor,
 )
 
 AgentBasis = Literal["hadamard_z", "plus_minus"]
 
 _BELL_ORDER = tuple(BellOutcome)
+_PAULI_ORDER = tuple(PauliOp)
+_PAULI_STACK = np.stack([op.matrix for op in _PAULI_ORDER])
 
 
 class Branch(enum.Enum):
@@ -138,75 +142,165 @@ def protocol_events(shape: NetworkShape) -> tuple[Event, ...]:
     return tuple(events)
 
 
-def _event_branches(
-    state: StateVector, event: Event, registry: QubitRegistry, basis: AgentBasis
-) -> Iterator[tuple[object, float, StateVector]]:
+def _event_qubits(event: Event, registry: QubitRegistry) -> tuple[int, ...]:
+    """The qubits one event measures: a Bell pair or one GHZ qubit."""
     if event[0] == "bell":
         _, r, i = event
-        pair = (registry.message(r, i), registry.sender_epr(r, i))
-        for outcome in _BELL_ORDER:
-            yield measure_bell(state, pair, outcome)
+        return registry.message(r, i), registry.sender_epr(r, i)
+    if event[1] == registry.shape.num_agents:
+        return (registry.sender_ghz,)
+    return (registry.agent(event[1]),)
+
+
+# Rotation into the measurement basis, keyed by the number of outcomes.  Row k
+# of each is the conjugated basis vector of outcome k.  A GHZ qubit read with
+# a Hadamard and a Z measurement, or directly in the X basis, gets the same
+# amplitudes, so the agent basis needs no rotation of its own.
+_ROTATIONS = {4: np.conj(_BELL_MATRIX), 2: HADAMARD}
+
+
+def measure_all(
+    state: StateVector,
+    groups: Sequence[tuple[int, ...]],
+    keep: Sequence[int],
+    rng: np.random.Generator | None = None,
+    draw_order: Sequence[int] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure every group of ``groups`` in one pass and keep ``keep``.
+
+    A group is a qubit pair ``(a, b)``, measured in the Bell basis, or a
+    single qubit, measured in the X basis; every qubit of ``state`` lies in
+    exactly one group or in ``keep``.  Returns ``(outcomes, probabilities,
+    kept)``.  ``outcomes[b, g]`` is group g's result in branch b: an index
+    into ``BellOutcome`` for a pair, the bit (0 = plus) for a qubit.
+    ``kept[b]`` is the normalized state of the kept qubits in that branch,
+    bit t holding qubit ``keep[t]``.
+
+    Without ``rng`` every branch is returned, in mixed-radix order of the
+    group outcomes (the first group most significant).  With ``rng`` one
+    branch is drawn group by group in ``draw_order`` (default: group order),
+    each draw made by Born weights conditioned on the earlier ones.
+    """
+    n = state.num_qubits
+    order = list(range(len(groups))) if rng is None or draw_order is None else list(draw_order)
+    # layout (groups in the order they are processed..., kept qubits); bit
+    # 2a + b of a pair's axis holds (value of a, value of b)
+    axes = [n - 1 - q for g in order for q in groups[g]] + [n - 1 - q for q in reversed(keep)]
+    dims = [1 << len(groups[g]) for g in order]
+    t = np.transpose(state.amplitudes.reshape((2,) * n), axes).reshape(-1)
+    if rng is None:
+        for d in dims:
+            # rotate the leading axis and move it behind the others, so that
+            # after the last group the layout is (kept, groups...)
+            t = t.reshape(d, -1).T @ _ROTATIONS[d].T
+        kept = t.reshape(1 << len(keep), -1).T
+        outcomes = np.stack(np.unravel_index(np.arange(kept.shape[0]), dims), axis=1)
     else:
-        qubit = _ghz_qubit(event[1], registry)
-        if basis == "hadamard_z":
-            rotated = apply_hadamard(state, qubit)
-            for bit in (0, 1):
-                yield measure_z(rotated, qubit, bit)
-        else:
-            for bit in (0, 1):
-                yield measure_x(state, qubit, bit)
+        outcomes = np.zeros((1, len(groups)), dtype=np.int64)
+        for g, d in zip(order, dims):
+            t = _ROTATIONS[d] @ t.reshape(d, -1)
+            weights = np.einsum("ij,ij->i", t, t.conj()).real
+            outcomes[0, g] = _pick(rng, range(d), weights)
+            t = t[outcomes[0, g]]
+        kept = t.reshape(1, -1)
+    probs = np.einsum("bj,bj->b", kept, kept.conj()).real
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("amplitudes must be finite")
+    low = np.flatnonzero(probs < ZERO_BRANCH_ATOL)
+    if low.size:
+        b = low[0]
+        raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
+    return outcomes, probs, kept / np.sqrt(probs)[:, None]
 
 
-def _sample_event(
-    state: StateVector, event: Event, registry: QubitRegistry, basis: AgentBasis,
-    rng: np.random.Generator,
-) -> tuple[object, float, StateVector]:
-    if event[0] == "bell":
-        _, r, i = event
-        pair = (registry.message(r, i), registry.sender_epr(r, i))
-        return measure_bell(state, pair, rng)
-    qubit = _ghz_qubit(event[1], registry)
-    if basis == "hadamard_z":
-        return measure_z(apply_hadamard(state, qubit), qubit, rng)
-    return measure_x(state, qubit, rng)
+def _fidelities(
+    kept: np.ndarray, ops: np.ndarray, counts: Sequence[int], qubits: Sequence[tuple[complex, complex]]
+) -> list[np.ndarray]:
+    """Per receiver, the fidelity of each corrected branch with its message.
+
+    ``ops[b, i]`` indexes (in ``PauliOp`` order) the correction of received
+    qubit i in branch b, and ``qubits`` are the message pairs, flattened over
+    receivers like ``kept``'s bits.  The correction C is a product of Paulis,
+    so <t|C|psi> = <C^dag t|psi> and C^dag t is a product state: the states
+    are never corrected, the targets are.
+    """
+    size = len(kept)
+    # candidates[i, k] = (k-th Pauli)^dagger |t_i>
+    candidates = np.einsum("kba,ib->ika", _PAULI_STACK.conj(), np.asarray(qubits, dtype=np.complex128))
+    out = []
+    start = 0
+    for m in counts:
+        target = np.ones((size, 1), dtype=np.complex128)
+        for i in range(start, start + m):
+            target = (candidates[i][ops[:, i]][:, :, None] * target[:, None, :]).reshape(size, -1)
+        # axes: (branch, later receivers, this receiver, earlier receivers)
+        psi = kept.reshape(size, -1, 1 << m, 1 << start)
+        overlap = np.einsum("bhjl,bj->bhl", psi, target.conj())
+        out.append(np.clip(np.einsum("bhl,bhl->b", overlap, overlap.conj()).real, 0.0, 1.0))
+        start += m
+    return out
 
 
-def _ghz_qubit(party: int, registry: QubitRegistry) -> int:
-    if party == registry.shape.num_agents:
-        return registry.sender_ghz
-    return registry.agent(party)
+def _transcripts(
+    outcomes: np.ndarray,
+    probs: np.ndarray,
+    kept: np.ndarray,
+    specs: Sequence[MessageSpec],
+    table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None,
+    *,
+    sender: bool = True,
+    message_index: int | None = None,
+) -> list[tuple[ProtocolTranscript, ...]]:
+    """One tuple of transcripts (one per receiver) per row of ``outcomes``.
 
+    Columns are the Bell outcomes, flattened over receivers, then the agent
+    bits, then the sender's GHZ bit when ``sender`` is set.
+    """
+    counts = [len(s) for s in specs]
+    total = sum(counts)
+    num_agents = outcomes.shape[1] - total - int(sender)
+    parity = outcomes[:, total:].sum(axis=1) & 1
+    table = table or CORRECTIONS
+    index = np.array([[_PAULI_ORDER.index(op) for op in table[o]] for o in _BELL_ORDER])
+    ops = index[outcomes[:, :total], parity[:, None]]
+    fids = _fidelities(kept, ops, counts, [q for s in specs for q in s.qubits])
 
-def _enumerate_paths(
-    state: StateVector,
-    events: Sequence[Event],
-    registry: QubitRegistry,
-    basis: AgentBasis,
-) -> Iterator[tuple[dict, float, StateVector]]:
-    if not events:
-        yield {}, 1.0, state
-        return
-    head, rest = events[0], events[1:]
-    for outcome, p, collapsed in _event_branches(state, head, registry, basis):
-        for outcomes, prob, final in _enumerate_paths(collapsed, rest, registry, basis):
-            outcomes[head] = outcome
-            yield outcomes, p * prob, final
+    labels = [f"pair{r}.{i if message_index is None else message_index}"
+              for r, m in enumerate(counts) for i in range(m)]
+    bell_messages = [[ClassicalMessage("sender", o, label) for o in _BELL_ORDER] for label in labels]
+    agent_messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)]
+                      for j in range(num_agents)]
+    sender_messages = [ClassicalMessage("sender", bit, "ghz_s") for bit in (0, 1)]
+    branches = (Branch.EVEN, Branch.ODD)
 
-
-def _sample_path(
-    state: StateVector,
-    events: Sequence[Event],
-    registry: QubitRegistry,
-    basis: AgentBasis,
-    rng: np.random.Generator,
-) -> tuple[dict, float, StateVector]:
-    outcomes: dict = {}
-    prob = 1.0
-    for event in events:
-        outcome, p, state = _sample_event(state, event, registry, basis, rng)
-        outcomes[event] = outcome
-        prob *= p
-    return outcomes, prob, state
+    out = []
+    for row, row_ops, odd, p, *row_fids in zip(
+        outcomes.tolist(), ops.tolist(), parity.tolist(), probs.tolist(), *(f.tolist() for f in fids)
+    ):
+        bits = tuple(row[total:total + num_agents])
+        sender_bit = row[-1] if sender else None
+        shared = tuple(agent_messages[j][b] for j, b in enumerate(bits))
+        if sender:
+            shared += (sender_messages[sender_bit],)
+        per_receiver = []
+        start = 0
+        for r, m in enumerate(counts):
+            own = range(start, start + m)
+            per_receiver.append(ProtocolTranscript(
+                receiver=r,
+                bell_outcomes=tuple(_BELL_ORDER[row[i]] for i in own),
+                agent_bits=bits,
+                sender_ghz_bit=sender_bit,
+                branch=branches[odd],
+                corrections=tuple(_PAULI_ORDER[row_ops[i]] for i in own),
+                fidelity=row_fids[r],
+                branch_probability=p,
+                classical_messages=tuple(bell_messages[i][row[i]] for i in own) + shared,
+                message_index=message_index,
+            ))
+            start += m
+        out.append(tuple(per_receiver))
+    return out
 
 
 def _initial_state(specs: Sequence[MessageSpec], shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:
@@ -222,123 +316,6 @@ def _initial_state(specs: Sequence[MessageSpec], shape: NetworkShape) -> tuple[S
     return tensor(message, resource), QubitRegistry(shape)
 
 
-def _extract_substate(
-    amplitudes: np.ndarray, fixed_bits: Mapping[int, int], keep: Sequence[int]
-) -> StateVector:
-    """Slice out the qubits in ``keep`` when every other qubit is known to sit
-    in a fixed basis component with nonzero amplitude."""
-    base = 0
-    for q, bit in fixed_bits.items():
-        base |= (bit & 1) << q
-    size = 1 << len(keep)
-    r = np.arange(size)
-    idx = np.full(size, base, dtype=np.int64)
-    for t, q in enumerate(keep):
-        idx += ((r >> t) & 1).astype(np.int64) << q
-    return StateVector(amplitudes[idx])
-
-
-def measured_fixed_bits(
-    outcomes: Mapping[Event, object], registry: QubitRegistry, basis: AgentBasis
-) -> dict[int, int]:
-    """Definite basis component of every measured qubit after collapse.
-
-    Bell pairs rest in a Bell state: component (0,0) for phi outcomes and
-    (0,1) for psi outcomes is always populated.  GHZ qubits sit in |bit> after
-    a Hadamard round, or in |+/-> (component 0 populated) in plus_minus mode.
-    """
-    fixed: dict[int, int] = {}
-    for event, outcome in outcomes.items():
-        if event[0] == "bell":
-            _, r, i = event
-            fixed[registry.message(r, i)] = 0
-            psi = outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
-            fixed[registry.sender_epr(r, i)] = 1 if psi else 0
-        else:
-            qubit = _ghz_qubit(event[1], registry)
-            fixed[qubit] = int(outcome) if basis == "hadamard_z" else 0
-    return fixed
-
-
-def _receiver_positions(shape: NetworkShape, receiver: int) -> list[int]:
-    start = sum(shape.message_counts[:receiver])
-    return list(range(start, start + shape.message_counts[receiver]))
-
-
-def _finalize_branch(
-    outcomes: dict,
-    prob: float,
-    final: StateVector,
-    specs: Sequence[MessageSpec],
-    targets: Sequence[StateVector],
-    shape: NetworkShape,
-    registry: QubitRegistry,
-    basis: AgentBasis,
-    table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None,
-) -> tuple[ProtocolTranscript, ...]:
-    n = shape.num_agents
-    agent_bits = tuple(int(outcomes[("ghz", j)]) for j in range(n))
-    sender_bit = int(outcomes[("ghz", n)])
-    branch = infer_branch(agent_bits, sender_bit)
-
-    fixed = measured_fixed_bits(outcomes, registry, basis)
-    keep = [
-        registry.receiver_epr(r, i)
-        for r, m in enumerate(shape.message_counts)
-        for i in range(m)
-    ]
-    received = _extract_substate(final.amplitudes, fixed, keep)
-
-    amps = received.amplitudes
-    corrections_by_receiver: list[tuple[PauliOp, ...]] = []
-    pos = 0
-    for r, spec in enumerate(specs):
-        ops = []
-        for i in range(len(spec)):
-            op = correction_for(outcomes[("bell", r, i)], branch, table)
-            if op is not PauliOp.I:
-                amps = _apply_1q(amps, pos, op.matrix)
-            ops.append(op)
-            pos += 1
-        corrections_by_receiver.append(tuple(ops))
-    corrected = StateVector(amps)
-
-    transcripts = []
-    for r, spec in enumerate(specs):
-        target = targets[r]
-        if shape.num_receivers == 1:
-            fid = fidelity(corrected, target)
-        else:
-            rho = partial_trace(corrected, _receiver_positions(shape, r))
-            fid = fidelity(rho, target)
-        outs = tuple(outcomes[("bell", r, i)] for i in range(len(spec)))
-        messages = tuple(
-            [ClassicalMessage("sender", o, f"pair{r}.{i}") for i, o in enumerate(outs)]
-            + [ClassicalMessage(f"agent{j}", agent_bits[j], f"agent{j}") for j in range(n)]
-            + [ClassicalMessage("sender", sender_bit, "ghz_s")]
-        )
-        transcripts.append(ProtocolTranscript(
-            receiver=r,
-            bell_outcomes=outs,
-            agent_bits=agent_bits,
-            sender_ghz_bit=sender_bit,
-            branch=branch,
-            corrections=corrections_by_receiver[r],
-            fidelity=fid,
-            branch_probability=prob,
-            classical_messages=messages,
-        ))
-    return tuple(transcripts)
-
-
-def _canonical_key(outcomes: Mapping[Event, object], shape: NetworkShape) -> tuple:
-    key: list[int] = []
-    for r, m in enumerate(shape.message_counts):
-        key += [_BELL_ORDER.index(outcomes[("bell", r, i)]) for i in range(m)]
-    key += [int(outcomes[("ghz", j)]) for j in range(shape.num_agents + 1)]
-    return tuple(key)
-
-
 def _check_event_order(event_order: Sequence[Event] | None, shape: NetworkShape) -> tuple[Event, ...]:
     canonical = protocol_events(shape)
     if event_order is None:
@@ -347,6 +324,17 @@ def _check_event_order(event_order: Sequence[Event] | None, shape: NetworkShape)
     if sorted(order) != sorted(canonical):
         raise ValueError("event_order must be a permutation of protocol_events(shape)")
     return order
+
+
+def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
+    """The generator that sampled mode draws from; None when enumerating."""
+    if mode == "enumerate":
+        return None
+    if mode == "sampled":
+        if seed is None:
+            raise ValueError("sampled mode needs a seed")
+        return np.random.default_rng(seed)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _run_network(
@@ -361,23 +349,16 @@ def _run_network(
     if agent_basis not in ("hadamard_z", "plus_minus"):
         raise ValueError(f"unknown agent basis {agent_basis!r}")
     events = _check_event_order(event_order, shape)
+    rng = _sampling_rng(mode, seed)
     state, registry = _initial_state(specs, shape)
-    targets = [prepare_message_state(spec) for spec in specs]
-    if mode == "enumerate":
-        branches = [
-            (_canonical_key(outs, shape),
-             _finalize_branch(outs, prob, final, specs, targets, shape, registry, agent_basis, table))
-            for outs, prob, final in _enumerate_paths(state, events, registry, agent_basis)
-        ]
-        branches.sort(key=lambda kv: kv[0])
-        return [t for _, t in branches]
-    if mode == "sampled":
-        if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        rng = np.random.default_rng(seed)
-        outs, prob, final = _sample_path(state, events, registry, agent_basis, rng)
-        return _finalize_branch(outs, prob, final, specs, targets, shape, registry, agent_basis, table)
-    raise ValueError(f"unknown mode {mode!r}")
+    canonical = protocol_events(shape)
+    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
+    outcomes, probs, kept = measure_all(
+        state, [_event_qubits(e, registry) for e in canonical], keep,
+        rng, [canonical.index(e) for e in events],
+    )
+    branches = _transcripts(outcomes, probs, kept, specs, table)
+    return branches if rng is None else branches[0]
 
 
 def run_controlled_teleport(
@@ -443,64 +424,19 @@ def baseline_resource_sizes(shape: NetworkShape) -> list[int]:
     return sizes
 
 
-def _baseline_copy_branches(
-    alpha: complex, beta: complex, num_agents: int, skip: int | None = None
-) -> Iterator[tuple[BellOutcome, tuple[int, ...], float, StateVector]]:
-    state, _ = baseline_copy_state(alpha, beta, num_agents)
-    for outcome in _BELL_ORDER:
-        _, p_bell, after_bell = measure_bell(state, (0, 1), outcome)
-        stack = [((), p_bell, after_bell)]
-        for j in range(num_agents):
-            if j == skip:
-                continue
-            qubit = 3 + j
-            nxt = []
-            for bits, prob, s in stack:
-                rotated = apply_hadamard(s, qubit)
-                for bit in (0, 1):
-                    _, p, collapsed = measure_z(rotated, qubit, bit)
-                    nxt.append((bits + (bit,), prob * p, collapsed))
-            stack = nxt
-        for bits, prob, s in stack:
-            yield outcome, bits, prob, s
-
-
-def _baseline_transcript(
-    index: int,
+def _measure_baseline_copy(
     alpha: complex,
     beta: complex,
     num_agents: int,
-    outcome: BellOutcome,
-    bits: tuple[int, ...],
-    prob: float,
-    state: StateVector,
-) -> ProtocolTranscript:
-    branch = infer_branch(bits, 0)
-    op = correction_for(outcome, branch)
-    fixed = {0: 0, 1: 1 if outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS) else 0}
-    for j, bit in enumerate(bits):
-        fixed[3 + j] = bit
-    received = _extract_substate(state.amplitudes, fixed, [2])
-    amps = received.amplitudes
-    if op is not PauliOp.I:
-        amps = _apply_1q(amps, 0, op.matrix)
-    fid = fidelity(StateVector(amps), StateVector([alpha, beta]))
-    messages = tuple(
-        [ClassicalMessage("sender", outcome, f"pair0.{index}")]
-        + [ClassicalMessage(f"agent{j}", bits[j], f"agent{j}") for j in range(num_agents)]
-    )
-    return ProtocolTranscript(
-        receiver=0,
-        bell_outcomes=(outcome,),
-        agent_bits=bits,
-        sender_ghz_bit=None,
-        branch=branch,
-        corrections=(op,),
-        fidelity=fid,
-        branch_probability=prob,
-        classical_messages=messages,
-        message_index=index,
-    )
+    skip: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``measure_all`` over one baseline copy: the Bell pair (0, 1), then
+    every agent but ``skip``.  Keeps the receiver qubit, and above it the
+    skipped agent's qubit."""
+    state, _ = baseline_copy_state(alpha, beta, num_agents)
+    groups = [(0, 1)] + [(3 + j,) for j in range(num_agents) if j != skip]
+    return measure_all(state, groups, [2] if skip is None else [2, 3 + skip], rng)
 
 
 def run_baseline_ghz(
@@ -521,27 +457,10 @@ def run_baseline_ghz(
         raise ValueError("the baseline runner covers the single-receiver network")
     if len(spec) != shape.message_counts[0]:
         raise ValueError("spec length does not match shape")
-    n = shape.num_agents
+    rng = _sampling_rng(mode, seed)
     out = []
-    if mode == "enumerate":
-        for i, (alpha, beta) in enumerate(spec.qubits):
-            for outcome, bits, prob, state in _baseline_copy_branches(alpha, beta, n):
-                out.append(_baseline_transcript(i, alpha, beta, n, outcome, bits, prob, state))
-        return out
-    if mode == "sampled":
-        if seed is None:
-            raise ValueError("sampled mode needs a seed")
-        rng = np.random.default_rng(seed)
-        for i, (alpha, beta) in enumerate(spec.qubits):
-            state, _ = baseline_copy_state(alpha, beta, n)
-            outcome, p_bell, state = measure_bell(state, (0, 1), rng)
-            bits = []
-            prob = p_bell
-            for j in range(n):
-                qubit = 3 + j
-                bit, p, state = measure_z(apply_hadamard(state, qubit), qubit, rng)
-                bits.append(bit)
-                prob *= p
-            out.append(_baseline_transcript(i, alpha, beta, n, outcome, tuple(bits), prob, state))
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+    for index, pair in enumerate(spec.qubits):
+        outcomes, probs, kept = _measure_baseline_copy(*pair, shape.num_agents, rng=rng)
+        copy = MessageSpec((pair,))
+        out += [t for t, in _transcripts(outcomes, probs, kept, [copy], None, sender=False, message_index=index)]
+    return out

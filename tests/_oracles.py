@@ -1,14 +1,34 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is written with explicit index loops or literal formulas so
-it shares no code path with the library's vectorized kernels.
+it shares no code path with the library's vectorized kernels.  The tree
+walkers at the end are the reference for the one-pass measurement executor:
+they collapse the state one measurement at a time with the single-qubit and
+Bell kernels of ``teleportnet.states``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from teleportnet import BellOutcome
+from teleportnet import (
+    CORRECTIONS,
+    BellOutcome,
+    ClassicalMessage,
+    ProtocolTranscript,
+    QubitRegistry,
+    StateVector,
+    apply_hadamard,
+    apply_pauli,
+    correction_for,
+    fidelity,
+    infer_branch,
+    measure_bell,
+    measure_x,
+    measure_z,
+    partial_trace,
+    protocol_events,
+)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -131,3 +151,159 @@ def control_resource_dense(message_counts, num_agents: int) -> np.ndarray:
 def max_eigenvalue(rho: np.ndarray) -> float:
     """Analytic ceiling for any unitary recovery against a pure target."""
     return float(np.linalg.eigvalsh(rho).max())
+
+
+# --- sequential tree walker -------------------------------------------------
+
+
+def _measure_event(state, event, registry, basis, selector):
+    """One protocol event on ``state``; ``selector`` is an outcome or a Generator."""
+    if event[0] == "bell":
+        _, r, i = event
+        return measure_bell(state, (registry.message(r, i), registry.sender_epr(r, i)), selector)
+    party = event[1]
+    qubit = registry.sender_ghz if party == registry.shape.num_agents else registry.agent(party)
+    if basis == "hadamard_z":
+        return measure_z(apply_hadamard(state, qubit), qubit, selector)
+    return measure_x(state, qubit, selector)
+
+
+def walk_paths(state, events, registry, basis="hadamard_z"):
+    """Every leaf of the measurement tree, depth first in ``events`` order:
+    (outcome per event, probability, collapsed state)."""
+    if not events:
+        yield {}, 1.0, state
+        return
+    head, rest = events[0], events[1:]
+    for selector in (tuple(BellOutcome) if head[0] == "bell" else (0, 1)):
+        outcome, p, collapsed = _measure_event(state, head, registry, basis, selector)
+        for outcomes, prob, final in walk_paths(collapsed, rest, registry, basis):
+            outcomes[head] = outcome
+            yield outcomes, p * prob, final
+
+
+def sample_path(state, events, registry, basis, rng):
+    """One leaf, each event drawn from ``rng`` in ``events`` order."""
+    outcomes, prob = {}, 1.0
+    for event in events:
+        outcomes[event], p, state = _measure_event(state, event, registry, basis, rng)
+        prob *= p
+    return outcomes, prob, state
+
+
+def _network_state(specs, shape):
+    flat = [q for s in specs for q in s.qubits]
+    resource = control_resource_dense(shape.message_counts, shape.num_agents)
+    return StateVector(np.kron(resource, product_state_dense(flat)))
+
+
+def _canonical_key(outcomes, shape):
+    key = [tuple(BellOutcome).index(outcomes[("bell", r, i)])
+           for r, m in enumerate(shape.message_counts) for i in range(m)]
+    return tuple(key + [int(outcomes[("ghz", j)]) for j in range(shape.num_agents + 1)])
+
+
+def _leaf_transcripts(outcomes, prob, final, specs, shape, registry):
+    n = shape.num_agents
+    agent_bits = tuple(int(outcomes[("ghz", j)]) for j in range(n))
+    sender_bit = int(outcomes[("ghz", n)])
+    branch = infer_branch(agent_bits, sender_bit)
+    corrected = final
+    ops = {}
+    for r, m in enumerate(shape.message_counts):
+        for i in range(m):
+            ops[r, i] = correction_for(outcomes[("bell", r, i)], branch, CORRECTIONS)
+            corrected = apply_pauli(corrected, registry.receiver_epr(r, i), ops[r, i])
+    out = []
+    for r, spec in enumerate(specs):
+        m = len(spec)
+        rho = partial_trace(corrected, [registry.receiver_epr(r, i) for i in range(m)])
+        outs = tuple(outcomes[("bell", r, i)] for i in range(m))
+        messages = (
+            [ClassicalMessage("sender", o, f"pair{r}.{i}") for i, o in enumerate(outs)]
+            + [ClassicalMessage(f"agent{j}", agent_bits[j], f"agent{j}") for j in range(n)]
+            + [ClassicalMessage("sender", sender_bit, "ghz_s")]
+        )
+        out.append(ProtocolTranscript(
+            receiver=r,
+            bell_outcomes=outs,
+            agent_bits=agent_bits,
+            sender_ghz_bit=sender_bit,
+            branch=branch,
+            corrections=tuple(ops[r, i] for i in range(m)),
+            fidelity=fidelity(rho, StateVector(product_state_dense(spec.qubits))),
+            branch_probability=prob,
+            classical_messages=tuple(messages),
+        ))
+    return tuple(out)
+
+
+def walk_transcripts(specs, shape, mode="enumerate", *, seed=None, event_order=None,
+                     agent_basis="hadamard_z"):
+    """Reference for ``run_multi_receiver``: per branch, one transcript per
+    receiver, in canonical order; in sampled mode the single drawn branch."""
+    state = _network_state(specs, shape)
+    registry = QubitRegistry(shape)
+    events = tuple(tuple(e) for e in event_order) if event_order else protocol_events(shape)
+    if mode == "sampled":
+        leaf = sample_path(state, events, registry, agent_basis, np.random.default_rng(seed))
+        return _leaf_transcripts(*leaf, specs, shape, registry)
+    leaves = sorted(walk_paths(state, events, registry, agent_basis),
+                    key=lambda leaf: _canonical_key(leaf[0], shape))
+    return [_leaf_transcripts(*leaf, specs, shape, registry) for leaf in leaves]
+
+
+def walk_defection(specs, shape, defector):
+    """Reference for ``analyze_defection``: (Bell outcomes, cooperator bits,
+    probability, receivers' joint density matrix) per cooperating branch."""
+    registry = QubitRegistry(shape)
+    events = tuple(e for e in protocol_events(shape) if e != ("ghz", defector))
+    received = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
+    out = []
+    for outcomes, prob, final in walk_paths(_network_state(specs, shape), events, registry):
+        bells = tuple(outcomes[e] for e in events if e[0] == "bell")
+        bits = tuple(int(outcomes[e]) for e in events if e[0] == "ghz")
+        out.append((bells, bits, prob, partial_trace(final, received).matrix))
+    return out
+
+
+def _baseline_leaves(alpha, beta, num_agents, skip=None, rng=None):
+    """Leaves of one baseline copy: message 0, sender GHZ 1, receiver 2, agents 3.."""
+    ghz = np.zeros(2 ** (num_agents + 2), dtype=complex)
+    ghz[0] = ghz[-1] = SQRT_HALF
+    state = StateVector(np.kron(ghz, [alpha, beta]))
+    bell = [rng] if rng is not None else list(BellOutcome)
+    leaves = [((o,), p, s) for o, p, s in (measure_bell(state, (0, 1), sel) for sel in bell)]
+    for j in range(num_agents):
+        if j == skip:
+            continue
+        bits = [rng] if rng is not None else [0, 1]
+        leaves = [
+            (key + (bit,), prob * p, s)
+            for key, prob, leaf in leaves
+            for bit, p, s in (measure_z(apply_hadamard(leaf, 3 + j), 3 + j, sel) for sel in bits)
+        ]
+    return leaves
+
+
+def walk_baseline(spec, num_agents, mode="enumerate", seed=None):
+    """Reference for ``run_baseline_ghz``: (copy, Bell outcome, agent bits,
+    correction, fidelity, probability) per copy and branch."""
+    rng = np.random.default_rng(seed) if mode == "sampled" else None
+    out = []
+    for index, (alpha, beta) in enumerate(spec.qubits):
+        for (outcome, *bits), prob, state in _baseline_leaves(alpha, beta, num_agents, rng=rng):
+            op = correction_for(outcome, infer_branch(bits, 0))
+            rho = partial_trace(apply_pauli(state, 2, op), [2])
+            out.append((index, outcome, tuple(bits), op, fidelity(rho, StateVector([alpha, beta])), prob))
+    return out
+
+
+def walk_baseline_defection(spec, num_agents, defector):
+    """Reference for ``analyze_baseline_defection``: (copy, Bell outcome,
+    cooperator bits, probability, receiver density matrix)."""
+    return [
+        (index, outcome, tuple(bits), prob, partial_trace(state, [2]).matrix)
+        for index, (alpha, beta) in enumerate(spec.qubits)
+        for (outcome, *bits), prob, state in _baseline_leaves(alpha, beta, num_agents, skip=defector)
+    ]

@@ -28,7 +28,7 @@ from teleportnet import (
 )
 from teleportnet.protocol import baseline_resource_sizes
 
-from _oracles import conditional_kets
+from _oracles import conditional_kets, walk_transcripts
 
 GRID = tn.recovery_unitaries(num_random=1000, seed=7)
 SWEEP = list(itertools.product((1, 2, 3), (1, 2, 3)))
@@ -272,3 +272,12 @@ def test_criterion_8_ordering_and_basis():
                 assert permuted[key][1] == pytest.approx(prob, abs=1e-10)
                 assert direct[key][0] == pytest.approx(fid, abs=1e-10)
                 assert direct[key][1] == pytest.approx(prob, abs=1e-10)
+            # the sequential tree walk, in the shuffled order and the direct
+            # basis, against the one-pass executor
+            walked = _result_map(
+                branch[0] for branch in walk_transcripts([spec], shape, event_order=events, agent_basis="plus_minus")
+            )
+            assert walked.keys() == reference.keys()
+            for key, (fid, prob) in reference.items():
+                assert walked[key][0] == pytest.approx(fid, abs=1e-10)
+                assert walked[key][1] == pytest.approx(prob, abs=1e-10)

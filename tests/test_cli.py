@@ -124,6 +124,22 @@ class TestRunCommand:
         assert run_cli("run", "--spec", str(path), "--m", "1", "--enumerate") == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", [
+        {"m": "abc", "n": 1, "mode": "enumerate"},
+        {"m": 1, "n": 1, "defector": "x"},
+        {"m": 1, "n": 1, "seed": "s"},
+        {"ml": 3, "n": 1, "mode": "enumerate"},
+        {"m": 1, "n": 1, "seed": -1},
+        {"m": 1, "n": 1, "mode": "enumerate", "messages": "abc"},
+        {"m": 1, "n": 1, "mode": "enumerate", "messages": {"kind": "random", "seed": -3}},
+        {"m": 1, "n": 1, "mode": "enumerate", "messages": {"kind": "preset", "name": []}},
+    ], ids=["m", "defector", "seed", "ml", "negative-seed", "messages", "messages-seed", "preset-name"])
+    def test_malformed_spec_values_are_config_errors(self, tmp_path, capsys, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("run", "--spec", str(path), "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_fidelities_have_at_most_15_significant_digits(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--out", str(out))
@@ -165,6 +181,11 @@ class TestCompareCommand:
 
     def test_compare_needs_m_or_ml(self):
         assert run_cli("compare", "--n", "1") == 2
+
+    @pytest.mark.parametrize("m", ["abc", "1..x"])
+    def test_malformed_m_range_is_config_error(self, capsys, m):
+        assert run_cli("compare", "--m", m) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSelftest:

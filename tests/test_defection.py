@@ -170,6 +170,14 @@ class TestRecoveryCeiling:
             margin = 2 * abs(alpha * beta) ** 2 * (1 - 1e-6)
             assert r.max_fidelity[0] < 1.0 - margin
 
+    def test_default_grid_is_cached_read_only(self):
+        grid = tn.recovery_unitaries()
+        assert tn.recovery_unitaries() is grid
+        assert not grid.flags.writeable
+        np.testing.assert_array_equal(grid, tn.defection._build_grid(1000, 7))
+        fresh = tn.recovery_unitaries(num_random=1000, seed=8)
+        assert fresh.flags.writeable and fresh is not tn.recovery_unitaries(num_random=1000, seed=8)
+
     def test_grid_contains_24_cliffords(self):
         grid = tn.recovery_unitaries(num_random=10, seed=0)
         assert grid.shape == (34, 2, 2)

@@ -1,0 +1,111 @@
+"""The one-pass measurement executor against the sequential tree walker of
+``_oracles``, over random small networks, event orders and agent bases."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import teleportnet as tn
+from teleportnet import MessageSpec, NetworkShape, StateVector
+from teleportnet.protocol import measure_all
+
+from _oracles import walk_baseline, walk_baseline_defection, walk_defection, walk_transcripts
+
+TOL = 1e-12
+GRID = tn.recovery_unitaries(num_random=20, seed=1)
+
+
+@st.composite
+def networks(draw):
+    """At most 3 message qubits over one or two receivers, 1 to 3 agents."""
+    counts = draw(st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1)]))
+    shape = NetworkShape(counts, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = [MessageSpec.random(m, rng) for m in counts]
+    order = draw(st.permutations(tn.protocol_events(shape)))
+    basis = draw(st.sampled_from(["hadamard_z", "plus_minus"]))
+    return specs, shape, order, basis
+
+
+def _run(specs, shape, mode="enumerate", **kwargs):
+    """Per branch, one transcript per receiver, for either entry point."""
+    if shape.num_receivers > 1:
+        return tn.run_multi_receiver(specs, shape, mode, **kwargs)
+    out = tn.run_controlled_teleport(specs[0], shape, mode, **kwargs)
+    return [(t,) for t in out] if mode == "enumerate" else (out,)
+
+
+def _assert_same_branch(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.receiver, g.bell_outcomes, g.agent_bits, g.sender_ghz_bit, g.branch,
+                g.corrections, g.classical_messages, g.message_index) == (
+                w.receiver, w.bell_outcomes, w.agent_bits, w.sender_ghz_bit, w.branch,
+                w.corrections, w.classical_messages, w.message_index)
+        assert abs(g.fidelity - w.fidelity) <= TOL
+        assert abs(g.branch_probability - w.branch_probability) <= TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(networks())
+def test_enumerate_matches_walker(network):
+    specs, shape, order, basis = network
+    got = _run(specs, shape, event_order=order, agent_basis=basis)
+    want = walk_transcripts(specs, shape, event_order=order, agent_basis=basis)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_branch(g, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_sampled_draws_the_walkers_branch(network, seed):
+    specs, shape, order, basis = network
+    got = _run(specs, shape, "sampled", seed=seed, event_order=order, agent_basis=basis)
+    want = walk_transcripts(specs, shape, "sampled", seed=seed, event_order=order, agent_basis=basis)
+    _assert_same_branch(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(networks(), st.data())
+def test_defection_matches_walker(network, data):
+    specs, shape, _, _ = network
+    defector = data.draw(st.integers(0, shape.num_agents - 1))
+    got = tn.analyze_defection(specs, shape, defector, unitaries=GRID)
+    want = walk_defection(specs, shape, defector)
+    assert len(got) == len(want)
+    for r, (bells, bits, prob, joint) in zip(got, want):
+        assert (r.bell_outcomes, r.cooperator_bits) == (bells, bits)
+        assert abs(r.probability - prob) <= TOL
+        np.testing.assert_allclose(r.joint_density.matrix, joint, rtol=0, atol=TOL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(networks(), st.integers(0, 2**32 - 1), st.data())
+def test_baseline_matches_walker(network, seed, data):
+    specs, shape, _, _ = network
+    spec = MessageSpec(tuple(q for s in specs for q in s.qubits))
+    single = NetworkShape.single(len(spec), shape.num_agents)
+    for mode in ("enumerate", "sampled"):
+        got = tn.run_baseline_ghz(spec, single, mode, seed=seed)
+        want = walk_baseline(spec, shape.num_agents, mode, seed)
+        assert len(got) == len(want)
+        for t, (index, outcome, bits, op, fid, prob) in zip(got, want):
+            assert (t.message_index, t.bell_outcomes, t.agent_bits, t.corrections) == (index, (outcome,), bits, (op,))
+            assert abs(t.fidelity - fid) <= TOL
+            assert abs(t.branch_probability - prob) <= TOL
+    defector = data.draw(st.integers(0, shape.num_agents - 1))
+    got = tn.analyze_baseline_defection(spec, single, defector, unitaries=GRID)
+    want = walk_baseline_defection(spec, shape.num_agents, defector)
+    assert len(got) == len(want)
+    for r, (index, outcome, bits, prob, rho) in zip(got, want):
+        assert (r.message_index, r.bell_outcomes, r.cooperator_bits) == (index, (outcome,), bits)
+        assert abs(r.probability - prob) <= TOL
+        np.testing.assert_allclose(r.joint_density.matrix, rho, rtol=0, atol=TOL)
+
+
+def test_zero_probability_branch_is_refused():
+    # |00> has no weight on the psi outcomes of a Bell measurement
+    with pytest.raises(ValueError, match="probability"):
+        measure_all(StateVector([1, 0, 0, 0]), [(0, 1)], [])
