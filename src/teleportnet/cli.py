@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_QUBITS = 26
-FIDELITY_BAR = FIDELITY_ATOL
 DEFAULT_MESSAGE_SEED = 2718  # fixed so enumerate-mode reports never depend on --seed
 
 PRESETS = {
@@ -80,6 +80,9 @@ def _load_spec_file(path: str) -> dict:
 
 
 def _as_int(value: Any, name: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -270,7 +273,7 @@ def cmd_run(args) -> int:
             transcripts = list(run_multi_receiver(specs, shape, "sampled", seed=seed))
 
     min_fid = min(t.fidelity for t in transcripts)
-    ok = min_fid >= 1.0 - FIDELITY_BAR
+    ok = min_fid >= 1.0 - FIDELITY_ATOL
     prob_sum = sum(t.branch_probability for t in transcripts) / max(shape.num_receivers, 1)
     report["kind"] = "protocol_run"
     report["transcripts"] = [_transcript_dict(t) for t in transcripts]
@@ -310,24 +313,11 @@ def cmd_compare(args) -> int:
         if not ms:
             raise ConfigError("empty m range")
         table = crossover_table(n, ms)
-        rows = [
-            {
-                "m": row.m,
-                "aux_entangling": row.aux_entangling,
-                "aux_baseline": row.aux_baseline,
-                "ops_per_agent_entangling": row.ops_per_agent_entangling,
-                "ops_per_agent_baseline": row.ops_per_agent_baseline,
-                "aux_equal": row.aux_equal,
-                "aux_advantage": row.aux_advantage,
-                "ops_advantage": row.ops_advantage,
-            }
-            for row in table.rows
-        ]
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "compare",
             "num_agents": n,
-            "rows": rows,
+            "rows": [asdict(row) for row in table.rows],
             "first_dominating_m": table.first_dominating_m,
         }
         print(f"{'m':>3} {'aux(new)':>9} {'aux(base)':>10} {'ops/agent':>10} {'flags':>14}")
@@ -356,8 +346,7 @@ def cmd_compare(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "compare",
         "shape": {"message_counts": list(shape.message_counts), "num_agents": shape.num_agents},
-        "entangling": _report_dict(new),
-        "ghz_baseline": _report_dict(old),
+        **{r.method.value: {k: v for k, v in asdict(r).items() if k != "method"} for r in (new, old)},
     }
     print(f"shape m_l={list(shape.message_counts)} n={shape.num_agents}")
     print(f"aux qubits:        {new.aux_qubits} vs {old.aux_qubits}")
@@ -368,17 +357,6 @@ def cmd_compare(args) -> int:
     if args.out:
         _emit_report(report, args.out)
     return 0
-
-
-def _report_dict(r) -> dict:
-    return {
-        "aux_qubits": r.aux_qubits,
-        "qubits_per_agent": r.qubits_per_agent,
-        "hadamards_per_agent": r.hadamards_per_agent,
-        "measurements_per_agent": r.measurements_per_agent,
-        "classical_bits_per_agent": list(r.classical_bits_per_agent),
-        "bell_measurements": r.bell_measurements,
-    }
 
 
 def _selftest_checks():
@@ -394,7 +372,7 @@ def _selftest_checks():
                     if len(trs) != 4 ** m * 2 ** (n + 1):
                         return f"branch count {len(trs)} wrong for m={m} n={n}"
                     worst = min(t.fidelity for t in trs)
-                    if worst < 1.0 - FIDELITY_BAR:
+                    if worst < 1.0 - FIDELITY_ATOL:
                         return f"fidelity {worst} below bar at m={m} n={n}"
                     if abs(sum(t.branch_probability for t in trs) - 1.0) > 1e-9:
                         return f"branch probabilities do not sum to 1 at m={m} n={n}"
@@ -431,7 +409,7 @@ def _selftest_checks():
                 spec = MessageSpec.random(m, rng)
                 trs = run_baseline_ghz(spec, NetworkShape.single(m, n))
                 worst = min(t.fidelity for t in trs)
-                if worst < 1.0 - FIDELITY_BAR:
+                if worst < 1.0 - FIDELITY_ATOL:
                     return f"baseline fidelity {worst} below bar at m={m} n={n}"
         return None
 

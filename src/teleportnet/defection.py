@@ -28,6 +28,7 @@ from .states import (
     BellOutcome,
     DensityMatrix,
     StateVector,
+    _partial_trace_stack,
     fidelity,
     measure_bell,
     partial_trace,
@@ -127,11 +128,9 @@ def _default_grid() -> np.ndarray:
 def _build_grid(num_random: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((num_random, 2, 2)) + 1j * rng.standard_normal((num_random, 2, 2))
-    qs = []
-    for mat in raw:
-        q, r = np.linalg.qr(mat)
-        qs.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    return np.concatenate([_CLIFFORDS, np.stack(qs)])
+    q, r = np.linalg.qr(raw)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return np.concatenate([_CLIFFORDS, q * (d / abs(d))[:, None, :]])
 
 
 def max_recovery_fidelity(
@@ -141,34 +140,28 @@ def max_recovery_fidelity(
 ) -> float:
     """Best fidelity <t|U rho U^dag|t> over the recovery grid."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
+    us = recovery_unitaries() if unitaries is None else unitaries
+    return float(_best_recovery(mat[None], target, us)[0])
+
+
+# Operators per grid contraction: bounds the (block, grid) temporary whatever
+# the branch count.
+_BLOCK = 64
+
+
+def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
+    """Best fidelity over the grid for each operator of a (count, 2, 2) stack."""
     t = np.asarray(target, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
-    us = recovery_unitaries() if unitaries is None else unitaries
-    w = np.einsum("gba,b->ga", us.conj(), t)  # w_g = U_g^dag |t>
-    values = np.einsum("ga,ab,gb->g", w.conj(), mat, w).real
-    return float(values.max())
+    w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
+    return np.concatenate([
+        np.einsum("ga,bac,gc->bg", w.conj(), rhos[i:i + _BLOCK], w).real.max(axis=1)
+        for i in range(0, len(rhos), _BLOCK)
+    ])
 
 
 def _form_for(outcome: BellOutcome) -> DiagonalForm:
     return DiagonalForm.PRESERVED if outcome in _PHI else DiagonalForm.SWAPPED
-
-
-def _qubit_reports(
-    joint: DensityMatrix,
-    qubits: Sequence[tuple[complex, complex]],
-    outcomes: Sequence[BellOutcome],
-    unitaries: np.ndarray,
-) -> tuple[tuple[DensityMatrix, ...], float, tuple[float, ...], tuple[DiagonalForm, ...]]:
-    per_qubit = tuple(
-        partial_trace(joint, [i]) if joint.num_qubits > 1 else joint
-        for i in range(len(qubits))
-    )
-    off = max(d.max_off_diagonal() for d in per_qubit)
-    best = tuple(
-        max_recovery_fidelity(d, pair, unitaries) for d, pair in zip(per_qubit, qubits)
-    )
-    forms = tuple(_form_for(o) for o in outcomes)
-    return per_qubit, off, best, forms
 
 
 def analyze_defection(
@@ -212,11 +205,13 @@ def _reports(
     total = len(qubits)
     halves = kept.reshape(len(kept), 2, 1 << total)
     joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
+    marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
+    best = np.stack([_best_recovery(m, pair, unitaries) for m, pair in zip(marginals, qubits)], axis=1)
     reports = []
-    for row, prob, mat in zip(outcomes.tolist(), probs.tolist(), joints):
+    for b, (row, prob, mat) in enumerate(zip(outcomes.tolist(), probs.tolist(), joints)):
         joint = DensityMatrix(mat)
+        per_qubit = (joint,) if total == 1 else tuple(DensityMatrix(m[b]) for m in marginals)
         bells = tuple(_BELL_ORDER[o] for o in row[:total])
-        per_qubit, off, best, forms = _qubit_reports(joint, qubits, bells, unitaries)
         reports.append(DefectionReport(
             defector=defector,
             bell_outcomes=bells,
@@ -224,9 +219,9 @@ def _reports(
             probability=prob,
             joint_density=joint,
             per_qubit_density=per_qubit,
-            off_diagonal_norm=off,
-            max_fidelity=best,
-            conforms_to=forms,
+            off_diagonal_norm=max(d.max_off_diagonal() for d in per_qubit),
+            max_fidelity=tuple(best[b].tolist()),
+            conforms_to=tuple(_form_for(o) for o in bells),
             message_index=message_index,
         ))
     return reports

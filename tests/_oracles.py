@@ -68,6 +68,28 @@ def partial_trace_dense(amps: np.ndarray, keep) -> np.ndarray:
     return rho
 
 
+def qubit_marginal_dense(rho: np.ndarray, qubit: int) -> np.ndarray:
+    """One qubit's 2x2 marginal of a density matrix: entry (a, b) sums the
+    entries whose row and column agree on every other qubit."""
+    out = np.zeros((2, 2), dtype=complex)
+    for row in range(len(rho)):
+        for col in range(len(rho)):
+            if (row ^ col) & ~(1 << qubit) == 0:
+                out[(row >> qubit) & 1, (col >> qubit) & 1] += rho[row, col]
+    return out
+
+
+def best_grid_fidelity(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
+    """For each operator of a (count, 2, 2) stack, the max over the grid of
+    <t|U rho U^dag|t>, taken one unitary at a time."""
+    t = np.asarray(pair, dtype=complex) / np.linalg.norm(pair)
+    best = np.full(len(rhos), -np.inf)
+    for u in unitaries:
+        v = u.conj().T @ t  # U^dag |t>
+        best = np.maximum(best, (v.conj() @ rhos @ v).real)
+    return best
+
+
 def born_z_probability(amps: np.ndarray, qubit: int, bit: int) -> float:
     """Direct Born-rule sum over the indices whose ``qubit`` value is ``bit``."""
     total = 0.0

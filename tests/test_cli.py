@@ -1,12 +1,28 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from teleportnet.cli import main
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("run --m 2 --n 1 --defector 1", "run_m2_n1_defector1.json"),
+    ("run --m 2 --n 1 --enumerate", "run_m2_n1_enumerate.json"),
+    ("compare --n 2 --m 1..6", "compare_n2_m1-6.json"),
+    ("compare --k 2 --ml 1 --n 2", "compare_k2_ml1_n2.json"),
+], ids=["defection", "enumerate", "compare-sweep", "compare-shape"])
+def test_reports_match_stored_bytes(tmp_path, argv, name):
+    out = tmp_path / name
+    assert run_cli(*argv.split(), "--out", str(out)) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 class TestRunCommand:
@@ -133,7 +149,11 @@ class TestRunCommand:
         {"m": 1, "n": 1, "mode": "enumerate", "messages": "abc"},
         {"m": 1, "n": 1, "mode": "enumerate", "messages": {"kind": "random", "seed": -3}},
         {"m": 1, "n": 1, "mode": "enumerate", "messages": {"kind": "preset", "name": []}},
-    ], ids=["m", "defector", "seed", "ml", "negative-seed", "messages", "messages-seed", "preset-name"])
+        {"m": 1.7, "n": 1, "mode": "enumerate"},
+        {"m": 1, "n": True, "mode": "enumerate"},
+        {"m": 1, "n": 1, "defector": 1.5},
+    ], ids=["m", "defector", "seed", "ml", "negative-seed", "messages", "messages-seed", "preset-name",
+            "m-fraction", "n-bool", "defector-fraction"])
     def test_malformed_spec_values_are_config_errors(self, tmp_path, capsys, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))

@@ -10,7 +10,15 @@ import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, StateVector
 from teleportnet.protocol import measure_all
 
-from _oracles import walk_baseline, walk_baseline_defection, walk_defection, walk_transcripts
+from _oracles import (
+    best_grid_fidelity,
+    max_eigenvalue,
+    qubit_marginal_dense,
+    walk_baseline,
+    walk_baseline_defection,
+    walk_defection,
+    walk_transcripts,
+)
 
 TOL = 1e-12
 GRID = tn.recovery_unitaries(num_random=20, seed=1)
@@ -47,6 +55,23 @@ def _assert_same_branch(got, want):
         assert abs(g.branch_probability - w.branch_probability) <= TOL
 
 
+def _assert_reductions(reports, joints, pairs):
+    """Per-qubit fields of defection reports against explicit-loop oracles
+    applied to the walker's joint density matrices; qubit i of every report
+    targets ``pairs[i]``."""
+    marginals = np.array([[qubit_marginal_dense(j, q) for q in range(len(pairs))] for j in joints])
+    for r, rhos in zip(reports, marginals):
+        assert len(r.per_qubit_density) == len(rhos)
+        for d, rho in zip(r.per_qubit_density, rhos):
+            np.testing.assert_allclose(d.matrix, rho, rtol=0, atol=TOL)
+        assert abs(r.off_diagonal_norm - np.abs(rhos[:, [0, 1], [1, 0]]).max()) <= TOL
+    best = np.array([r.max_fidelity for r in reports]).reshape(len(reports), len(pairs))
+    for q, pair in enumerate(pairs):
+        np.testing.assert_allclose(best[:, q], best_grid_fidelity(marginals[:, q], pair, GRID), rtol=0, atol=TOL)
+        ceiling = np.array([max_eigenvalue(rho) for rho in marginals[:, q]])
+        assert np.all(best[:, q] <= ceiling + 1e-12)
+
+
 @settings(max_examples=15, deadline=None)
 @given(networks())
 def test_enumerate_matches_walker(network):
@@ -79,6 +104,7 @@ def test_defection_matches_walker(network, data):
         assert (r.bell_outcomes, r.cooperator_bits) == (bells, bits)
         assert abs(r.probability - prob) <= TOL
         np.testing.assert_allclose(r.joint_density.matrix, joint, rtol=0, atol=TOL)
+    _assert_reductions(got, [w[3] for w in want], [q for s in specs for q in s.qubits])
 
 
 @settings(max_examples=15, deadline=None)
@@ -103,6 +129,9 @@ def test_baseline_matches_walker(network, seed, data):
         assert (r.message_index, r.bell_outcomes, r.cooperator_bits) == (index, (outcome,), bits)
         assert abs(r.probability - prob) <= TOL
         np.testing.assert_allclose(r.joint_density.matrix, rho, rtol=0, atol=TOL)
+    for index, pair in enumerate(spec.qubits):
+        copy = [k for k, r in enumerate(got) if r.message_index == index]
+        _assert_reductions([got[k] for k in copy], [want[k][4] for k in copy], [pair])
 
 
 def test_zero_probability_branch_is_refused():
