@@ -10,7 +10,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from typing import Any, Sequence
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -57,8 +59,109 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def _emit_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n"
+# A record's text is laid out by the stdlib encoder once per record shape (a
+# "frame", with %s at each leaf) and filled per record with the leaves' JSON.
+# With indent the stdlib skips its C encoder, so this is several times faster
+# than one json.dumps over the records, and writes the same bytes.
+_HOLE = "\x00"  # a leaf's place in a skeleton record
+_HOLE_TEXT = json.dumps(_HOLE)
+
+
+def _float_text(x: float) -> str:
+    """``json.dumps(_sig15(x))``."""
+    x = _sig15(x)
+    return float.__repr__(x) if x - x == 0 else json.dumps(x)  # NaN and +-Infinity
+
+
+def _flatten(obj: dict | list | tuple, tokens: list, leaves: list, floats: dict) -> None:
+    """Append the shape tokens and the leaves of ``obj`` in the order the
+    encoder writes them.
+
+    Tokens are a dict's sorted key tuple, a list's length, ``""`` for a leaf
+    and ``None`` for a null, which the frame spells out. Leaves are JSON texts,
+    or exact ints, which ``%s`` writes as ``json.dumps`` would.
+    """
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        tokens.append(tuple(keys))
+        obj = map(obj.__getitem__, keys)
+    else:
+        tokens.append(len(obj))
+    for v in obj:
+        t = type(v)
+        if t is str:
+            leaves.append(encode_basestring_ascii(v))
+        elif t is int:
+            leaves.append(v)
+        elif t is float:
+            text = floats.get(v)
+            if text is None:
+                text = _float_text(v)
+                if v and v == v:  # 0.0 == -0.0 and nan != nan: never cached
+                    floats[v] = text
+            leaves.append(text)
+        elif v is None:
+            tokens.append(None)
+            continue
+        elif isinstance(v, (dict, list, tuple)):
+            _flatten(v, tokens, leaves, floats)
+            continue
+        else:
+            leaves.append(json.dumps(_round_floats(v)))
+        tokens.append("")
+
+
+def _skeleton(tokens: Iterator) -> Any:
+    token = next(tokens)
+    if type(token) is tuple:
+        return {k: _skeleton(tokens) for k in token}
+    if type(token) is int:
+        return [_skeleton(tokens) for _ in range(token)]
+    return None if token is None else _HOLE
+
+
+@lru_cache(maxsize=256)
+def _frame(tokens: tuple) -> str | None:
+    """A record of shape ``tokens`` as an item of a top-level key's list, with
+    ``%s`` at each leaf; None if a key would read as a hole."""
+    text = json.dumps(_skeleton(iter(tokens)), indent=2, sort_keys=True)
+    if text.count(_HOLE_TEXT) != tokens.count(""):
+        return None
+    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s").replace("\n", "\n    ")
+
+
+def _records_text(records: list[dict]) -> str:
+    """The text ``json.dumps(_round_floats(report), indent=2, sort_keys=True)``
+    gives a list of string-keyed records held by a top-level key."""
+    if not records:
+        return "[]"
+    parts, floats = [], {}
+    for record in records:
+        tokens, leaves = [], []
+        _flatten(record, tokens, leaves, floats)
+        frame = _frame(tuple(tokens))
+        if frame is None:  # a key spells a hole: one stdlib dump of this record
+            parts.append(json.dumps(_round_floats(record), indent=2, sort_keys=True).replace("\n", "\n    "))
+        else:
+            parts.append(frame % tuple(leaves))
+    return "[\n    " + ",\n    ".join(parts) + "\n  ]"
+
+
+def _report_text(report: dict, records_key: str | None = None) -> str:
+    """``json.dumps(_round_floats(report), indent=2, sort_keys=True)``, with
+    the list under ``records_key`` written by ``_records_text``."""
+    if records_key is None:
+        return json.dumps(_round_floats(report), indent=2, sort_keys=True)
+    text = json.dumps(_round_floats({**report, records_key: []}), indent=2, sort_keys=True)
+    # The key's one top-level line: the encoder escapes newlines inside strings,
+    # so no key or string can spell it.
+    line = f"\n  {json.dumps(records_key)}: "
+    head, _, tail = text.partition(line + "[]")
+    return head + line + _records_text(report[records_key]) + tail
+
+
+def _emit_report(report: dict, out_path: str | None, records_key: str | None = None) -> None:
+    text = _report_text(report, records_key) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -221,6 +324,10 @@ def cmd_run(args) -> int:
     specs, source = _build_specs(args, config, shape)
 
     defector = args.defector if args.defector is not None else config.get("defector")
+    if defector is not None:
+        defector = _as_int(defector, "defector")
+        if not 1 <= defector <= shape.num_agents:
+            raise ConfigError(f"defector must be in 1..{shape.num_agents}")
     # defection analysis is exhaustive by construction
     enumerate_mode = args.enumerate or config.get("mode") == "enumerate" or defector is not None
     mode = "enumerate" if enumerate_mode else "sampled"
@@ -240,9 +347,6 @@ def cmd_run(args) -> int:
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": "run", "scenario": scenario}
 
     if defector is not None:
-        defector = _as_int(defector, "defector")
-        if not 1 <= defector <= shape.num_agents:
-            raise ConfigError(f"defector must be in 1..{shape.num_agents}")
         flat_spec = MessageSpec(tuple(q for s in specs for q in s.qubits))
         reports = analyze_defection(specs, shape, defector - 1)
         ok = all(
@@ -258,7 +362,7 @@ def cmd_run(args) -> int:
             "probability_sum": sum(r.probability for r in reports),
             "all_diagonal": ok,
         }
-        _emit_report(report, args.out)
+        _emit_report(report, args.out, "branches")
         return 0 if ok else 1
 
     if mode == "enumerate":
@@ -283,7 +387,7 @@ def cmd_run(args) -> int:
         "branch_probability_sum": prob_sum if mode == "enumerate" else None,
         "all_fidelities_pass": ok,
     }
-    _emit_report(report, args.out)
+    _emit_report(report, args.out, "transcripts")
     return 0 if ok else 1
 
 

@@ -207,10 +207,14 @@ def _reports(
     joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
     marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
     best = np.stack([_best_recovery(m, pair, unitaries) for m, pair in zip(marginals, qubits)], axis=1)
+    DensityMatrix._check_stack(joints)
+    if total > 1:
+        for m in marginals:
+            DensityMatrix._check_stack(m)
     reports = []
     for b, (row, prob, mat) in enumerate(zip(outcomes.tolist(), probs.tolist(), joints)):
-        joint = DensityMatrix(mat)
-        per_qubit = (joint,) if total == 1 else tuple(DensityMatrix(m[b]) for m in marginals)
+        joint = DensityMatrix._wrap(mat)
+        per_qubit = (joint,) if total == 1 else tuple(DensityMatrix._wrap(m[b]) for m in marginals)
         bells = tuple(_BELL_ORDER[o] for o in row[:total])
         reports.append(DefectionReport(
             defector=defector,

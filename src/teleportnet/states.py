@@ -157,14 +157,30 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         n = _num_qubits_for(mat.shape[0])
-        if np.max(np.abs(mat - mat.conj().T)) > self.HERMITIAN_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > self.TRACE_ATOL or abs(np.trace(mat).imag) > self.TRACE_ATOL:
-            raise ValueError("density matrix trace is not 1")
-        if float(np.linalg.eigvalsh(mat).min()) < self.EIGENVALUE_FLOOR:
-            raise ValueError("density matrix has a negative eigenvalue")
+        self._check_stack(mat[None])
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "matrix", _read_only(mat))
+
+    @classmethod
+    def _check_stack(cls, mats: np.ndarray) -> None:
+        """The constructor's checks on every operator of a (count, d, d) stack,
+        each reduced per operator as the constructor does."""
+        if np.any(np.max(np.abs(mats - mats.conj().swapaxes(1, 2)), axis=(1, 2)) > cls.HERMITIAN_ATOL):
+            raise ValueError("density matrix is not Hermitian")
+        tr = np.trace(mats, axis1=1, axis2=2)
+        if np.any((np.abs(tr.real - 1.0) > cls.TRACE_ATOL) | (np.abs(tr.imag) > cls.TRACE_ATOL)):
+            raise ValueError("density matrix trace is not 1")
+        if np.any(np.linalg.eigvalsh(mats).min(axis=1) < cls.EIGENVALUE_FLOOR):
+            raise ValueError("density matrix has a negative eigenvalue")
+
+    @classmethod
+    def _wrap(cls, mat: np.ndarray) -> "DensityMatrix":
+        """Trusted fast path for a complex square matrix of a stack that
+        ``_check_stack`` has passed; it is not copied."""
+        dm = object.__new__(cls)
+        object.__setattr__(dm, "num_qubits", _num_qubits_for(mat.shape[0]))
+        object.__setattr__(dm, "matrix", _read_only(mat))
+        return dm
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

@@ -4,10 +4,13 @@ Everything here is written with explicit index loops or literal formulas so
 it shares no code path with the library's vectorized kernels.  The tree
 walkers at the end are the reference for the one-pass measurement executor:
 they collapse the state one measurement at a time with the single-qubit and
-Bell kernels of ``teleportnet.states``.
+Bell kernels of ``teleportnet.states``.  ``report_text`` is the reference
+for the CLI's report writer.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -173,6 +176,22 @@ def control_resource_dense(message_counts, num_agents: int) -> np.ndarray:
 def max_eigenvalue(rho: np.ndarray) -> float:
     """Analytic ceiling for any unitary recovery against a pure target."""
     return float(np.linalg.eigvalsh(rho).max())
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def report_text(report: dict) -> str:
+    """A report as one stdlib dump: every float cut to 15 significant digits,
+    then ``json.dumps`` with ``indent=2`` and sorted keys."""
+    return json.dumps(_round_floats(report), indent=2, sort_keys=True)
 
 
 # --- sequential tree walker -------------------------------------------------

@@ -18,10 +18,15 @@ def run_cli(*argv):
     ("run --m 2 --n 1 --enumerate", "run_m2_n1_enumerate.json"),
     ("compare --n 2 --m 1..6", "compare_n2_m1-6.json"),
     ("compare --k 2 --ml 1 --n 2", "compare_k2_ml1_n2.json"),
-], ids=["defection", "enumerate", "compare-sweep", "compare-shape"])
+    ("run --ml 2 1 --n 2 --seed 9", "run_ml21_n2_seed9.json"),
+    ("run --m 2 --n 2 --seed 5", "run_m2_n2_seed5.json"),
+    # message_source holds NUL strings, "%s" and a "transcripts" key, all sorted before the records
+    ("run --spec {data}/spec_hostile_strings.json", "run_spec_hostile_strings.json"),
+], ids=["defection", "enumerate", "compare-sweep", "compare-shape", "sampled-two-receivers",
+        "sampled", "hostile-spec-strings"])
 def test_reports_match_stored_bytes(tmp_path, argv, name):
     out = tmp_path / name
-    assert run_cli(*argv.split(), "--out", str(out)) == 0
+    assert run_cli(*argv.format(data=DATA).split(), "--out", str(out)) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
@@ -159,6 +164,19 @@ class TestRunCommand:
         path.write_text(json.dumps(scenario))
         assert run_cli("run", "--spec", str(path), "--out", str(tmp_path / "r.json")) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_spec_defector_string_is_written_as_an_integer(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        out = tmp_path / "d.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "defector": "1"}))
+        assert run_cli("run", "--spec", str(path), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["scenario"]["defector"] == 1
+        assert type(report["scenario"]["defector"]) is int
+        assert {b["defector"] for b in report["branches"]} == {1}
+        path.write_text(json.dumps({"m": 1, "n": 1, "defector": "x"}))
+        assert run_cli("run", "--spec", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: defector")
 
     def test_fidelities_have_at_most_15_significant_digits(self, tmp_path):
         out = tmp_path / "r.json"

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, StateVector
+from teleportnet.defection import _reports
 from teleportnet.protocol import measure_all
 
 from _oracles import (
     best_grid_fidelity,
     max_eigenvalue,
+    partial_trace_dense,
     qubit_marginal_dense,
     walk_baseline,
     walk_baseline_defection,
@@ -132,6 +134,27 @@ def test_baseline_matches_walker(network, seed, data):
     for index, pair in enumerate(spec.qubits):
         copy = [k for k, r in enumerate(got) if r.message_index == index]
         _assert_reductions([got[k] for k in copy], [want[k][4] for k in copy], [pair])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_reports_on_non_diagonal_marginals(total, count, seed):
+    """``_reports`` on random kept states, whose marginals (unlike a
+    defection's) are not diagonal, so each per-qubit field must come from its
+    own qubit."""
+    rng = np.random.default_rng(seed)
+    kept = rng.standard_normal((count, 2 << total)) + 1j * rng.standard_normal((count, 2 << total))
+    kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+    outcomes = np.concatenate([rng.integers(0, 4, (count, total)), rng.integers(0, 2, (count, 2))], axis=1)
+    probs = rng.dirichlet(np.ones(count))
+    pairs = [MessageSpec.random(1, rng).qubits[0] for _ in range(total)]
+    reports = _reports(outcomes, probs, kept, pairs, 0, GRID)
+    joints = [partial_trace_dense(k, range(total)) for k in kept]  # the top qubit is the defector's
+    for r, row, joint in zip(reports, outcomes, joints):
+        assert r.cooperator_bits == tuple(row[total:])
+        np.testing.assert_allclose(r.joint_density.matrix, joint, rtol=0, atol=TOL)
+    assert max(r.off_diagonal_norm for r in reports) > 1e-3
+    _assert_reductions(reports, joints, pairs)
 
 
 def test_zero_probability_branch_is_refused():
