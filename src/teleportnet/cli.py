@@ -147,21 +147,23 @@ def _records_text(records: list[dict]) -> str:
     return "[\n    " + ",\n    ".join(parts) + "\n  ]"
 
 
-def _report_text(report: dict, records_key: str | None = None) -> str:
+def _report_text(report: dict) -> str:
     """``json.dumps(_round_floats(report), indent=2, sort_keys=True)``, with
-    the list under ``records_key`` written by ``_records_text``."""
-    if records_key is None:
-        return json.dumps(_round_floats(report), indent=2, sort_keys=True)
-    text = json.dumps(_round_floats({**report, records_key: []}), indent=2, sort_keys=True)
-    # The key's one top-level line: the encoder escapes newlines inside strings,
-    # so no key or string can spell it.
-    line = f"\n  {json.dumps(records_key)}: "
-    head, _, tail = text.partition(line + "[]")
-    return head + line + _records_text(report[records_key]) + tail
+    each top-level list of records written by ``_records_text``."""
+    parts = []
+    for key in sorted(report):
+        value = report[key]
+        if isinstance(value, list) and all(isinstance(r, dict) for r in value):
+            text = _records_text(value)
+        else:
+            text = json.dumps(_round_floats(value), indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]
+    # one join, so the records' text, the bulk of a report, is copied once
+    return "".join(parts + ["\n}"]) if parts else "{}"
 
 
-def _emit_report(report: dict, out_path: str | None, records_key: str | None = None) -> None:
-    text = _report_text(report, records_key) + "\n"
+def _emit_report(report: dict, out_path: str | None) -> None:
+    text = _report_text(report) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -217,7 +219,7 @@ def _resolve_shape(args, config: dict) -> NetworkShape:
             elif len(counts) != k:
                 raise ConfigError(f"--ml lists {len(counts)} receivers but --k is {k}")
     elif m is not None:
-        counts = [_as_int(m, "m")] * (k or 1)
+        counts = [_as_int(m, "m")] * (1 if k is None else k)
     else:
         raise ConfigError("message count is required (--m or --ml)")
     try:
@@ -258,7 +260,7 @@ def _message_pairs(source: dict, total: int) -> list[tuple[complex, complex]]:
     raise ConfigError(f"unknown message source kind {kind!r}")
 
 
-def _build_specs(args, config: dict, shape: NetworkShape) -> tuple[list[MessageSpec], dict]:
+def _build_specs(config: dict, shape: NetworkShape) -> tuple[list[MessageSpec], dict]:
     source = config.get("messages", {"kind": "random", "seed": DEFAULT_MESSAGE_SEED})
     pairs = _message_pairs(source, shape.total_messages)
     try:
@@ -321,7 +323,7 @@ def _defection_dict(r) -> dict:
 def cmd_run(args) -> int:
     config = _load_spec_file(args.spec) if args.spec else {}
     shape = _resolve_shape(args, config)
-    specs, source = _build_specs(args, config, shape)
+    specs, source = _build_specs(config, shape)
 
     defector = args.defector if args.defector is not None else config.get("defector")
     if defector is not None:
@@ -362,7 +364,7 @@ def cmd_run(args) -> int:
             "probability_sum": sum(r.probability for r in reports),
             "all_diagonal": ok,
         }
-        _emit_report(report, args.out, "branches")
+        _emit_report(report, args.out)
         return 0 if ok else 1
 
     if mode == "enumerate":
@@ -387,7 +389,7 @@ def cmd_run(args) -> int:
         "branch_probability_sum": prob_sum if mode == "enumerate" else None,
         "all_fidelities_pass": ok,
     }
-    _emit_report(report, args.out, "transcripts")
+    _emit_report(report, args.out)
     return 0 if ok else 1
 
 
@@ -416,7 +418,10 @@ def cmd_compare(args) -> int:
         ms = _parse_m_range(args.m)
         if not ms:
             raise ConfigError("empty m range")
-        table = crossover_table(n, ms)
+        try:
+            table = crossover_table(n, ms)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "compare",

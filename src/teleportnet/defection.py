@@ -207,6 +207,7 @@ def _reports(
     joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
     marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
     best = np.stack([_best_recovery(m, pair, unitaries) for m, pair in zip(marginals, qubits)], axis=1)
+    off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals]).max(axis=0).tolist()
     DensityMatrix._check_stack(joints)
     if total > 1:
         for m in marginals:
@@ -223,7 +224,7 @@ def _reports(
             probability=prob,
             joint_density=joint,
             per_qubit_density=per_qubit,
-            off_diagonal_norm=max(d.max_off_diagonal() for d in per_qubit),
+            off_diagonal_norm=off[b],
             max_fidelity=tuple(best[b].tolist()),
             conforms_to=tuple(_form_for(o) for o in bells),
             message_index=message_index,

@@ -9,7 +9,6 @@ constructors normalize and reject zero or non-finite input.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -228,15 +227,6 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     return apply_single_qubit_gate(state, qubit, HADAMARD)
 
 
-def z_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
-    """Born weights of qubit value 0 and 1."""
-    _check_qubit(state, qubit)
-    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    p0 = float(np.sum(np.abs(arr[:, 0, :]) ** 2))
-    p1 = float(np.sum(np.abs(arr[:, 1, :]) ** 2))
-    return p0, p1
-
-
 def _pick(selector: Selector, outcomes: Sequence, probs: Sequence[float]):
     if isinstance(selector, np.random.Generator):
         p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
@@ -246,6 +236,43 @@ def _pick(selector: Selector, outcomes: Sequence, probs: Sequence[float]):
     return selector
 
 
+_Z_BASIS = _read_only(np.eye(2, dtype=np.complex128))
+
+
+def _project(state: StateVector, qubits: tuple[int, ...], basis: np.ndarray,
+             selector: Selector | None = None, outcomes: Sequence = ()):
+    """Measure ``qubits`` in an orthonormal basis whose row k is outcome k's
+    ket over their joint values (index 2a + b for a pair's values a, b).
+
+    Without a selector, returns every outcome's Born weight.  Otherwise picks
+    an outcome of ``outcomes`` and returns (outcome, probability,
+    renormalized state with the qubits left in that outcome's ket).
+    """
+    for q in qubits:
+        _check_qubit(state, q)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"measured qubits {qubits} must be distinct")
+    n = state.num_qubits
+    front = [n - 1 - q for q in qubits]  # axis j of the reshaped tensor is qubit n-1-j
+    perm = front + [a for a in range(n) if a not in front]
+    t = state.amplitudes.reshape([2] * n).transpose(perm)
+    overlaps = basis.conj() @ t.reshape(basis.shape[1], -1)
+    probs = np.sum(np.abs(overlaps) ** 2, axis=1).tolist()
+    if selector is None:
+        return probs
+    k = outcomes.index(_pick(selector, outcomes, probs))
+    if probs[k] < ZERO_BRANCH_ATOL:
+        raise ValueError(f"branch {outcomes[k]!r} on qubits {qubits} has probability {probs[k]:.3e}")
+    collapsed = np.multiply.outer(basis[k], overlaps[k] / np.sqrt(probs[k])).reshape(t.shape)
+    return outcomes[k], probs[k], StateVector._wrap(collapsed.transpose(np.argsort(perm)).reshape(-1))
+
+
+def z_probabilities(state: StateVector, qubit: int) -> tuple[float, float]:
+    """Born weights of qubit value 0 and 1."""
+    p0, p1 = _project(state, (qubit,), _Z_BASIS)
+    return p0, p1
+
+
 def measure_z(state: StateVector, qubit: int, selector: Selector) -> tuple[int, float, StateVector]:
     """Measure one qubit in the computational basis.
 
@@ -253,15 +280,8 @@ def measure_z(state: StateVector, qubit: int, selector: Selector) -> tuple[int, 
     or an explicit bit to collapse onto.  Returns (bit, probability,
     renormalized post-measurement state).
     """
-    probs = z_probabilities(state, qubit)
-    bit = int(_pick(selector, (0, 1), probs))
-    p = probs[bit]
-    if p < ZERO_BRANCH_ATOL:
-        raise ValueError(f"branch bit={bit} on qubit {qubit} has probability {p:.3e}")
-    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    collapsed = np.zeros_like(arr)
-    collapsed[:, bit, :] = arr[:, bit, :] / np.sqrt(p)
-    return bit, p, StateVector._wrap(collapsed.reshape(-1))
+    bit, p, after = _project(state, (qubit,), _Z_BASIS, selector, (0, 1))
+    return int(bit), p, after
 
 
 def measure_x(state: StateVector, qubit: int, selector: Selector) -> tuple[int, float, StateVector]:
@@ -270,47 +290,13 @@ def measure_x(state: StateVector, qubit: int, selector: Selector) -> tuple[int, 
     Bit 0 is the plus outcome.  This is the measurement that replaces a
     Hadamard followed by a computational-basis measurement.
     """
-    _check_qubit(state, qubit)
-    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    overlap = [(arr[:, 0, :] + arr[:, 1, :]) * _SQRT_HALF,
-               (arr[:, 0, :] - arr[:, 1, :]) * _SQRT_HALF]
-    probs = [float(np.sum(np.abs(o) ** 2)) for o in overlap]
-    bit = int(_pick(selector, (0, 1), probs))
-    p = probs[bit]
-    if p < ZERO_BRANCH_ATOL:
-        raise ValueError(f"branch bit={bit} on qubit {qubit} has probability {p:.3e}")
-    sign = 1.0 if bit == 0 else -1.0
-    scaled = overlap[bit] * (_SQRT_HALF / np.sqrt(p))
-    collapsed = np.empty_like(arr)
-    collapsed[:, 0, :] = scaled
-    collapsed[:, 1, :] = sign * scaled
-    return bit, p, StateVector._wrap(collapsed.reshape(-1))
-
-
-@lru_cache(maxsize=256)
-def _pair_indices(num_qubits: int, qa: int, qb: int) -> tuple[np.ndarray, ...]:
-    idx = np.arange(1 << num_qubits)
-    base = idx[((idx >> qa) & 1 == 0) & ((idx >> qb) & 1 == 0)]
-    groups = (base, base | (1 << qb), base | (1 << qa), base | (1 << qa) | (1 << qb))
-    for g in groups:
-        g.setflags(write=False)
-    return groups
-
-
-def _bell_overlaps(state: StateVector, pair: tuple[int, int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    qa, qb = pair
-    _check_qubit(state, qa)
-    _check_qubit(state, qb)
-    if qa == qb:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    groups = _pair_indices(state.num_qubits, qa, qb)
-    stacked = np.stack([state.amplitudes[g] for g in groups])  # (4, rest)
-    return _BELL_MATRIX.conj() @ stacked, groups
+    bit, p, after = _project(state, (qubit,), HADAMARD, selector, (0, 1))
+    return int(bit), p, after
 
 
 def bell_probabilities(state: StateVector, pair: tuple[int, int]) -> dict[BellOutcome, float]:
-    overlaps, _ = _bell_overlaps(state, pair)
-    return {o: float(np.sum(np.abs(overlaps[k]) ** 2)) for k, o in enumerate(BellOutcome)}
+    qa, qb = pair
+    return dict(zip(BellOutcome, _project(state, (qa, qb), _BELL_MATRIX)))
 
 
 def measure_bell(
@@ -321,21 +307,8 @@ def measure_bell(
     Returns (outcome, probability, renormalized post-measurement state); the
     measured pair is left in the corresponding Bell state.
     """
-    overlaps, groups = _bell_overlaps(state, pair)
-    probs = np.sum(np.abs(overlaps) ** 2, axis=1)
-    outcomes = tuple(BellOutcome)
-    outcome = _pick(selector, outcomes, probs)
-    k = outcomes.index(outcome)
-    p = float(probs[k])
-    if p < ZERO_BRANCH_ATOL:
-        raise ValueError(f"Bell branch {outcome.value} on pair {pair} has probability {p:.3e}")
-    collapsed = np.zeros_like(state.amplitudes)
-    vec = _BELL_MATRIX[k]
-    scale = 1.0 / np.sqrt(p)
-    for j, g in enumerate(groups):
-        if vec[j] != 0:
-            collapsed[g] = (vec[j] * scale) * overlaps[k]
-    return outcome, p, StateVector._wrap(collapsed)
+    qa, qb = pair
+    return _project(state, (qa, qb), _BELL_MATRIX, selector, tuple(BellOutcome))
 
 
 def project_onto_qubit_state(
@@ -351,17 +324,8 @@ def project_onto_qubit_state(
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("projection target must be normalized")
-    v = v / norm
-    arr = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    overlap = v[0].conjugate() * arr[:, 0, :] + v[1].conjugate() * arr[:, 1, :]
-    p = float(np.sum(np.abs(overlap) ** 2))
-    if p < ZERO_BRANCH_ATOL:
-        raise ValueError(f"projection on qubit {qubit} has probability {p:.3e}")
-    scaled = overlap / np.sqrt(p)
-    collapsed = np.empty_like(arr)
-    collapsed[:, 0, :] = v[0] * scaled
-    collapsed[:, 1, :] = v[1] * scaled
-    return p, StateVector._wrap(collapsed.reshape(-1))
+    _, p, after = _project(state, (qubit,), (v / norm)[None], 0, (0,))
+    return p, after
 
 
 def partial_trace(source: StateVector | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

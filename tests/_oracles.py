@@ -102,6 +102,30 @@ def born_z_probability(amps: np.ndarray, qubit: int, bit: int) -> float:
     return total
 
 
+def project_dense(amps: np.ndarray, qubits, ket) -> tuple[float, np.ndarray]:
+    """Projection of ``qubits`` onto the joint ``ket`` (entry 2a + b for a
+    pair's values a, b), one basis index at a time: (probability,
+    renormalized post-projection amplitudes)."""
+    mask = sum(1 << q for q in qubits)
+
+    def split(idx):
+        sub = 0
+        for q in qubits:
+            sub = 2 * sub + ((idx >> q) & 1)
+        return sub, idx & ~mask
+
+    overlaps = {}
+    for idx in range(len(amps)):
+        sub, rest = split(idx)
+        overlaps[rest] = overlaps.get(rest, 0.0) + np.conj(ket[sub]) * amps[idx]
+    p = sum(abs(o) ** 2 for o in overlaps.values())
+    out = np.zeros(len(amps), dtype=complex)
+    for idx in range(len(amps)):
+        sub, rest = split(idx)
+        out[idx] = ket[sub] * overlaps[rest] / np.sqrt(p)
+    return p, out
+
+
 # Conditional single-qubit states after the sender's Bell measurement, keyed
 # by outcome: the plain branch and the primed branch.
 def conditional_kets(outcome: BellOutcome, alpha: complex, beta: complex):

@@ -157,8 +157,9 @@ class TestRunCommand:
         {"m": 1.7, "n": 1, "mode": "enumerate"},
         {"m": 1, "n": True, "mode": "enumerate"},
         {"m": 1, "n": 1, "defector": 1.5},
+        {"m": 1, "n": 1, "k": 0, "mode": "enumerate"},
     ], ids=["m", "defector", "seed", "ml", "negative-seed", "messages", "messages-seed", "preset-name",
-            "m-fraction", "n-bool", "defector-fraction"])
+            "m-fraction", "n-bool", "defector-fraction", "k-zero"])
     def test_malformed_spec_values_are_config_errors(self, tmp_path, capsys, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -220,9 +221,11 @@ class TestCompareCommand:
     def test_compare_needs_m_or_ml(self):
         assert run_cli("compare", "--n", "1") == 2
 
-    @pytest.mark.parametrize("m", ["abc", "1..x"])
-    def test_malformed_m_range_is_config_error(self, capsys, m):
-        assert run_cli("compare", "--m", m) == 2
+    @pytest.mark.parametrize("argv", [
+        ["--m", "abc"], ["--m", "1..x"], ["--n", "0", "--m", "1..3"], ["--n", "2", "--m", "0..3"],
+    ], ids=["abc", "1..x", "n-zero", "m-zero"])
+    def test_malformed_m_range_is_config_error(self, capsys, argv):
+        assert run_cli("compare", *argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -53,9 +53,9 @@ def record_lists(draw):
        st.sampled_from(["transcripts", "branches"]))
 def test_report_text_matches_one_stdlib_dump(recs, envelope, key):
     report = {**envelope, "scenario": {"note": "\x00", "%s": "%", key: "\x00"}, key: recs}
-    assert _report_text(report, key) == report_text(report)
+    assert _report_text(report) == report_text(report)
 
 
 def test_zero_signs_and_bool_int_float_stay_apart():
     recs = [{"x": v} for v in (0.0, -0.0, 0.0, 1, True, 1.0, 1, False, 0, -0.0)]
-    assert _report_text({"branches": recs}, "branches") == report_text({"branches": recs})
+    assert _report_text({"branches": recs}) == report_text({"branches": recs})

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import teleportnet as tn
 from teleportnet import BellOutcome, DensityMatrix, PauliOp, StateVector
 
-from _oracles import born_z_probability, partial_trace_dense
+from _oracles import born_z_probability, partial_trace_dense, project_dense
 from conftest import random_state, random_unitary2
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -290,3 +290,42 @@ class TestProjection:
     def test_unnormalized_target_rejected(self):
         with pytest.raises(ValueError):
             tn.project_onto_qubit_state(StateVector.zero(1), 0, [1.0, 1.0])
+
+
+class TestProjectionKernel:
+    """Every per-branch measurement against an index-loop projection, on
+    random states: probability, post-measurement amplitudes, and a sampled
+    outcome."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+    def test_measurements_match_index_loop_oracle(self, seed, n):
+        gen = np.random.default_rng(seed)
+        sv = random_state(n, gen)
+        q = int(gen.integers(n))
+        ket = gen.standard_normal(2) + 1j * gen.standard_normal(2)
+        ket /= np.linalg.norm(ket)
+        cases = [
+            (tn.measure_z, q, {0: [1, 0], 1: [0, 1]}),
+            (tn.measure_x, q, {0: [SQ2, SQ2], 1: [SQ2, -SQ2]}),
+        ]
+        if n >= 2:
+            qa, qb = (int(x) for x in gen.choice(n, size=2, replace=False))
+            bell = {o: o.vector for o in BellOutcome}
+            cases += [(tn.measure_bell, (qa, qb), bell), (tn.measure_bell, (qb, qa), bell)]
+        for measure, where, kets in cases:
+            qubits = where if isinstance(where, tuple) else (where,)
+            for outcome, vec in kets.items():
+                got, p, after = measure(sv, where, outcome)
+                want_p, want = project_dense(sv.amplitudes, qubits, vec)
+                assert got == outcome
+                assert abs(p - want_p) <= 1e-12
+                np.testing.assert_allclose(after.amplitudes, want, rtol=0, atol=1e-12)
+            drawn, p, after = measure(sv, where, np.random.default_rng(seed))
+            assert drawn in kets
+            np.testing.assert_allclose(after.amplitudes, project_dense(sv.amplitudes, qubits, kets[drawn])[1],
+                                       rtol=0, atol=1e-12)
+        p, after = tn.project_onto_qubit_state(sv, q, ket)
+        want_p, want = project_dense(sv.amplitudes, (q,), ket)
+        assert abs(p - want_p) <= 1e-12
+        np.testing.assert_allclose(after.amplitudes, want, rtol=0, atol=1e-12)
