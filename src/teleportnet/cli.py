@@ -7,23 +7,25 @@ Exit codes: 0 success, 1 property violation, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .accounting import Method, account, crossover_table
-from .defection import DiagonalForm, analyze_defection
+from .defection import DiagonalForm, _DefectionTable, _form_for, _network_defection
 from .protocol import (
     CORRECTIONS,
     FIDELITY_ATOL,
+    Branch,
+    _network_table,
+    _TranscriptTable,
     run_baseline_ghz,
     run_controlled_teleport,
-    run_multi_receiver,
 )
 from .resources import MessageSpec, NetworkShape, ParityClass, parity_decompose, prepare_ghz
 from .states import BellOutcome, PauliOp, apply_hadamard
@@ -59,12 +61,19 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-# A record's text is laid out by the stdlib encoder once per record shape (a
-# "frame", with %s at each leaf) and filled per record with the leaves' JSON.
-# With indent the stdlib skips its C encoder, so this is several times faster
-# than one json.dumps over the records, and writes the same bytes.
-_HOLE = "\x00"  # a leaf's place in a skeleton record
+# The stdlib encoder skips its C encoder when it indents, so records are not
+# dumped one by one: each record shape is laid out once (a "frame", with %s at
+# each leaf that varies) and every row fills it with its leaves' JSON texts,
+# which come from the columns through lookup arrays. The bytes are those of
+# one json.dumps(_round_floats(report), indent=2, sort_keys=True).
+_HOLE = "\x00"  # a column's place in a skeleton record
 _HOLE_TEXT = json.dumps(_HOLE)
+_CHUNK = 512  # rows per written piece: the report is streamed, never held whole
+
+
+def _lookup(texts: Sequence[str], codes: np.ndarray) -> np.ndarray:
+    """A column of JSON texts: row i holds ``texts[codes[i]]``."""
+    return np.array(texts, dtype=object)[codes]
 
 
 def _float_text(x: float) -> str:
@@ -73,102 +82,69 @@ def _float_text(x: float) -> str:
     return float.__repr__(x) if x - x == 0 else json.dumps(x)  # NaN and +-Infinity
 
 
-def _flatten(obj: dict | list | tuple, tokens: list, leaves: list, floats: dict) -> None:
-    """Append the shape tokens and the leaves of ``obj`` in the order the
-    encoder writes them.
-
-    Tokens are a dict's sorted key tuple, a list's length, ``""`` for a leaf
-    and ``None`` for a null, which the frame spells out. Leaves are JSON texts,
-    or exact ints, which ``%s`` writes as ``json.dumps`` would.
-    """
-    if isinstance(obj, dict):
-        keys = sorted(obj)
-        tokens.append(tuple(keys))
-        obj = map(obj.__getitem__, keys)
-    else:
-        tokens.append(len(obj))
-    for v in obj:
-        t = type(v)
-        if t is str:
-            leaves.append(encode_basestring_ascii(v))
-        elif t is int:
-            leaves.append(v)
-        elif t is float:
-            text = floats.get(v)
-            if text is None:
-                text = _float_text(v)
-                if v and v == v:  # 0.0 == -0.0 and nan != nan: never cached
-                    floats[v] = text
-            leaves.append(text)
-        elif v is None:
-            tokens.append(None)
-            continue
-        elif isinstance(v, (dict, list, tuple)):
-            _flatten(v, tokens, leaves, floats)
-            continue
-        else:
-            leaves.append(json.dumps(_round_floats(v)))
-        tokens.append("")
+def _float_column(x: np.ndarray) -> np.ndarray:
+    """A column of the floats' texts, each made by ``_float_text`` once per
+    distinct bit pattern, so that 0.0 and -0.0, and NaNs, never merge."""
+    bits, codes = np.unique(np.ascontiguousarray(x, dtype=np.float64).view(np.uint64), return_inverse=True)
+    return _lookup([_float_text(v) for v in bits.view(np.float64).tolist()], codes)
 
 
-def _skeleton(tokens: Iterator) -> Any:
-    token = next(tokens)
-    if type(token) is tuple:
-        return {k: _skeleton(tokens) for k in token}
-    if type(token) is int:
-        return [_skeleton(tokens) for _ in range(token)]
-    return None if token is None else _HOLE
+_BITS = ("0", "1")
+_BELL_TEXT = [json.dumps(o.value) for o in BellOutcome]
+_PAULI_TEXT = [json.dumps(op.value) for op in PauliOp]
+_BRANCH_TEXT = [json.dumps(b.value) for b in Branch]  # indexed by parity
+_FORM_TEXT = [json.dumps(_form_for(o).value) for o in BellOutcome]
+_PRESERVED = np.array([_form_for(o) is DiagonalForm.PRESERVED for o in BellOutcome])
 
 
-@lru_cache(maxsize=256)
-def _frame(tokens: tuple) -> str | None:
-    """A record of shape ``tokens`` as an item of a top-level key's list, with
-    ``%s`` at each leaf; None if a key would read as a hole."""
-    text = json.dumps(_skeleton(iter(tokens)), indent=2, sort_keys=True)
-    if text.count(_HOLE_TEXT) != tokens.count(""):
-        return None
-    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s").replace("\n", "\n    ")
+def _frame(skeleton: dict) -> tuple[str, list[np.ndarray]]:
+    """A record whose leaves are columns or constants, as an item of a
+    top-level key's list: its text with ``%s`` at each column, and the columns
+    in that order. No key or constant may hold the character ``_HOLE``."""
+    columns = []
+
+    def hole(column: np.ndarray) -> str:
+        columns.append(column)  # the encoder meets the leaves in the order it writes them
+        return _HOLE
+
+    text = json.dumps(_round_floats(skeleton), indent=2, sort_keys=True, default=hole)
+    if text.count(_HOLE_TEXT) != len(columns):
+        raise ValueError("a key or a constant of the record spells a hole")
+    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s").replace("\n", "\n    "), columns
 
 
-def _records_text(records: list[dict]) -> str:
-    """The text ``json.dumps(_round_floats(report), indent=2, sort_keys=True)``
-    gives a list of string-keyed records held by a top-level key."""
-    if not records:
-        return "[]"
-    parts, floats = [], {}
-    for record in records:
-        tokens, leaves = [], []
-        _flatten(record, tokens, leaves, floats)
-        frame = _frame(tuple(tokens))
-        if frame is None:  # a key spells a hole: one stdlib dump of this record
-            parts.append(json.dumps(_round_floats(record), indent=2, sort_keys=True).replace("\n", "\n    "))
-        else:
-            parts.append(frame % tuple(leaves))
-    return "[\n    " + ",\n    ".join(parts) + "\n  ]"
+def _records(skeletons: list[dict]) -> Iterator[str]:
+    """The text of a top-level list holding, for each row of the columns, one
+    record per skeleton, in pieces of ``_CHUNK`` rows."""
+    frames, columns = zip(*map(_frame, skeletons))
+    frame = ",\n    ".join(frames)
+    columns = [c for cs in columns for c in cs]
+    yield "[\n    "
+    for start in range(0, len(columns[0]), _CHUNK):
+        cells = [c[start:start + _CHUNK].tolist() for c in columns]
+        yield (",\n    " if start else "") + ",\n    ".join(map(frame.__mod__, zip(*cells)))
+    yield "\n  ]"
 
 
-def _report_text(report: dict) -> str:
-    """``json.dumps(_round_floats(report), indent=2, sort_keys=True)``, with
-    each top-level list of records written by ``_records_text``."""
-    parts = []
+def _report_pieces(report: dict) -> Iterator[str]:
+    """``json.dumps(_round_floats(report), indent=2, sort_keys=True)`` and a
+    newline, in pieces; a value that is an iterator (``_records``) gives its
+    own text."""
+    sep = "{\n  "
     for key in sorted(report):
         value = report[key]
-        if isinstance(value, list) and all(isinstance(r, dict) for r in value):
-            text = _records_text(value)
+        yield sep + json.dumps(key) + ": "
+        if isinstance(value, Iterator):
+            yield from value
         else:
-            text = json.dumps(_round_floats(value), indent=2, sort_keys=True).replace("\n", "\n  ")
-        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]
-    # one join, so the records' text, the bulk of a report, is copied once
-    return "".join(parts + ["\n}"]) if parts else "{}"
+            yield json.dumps(_round_floats(value), indent=2, sort_keys=True).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}\n"
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
-    text = _report_text(report) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_report_pieces(report))
 
 
 def _load_spec_file(path: str) -> dict:
@@ -280,44 +256,58 @@ def _build_specs(config: dict, shape: NetworkShape) -> tuple[list[MessageSpec], 
     return specs, source
 
 
-def _transcript_dict(t) -> dict:
-    return {
-        "receiver": t.receiver,
-        "message_index": t.message_index,
-        "bell_outcomes": [o.value for o in t.bell_outcomes],
-        "agent_bits": list(t.agent_bits),
-        "sender_ghz_bit": t.sender_ghz_bit,
-        "branch": t.branch.value,
-        "corrections": [op.value for op in t.corrections],
-        "fidelity": t.fidelity,
-        "branch_probability": t.branch_probability,
+def _transcript_records(t: _TranscriptTable) -> Iterator[str]:
+    """One record per branch and receiver, interleaved by branch."""
+    total = sum(t.counts)
+    bells = [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T]
+    corrections = [_lookup(_PAULI_TEXT, c) for c in t.ops.T]
+    shared = {
+        "message_index": None,
+        "agent_bits": [_lookup(_BITS, c) for c in t.outcomes[:, total:-1].T],
+        "sender_ghz_bit": _lookup(_BITS, t.outcomes[:, -1]),
+        "branch": _lookup(_BRANCH_TEXT, t.parity),
+        "branch_probability": _float_column(t.probs),
     }
+    ends = np.cumsum(t.counts).tolist()
+    return _records([
+        {**shared, "receiver": r, "bell_outcomes": bells[end - m:end], "corrections": corrections[end - m:end],
+         "fidelity": _float_column(t.fids[r])}
+        for r, (m, end) in enumerate(zip(t.counts, ends))
+    ])
 
 
-def _density_dict(d) -> dict:
-    mat = d.matrix
-    return {
-        "diag": [float(mat[i, i].real) for i in range(mat.shape[0])],
-        "max_off_diagonal": d.max_off_diagonal(),
-    }
-
-
-def _defection_dict(r) -> dict:
-    return {
-        "defector": r.defector + 1,
-        "bell_outcomes": [o.value for o in r.bell_outcomes],
-        "cooperator_bits": list(r.cooperator_bits),
-        "probability": r.probability,
+def _defection_records(t: _DefectionTable, defector: int) -> Iterator[str]:
+    """One record per cooperating branch; ``defector`` is 1-based."""
+    total = len(t.marginals)
+    return _records([{
+        "defector": defector,
+        "bell_outcomes": [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T],
+        "cooperator_bits": [_lookup(_BITS, c) for c in t.outcomes[:, total:].T],
+        "probability": _float_column(t.probs),
         "per_qubit": [
             {
-                **_density_dict(d),
-                "conforms_to": form.value,
-                "max_recovery_fidelity": best,
+                "diag": [_float_column(m[:, 0, 0].real), _float_column(m[:, 1, 1].real)],
+                "max_off_diagonal": _float_column(t.off[:, i]),
+                "conforms_to": _lookup(_FORM_TEXT, t.outcomes[:, i]),
+                "max_recovery_fidelity": _float_column(t.best[:, i]),
             }
-            for d, form, best in zip(r.per_qubit_density, r.conforms_to, r.max_fidelity)
+            for i, m in enumerate(t.marginals)
         ],
-        "off_diagonal_norm": r.off_diagonal_norm,
-    }
+        "off_diagonal_norm": _float_column(t.off.max(axis=1)),
+    }])
+
+
+def _diagonal_ok(t: _DefectionTable, qubits: Sequence[tuple[complex, complex]]) -> np.ndarray:
+    """Per branch: the off-diagonal norm is under 1e-12 and every received
+    qubit's diagonal is its message's, preserved or swapped as its Bell
+    outcome says."""
+    ok = t.off.max(axis=1) < 1e-12
+    for i, (m, (alpha, beta)) in enumerate(zip(t.marginals, qubits)):
+        preserved = _PRESERVED[t.outcomes[:, i]]
+        a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+        ok &= np.abs(m[:, 0, 0].real - np.where(preserved, a2, b2)) < 1e-12
+        ok &= np.abs(m[:, 1, 1].real - np.where(preserved, b2, a2)) < 1e-12
+    return ok
 
 
 def cmd_run(args) -> int:
@@ -348,59 +338,35 @@ def cmd_run(args) -> int:
     }
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": "run", "scenario": scenario}
 
+    # The summaries reduce the columns in record order, as a loop over the
+    # records would: the bytes of the report do not change.
     if defector is not None:
-        flat_spec = MessageSpec(tuple(q for s in specs for q in s.qubits))
-        reports = analyze_defection(specs, shape, defector - 1)
-        ok = all(
-            r.off_diagonal_norm < 1e-12
-            and all(_diag_matches(r, q, flat_spec) for q in range(len(flat_spec)))
-            for r in reports
-        )
+        table = _network_defection(specs, shape, defector - 1)
+        ok = bool(_diagonal_ok(table, [q for s in specs for q in s.qubits]).all())
         report["kind"] = "defection_analysis"
-        report["branches"] = [_defection_dict(r) for r in reports]
+        report["branches"] = _defection_records(table, defector)
         report["summary"] = {
-            "num_branches": len(reports),
-            "max_off_diagonal": max(r.off_diagonal_norm for r in reports),
-            "probability_sum": sum(r.probability for r in reports),
+            "num_branches": len(table.probs),
+            "max_off_diagonal": max(table.off.max(axis=1).tolist()),
+            "probability_sum": sum(table.probs.tolist()),
             "all_diagonal": ok,
         }
-        _emit_report(report, args.out)
-        return 0 if ok else 1
-
-    if mode == "enumerate":
-        if shape.num_receivers == 1:
-            transcripts = run_controlled_teleport(specs[0], shape, "enumerate")
-        else:
-            transcripts = [t for branch in run_multi_receiver(specs, shape, "enumerate") for t in branch]
     else:
-        if shape.num_receivers == 1:
-            transcripts = [run_controlled_teleport(specs[0], shape, "sampled", seed=seed)]
-        else:
-            transcripts = list(run_multi_receiver(specs, shape, "sampled", seed=seed))
-
-    min_fid = min(t.fidelity for t in transcripts)
-    ok = min_fid >= 1.0 - FIDELITY_ATOL
-    prob_sum = sum(t.branch_probability for t in transcripts) / max(shape.num_receivers, 1)
-    report["kind"] = "protocol_run"
-    report["transcripts"] = [_transcript_dict(t) for t in transcripts]
-    report["summary"] = {
-        "num_transcripts": len(transcripts),
-        "min_fidelity": min_fid,
-        "branch_probability_sum": prob_sum if mode == "enumerate" else None,
-        "all_fidelities_pass": ok,
-    }
+        table = _network_table(specs, shape, mode, seed)
+        k = shape.num_receivers
+        min_fid = min(np.stack(table.fids, axis=1).ravel().tolist())
+        ok = min_fid >= 1.0 - FIDELITY_ATOL
+        prob_sum = sum(np.repeat(table.probs, k).tolist()) / max(k, 1)
+        report["kind"] = "protocol_run"
+        report["transcripts"] = _transcript_records(table)
+        report["summary"] = {
+            "num_transcripts": len(table.probs) * k,
+            "min_fidelity": min_fid,
+            "branch_probability_sum": prob_sum if mode == "enumerate" else None,
+            "all_fidelities_pass": ok,
+        }
     _emit_report(report, args.out)
     return 0 if ok else 1
-
-
-def _diag_matches(report, qubit: int, spec: MessageSpec) -> bool:
-    alpha, beta = spec.qubits[qubit]
-    d = report.per_qubit_density[qubit].matrix
-    if report.conforms_to[qubit] is DiagonalForm.PRESERVED:
-        want = (abs(alpha) ** 2, abs(beta) ** 2)
-    else:
-        want = (abs(beta) ** 2, abs(alpha) ** 2)
-    return abs(d[0, 0].real - want[0]) < 1e-12 and abs(d[1, 1].real - want[1]) < 1e-12
 
 
 def _parse_m_range(text: str) -> list[int]:
@@ -415,6 +381,8 @@ def cmd_compare(args) -> int:
     if args.m is not None and args.ml is not None:
         raise ConfigError("give either --m or --ml, not both")
     if args.m is not None:
+        if args.k is not None:
+            raise ConfigError("compare --m takes no --k; for k receivers give --ml COUNTS --k K")
         ms = _parse_m_range(args.m)
         if not ms:
             raise ConfigError("empty m range")
@@ -504,12 +472,9 @@ def _selftest_checks():
             for n in (1, 2):
                 spec = MessageSpec.random(m, rng)
                 for defector in range(n):
-                    for rep in analyze_defection(spec, NetworkShape.single(m, n), defector):
-                        if rep.off_diagonal_norm >= 1e-12:
-                            return f"off-diagonal {rep.off_diagonal_norm} at m={m} n={n}"
-                        for q in range(m):
-                            if not _diag_matches(rep, q, spec):
-                                return f"diagonal mismatch at m={m} n={n} qubit {q}"
+                    table = _network_defection([spec], NetworkShape.single(m, n), defector)
+                    if not _diagonal_ok(table, spec.qubits).all():
+                        return f"defection leaves a non-diagonal or wrong diagonal at m={m} n={n}"
         return None
 
     def baseline_equivalence():

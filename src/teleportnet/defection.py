@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,6 +164,56 @@ def _form_for(outcome: BellOutcome) -> DiagonalForm:
     return DiagonalForm.PRESERVED if outcome in _PHI else DiagonalForm.SWAPPED
 
 
+class _DefectionTable(NamedTuple):
+    """Every cooperating branch of a defection as columns, one row per branch."""
+
+    outcomes: np.ndarray  # measure_all's outcomes: Bell outcomes, then the cooperators' bits
+    probs: np.ndarray
+    joints: np.ndarray  # the received qubits' joint operators, validated
+    marginals: list[np.ndarray]  # per received qubit, its 2x2 operators, validated
+    best: np.ndarray  # best[b, i]: received qubit i's best recovery fidelity
+    off: np.ndarray  # off[b, i]: received qubit i's largest off-diagonal magnitude
+
+
+def _defection_table(
+    outcomes: np.ndarray,
+    probs: np.ndarray,
+    kept: np.ndarray,
+    qubits: Sequence[tuple[complex, complex]],
+    unitaries: np.ndarray,
+) -> _DefectionTable:
+    """The columns of ``measure_all`` output whose kept qubits are the
+    received ones with the defector's qubit on top."""
+    total = len(qubits)
+    halves = kept.reshape(len(kept), 2, 1 << total)
+    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
+    marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
+    best = np.stack([_best_recovery(m, pair, unitaries) for m, pair in zip(marginals, qubits)], axis=1)
+    off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals], axis=1)
+    DensityMatrix._check_stack(joints)
+    if total > 1:
+        for m in marginals:
+            DensityMatrix._check_stack(m)
+    return _DefectionTable(outcomes, probs, joints, marginals, best, off)
+
+
+def _network_defection(
+    specs: Sequence[MessageSpec], shape: NetworkShape, defector: int, unitaries: np.ndarray | None = None
+) -> _DefectionTable:
+    """The defection table of a network whose agent ``defector`` (0-based)
+    withholds its Hadamard, measurement and bit."""
+    if not 0 <= defector < shape.num_agents:
+        raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
+    us = recovery_unitaries() if unitaries is None else unitaries
+    state, registry = _initial_state(specs, shape)
+    events = tuple(e for e in protocol_events(shape) if e != ("ghz", defector))
+    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
+    outcomes, probs, kept = measure_all(
+        state, [_event_qubits(e, registry) for e in events], keep + [registry.agent(defector)]
+    )
+    return _defection_table(outcomes, probs, kept, [q for s in specs for q in s.qubits], us)
+
+
 def analyze_defection(
     spec: MessageSpec | Sequence[MessageSpec],
     shape: NetworkShape,
@@ -178,44 +228,17 @@ def analyze_defection(
     network); per-qubit entries are flattened over receivers in block order.
     """
     specs = [spec] if isinstance(spec, MessageSpec) else list(spec)
-    if not 0 <= defector < shape.num_agents:
-        raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
-    us = recovery_unitaries() if unitaries is None else unitaries
-    state, registry = _initial_state(specs, shape)
-    events = tuple(e for e in protocol_events(shape) if e != ("ghz", defector))
-    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    outcomes, probs, kept = measure_all(
-        state, [_event_qubits(e, registry) for e in events], keep + [registry.agent(defector)]
-    )
-    return _reports(outcomes, probs, kept, [q for s in specs for q in s.qubits], defector, us)
+    return _reports(_network_defection(specs, shape, defector, unitaries), defector)
 
 
-def _reports(
-    outcomes: np.ndarray,
-    probs: np.ndarray,
-    kept: np.ndarray,
-    qubits: Sequence[tuple[complex, complex]],
-    defector: int,
-    unitaries: np.ndarray,
-    message_index: int | None = None,
-) -> list[DefectionReport]:
-    """One report per branch of ``measure_all`` output whose kept qubits are
-    the received ones with the defector's qubit on top; its columns are the
-    Bell outcomes, then the cooperators' bits."""
-    total = len(qubits)
-    halves = kept.reshape(len(kept), 2, 1 << total)
-    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
-    marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
-    best = np.stack([_best_recovery(m, pair, unitaries) for m, pair in zip(marginals, qubits)], axis=1)
-    off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals]).max(axis=0).tolist()
-    DensityMatrix._check_stack(joints)
-    if total > 1:
-        for m in marginals:
-            DensityMatrix._check_stack(m)
+def _reports(t: _DefectionTable, defector: int, message_index: int | None = None) -> list[DefectionReport]:
+    """One report per row of the table."""
+    total = len(t.marginals)
+    norms = t.off.max(axis=1).tolist()
     reports = []
-    for b, (row, prob, mat) in enumerate(zip(outcomes.tolist(), probs.tolist(), joints)):
+    for b, (row, prob, mat) in enumerate(zip(t.outcomes.tolist(), t.probs.tolist(), t.joints)):
         joint = DensityMatrix._wrap(mat)
-        per_qubit = (joint,) if total == 1 else tuple(DensityMatrix._wrap(m[b]) for m in marginals)
+        per_qubit = (joint,) if total == 1 else tuple(DensityMatrix._wrap(m[b]) for m in t.marginals)
         bells = tuple(_BELL_ORDER[o] for o in row[:total])
         reports.append(DefectionReport(
             defector=defector,
@@ -224,8 +247,8 @@ def _reports(
             probability=prob,
             joint_density=joint,
             per_qubit_density=per_qubit,
-            off_diagonal_norm=off[b],
-            max_fidelity=tuple(best[b].tolist()),
+            off_diagonal_norm=norms[b],
+            max_fidelity=tuple(t.best[b].tolist()),
             conforms_to=tuple(_form_for(o) for o in bells),
             message_index=message_index,
         ))
@@ -255,7 +278,7 @@ def analyze_baseline_defection(
     reports = []
     for index, pair in enumerate(spec.qubits):
         outcomes, probs, kept = _measure_baseline_copy(*pair, shape.num_agents, skip=defector)
-        reports += _reports(outcomes, probs, kept, [pair], defector, us, index)
+        reports += _reports(_defection_table(outcomes, probs, kept, [pair], us), defector, index)
     return reports
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,32 +241,48 @@ def _fidelities(
     return out
 
 
-def _transcripts(
+class _TranscriptTable(NamedTuple):
+    """Every branch of a run as columns, one row per branch."""
+
+    outcomes: np.ndarray  # measure_all's outcomes: Bell outcomes, agent bits, sender bit
+    parity: np.ndarray  # 1 where the branch is ODD
+    ops: np.ndarray  # ops[b, i]: the correction of received qubit i, an index into PauliOp
+    probs: np.ndarray
+    fids: list[np.ndarray]  # per receiver
+    counts: tuple[int, ...]  # message qubits per receiver
+    sender: bool  # whether the last outcome column is the sender's GHZ bit
+
+
+def _transcript_table(
     outcomes: np.ndarray,
     probs: np.ndarray,
     kept: np.ndarray,
     specs: Sequence[MessageSpec],
-    table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None,
+    table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None = None,
     *,
     sender: bool = True,
-    message_index: int | None = None,
-) -> list[tuple[ProtocolTranscript, ...]]:
-    """One tuple of transcripts (one per receiver) per row of ``outcomes``.
+) -> _TranscriptTable:
+    """The columns of the transcripts of ``measure_all``'s branches.
 
-    Columns are the Bell outcomes, flattened over receivers, then the agent
-    bits, then the sender's GHZ bit when ``sender`` is set.
+    Outcome columns are the Bell outcomes, flattened over receivers, then the
+    agent bits, then the sender's GHZ bit when ``sender`` is set.
     """
-    counts = [len(s) for s in specs]
+    counts = tuple(len(s) for s in specs)
     total = sum(counts)
-    num_agents = outcomes.shape[1] - total - int(sender)
     parity = outcomes[:, total:].sum(axis=1) & 1
     table = table or CORRECTIONS
     index = np.array([[_PAULI_ORDER.index(op) for op in table[o]] for o in _BELL_ORDER])
     ops = index[outcomes[:, :total], parity[:, None]]
     fids = _fidelities(kept, ops, counts, [q for s in specs for q in s.qubits])
+    return _TranscriptTable(outcomes, parity, ops, probs, fids, counts, sender)
 
+
+def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[tuple[ProtocolTranscript, ...]]:
+    """One tuple of transcripts (one per receiver) per row of the table."""
+    total = sum(t.counts)
+    num_agents = t.outcomes.shape[1] - total - int(t.sender)
     labels = [f"pair{r}.{i if message_index is None else message_index}"
-              for r, m in enumerate(counts) for i in range(m)]
+              for r, m in enumerate(t.counts) for i in range(m)]
     bell_messages = [[ClassicalMessage("sender", o, label) for o in _BELL_ORDER] for label in labels]
     agent_messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)]
                       for j in range(num_agents)]
@@ -275,16 +291,16 @@ def _transcripts(
 
     out = []
     for row, row_ops, odd, p, *row_fids in zip(
-        outcomes.tolist(), ops.tolist(), parity.tolist(), probs.tolist(), *(f.tolist() for f in fids)
+        t.outcomes.tolist(), t.ops.tolist(), t.parity.tolist(), t.probs.tolist(), *(f.tolist() for f in t.fids)
     ):
         bits = tuple(row[total:total + num_agents])
-        sender_bit = row[-1] if sender else None
+        sender_bit = row[-1] if t.sender else None
         shared = tuple(agent_messages[j][b] for j, b in enumerate(bits))
-        if sender:
+        if t.sender:
             shared += (sender_messages[sender_bit],)
         per_receiver = []
         start = 0
-        for r, m in enumerate(counts):
+        for r, m in enumerate(t.counts):
             own = range(start, start + m)
             per_receiver.append(ProtocolTranscript(
                 receiver=r,
@@ -316,14 +332,14 @@ def _initial_state(specs: Sequence[MessageSpec], shape: NetworkShape) -> tuple[S
     return tensor(message, resource), QubitRegistry(shape)
 
 
-def _check_event_order(event_order: Sequence[Event] | None, shape: NetworkShape) -> tuple[Event, ...]:
-    canonical = protocol_events(shape)
+def _draw_order(event_order: Sequence[Event] | None, canonical: tuple[Event, ...]) -> list[int] | None:
+    """``event_order`` as indices into the canonical events; None for their own order."""
     if event_order is None:
-        return canonical
-    order = tuple(tuple(e) for e in event_order)
+        return None
+    order = [tuple(e) for e in event_order]
     if sorted(order) != sorted(canonical):
         raise ValueError("event_order must be a permutation of protocol_events(shape)")
-    return order
+    return [canonical.index(e) for e in order]
 
 
 def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
@@ -337,28 +353,25 @@ def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _run_network(
+def _network_table(
     specs: Sequence[MessageSpec],
     shape: NetworkShape,
     mode: str,
     seed: int | None,
-    event_order: Sequence[Event] | None,
-    agent_basis: AgentBasis,
-    table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None,
-) -> list[tuple[ProtocolTranscript, ...]] | tuple[ProtocolTranscript, ...]:
+    event_order: Sequence[Event] | None = None,
+    agent_basis: AgentBasis = "hadamard_z",
+    table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None = None,
+) -> _TranscriptTable:
+    """The transcript table of a network run: every branch, or one drawn branch."""
     if agent_basis not in ("hadamard_z", "plus_minus"):
         raise ValueError(f"unknown agent basis {agent_basis!r}")
-    events = _check_event_order(event_order, shape)
+    canonical = protocol_events(shape)
+    order = _draw_order(event_order, canonical)
     rng = _sampling_rng(mode, seed)
     state, registry = _initial_state(specs, shape)
-    canonical = protocol_events(shape)
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    outcomes, probs, kept = measure_all(
-        state, [_event_qubits(e, registry) for e in canonical], keep,
-        rng, [canonical.index(e) for e in events],
-    )
-    branches = _transcripts(outcomes, probs, kept, specs, table)
-    return branches if rng is None else branches[0]
+    outcomes, probs, kept = measure_all(state, [_event_qubits(e, registry) for e in canonical], keep, rng, order)
+    return _transcript_table(outcomes, probs, kept, specs, table)
 
 
 def run_controlled_teleport(
@@ -379,10 +392,8 @@ def run_controlled_teleport(
     """
     if shape.num_receivers != 1:
         raise ValueError("run_controlled_teleport is the single-receiver entry point")
-    result = _run_network([spec], shape, mode, seed, event_order, agent_basis, correction_table)
-    if mode == "enumerate":
-        return [branch[0] for branch in result]
-    return result[0]
+    branches = _transcripts(_network_table([spec], shape, mode, seed, event_order, agent_basis, correction_table))
+    return [t for t, in branches] if mode == "enumerate" else branches[0][0]
 
 
 def run_multi_receiver(
@@ -401,7 +412,8 @@ def run_multi_receiver(
     """
     if shape.num_receivers < 2:
         raise ValueError("run_multi_receiver needs at least two receivers")
-    return _run_network(list(specs), shape, mode, seed, event_order, agent_basis, None)
+    branches = _transcripts(_network_table(list(specs), shape, mode, seed, event_order, agent_basis))
+    return branches if mode == "enumerate" else branches[0]
 
 
 def baseline_copy_state(alpha: complex, beta: complex, num_agents: int) -> tuple[StateVector, int]:
@@ -462,5 +474,5 @@ def run_baseline_ghz(
     for index, pair in enumerate(spec.qubits):
         outcomes, probs, kept = _measure_baseline_copy(*pair, shape.num_agents, rng=rng)
         copy = MessageSpec((pair,))
-        out += [t for t, in _transcripts(outcomes, probs, kept, [copy], None, sender=False, message_index=index)]
+        out += [t for t, in _transcripts(_transcript_table(outcomes, probs, kept, [copy], sender=False), index)]
     return out

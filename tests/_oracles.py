@@ -5,7 +5,8 @@ it shares no code path with the library's vectorized kernels.  The tree
 walkers at the end are the reference for the one-pass measurement executor:
 they collapse the state one measurement at a time with the single-qubit and
 Bell kernels of ``teleportnet.states``.  ``report_text`` is the reference
-for the CLI's report writer.
+for the CLI's report writer, and ``run_report`` for the report of ``run``,
+built from the library's objects.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from teleportnet import (
     CORRECTIONS,
     BellOutcome,
     ClassicalMessage,
+    DiagonalForm,
+    MessageSpec,
     ProtocolTranscript,
     QubitRegistry,
     StateVector,
+    analyze_defection,
     apply_hadamard,
     apply_pauli,
     correction_for,
@@ -31,7 +35,10 @@ from teleportnet import (
     measure_z,
     partial_trace,
     protocol_events,
+    run_controlled_teleport,
+    run_multi_receiver,
 )
+from teleportnet.protocol import FIDELITY_ATOL
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -216,6 +223,104 @@ def report_text(report: dict) -> str:
     """A report as one stdlib dump: every float cut to 15 significant digits,
     then ``json.dumps`` with ``indent=2`` and sorted keys."""
     return json.dumps(_round_floats(report), indent=2, sort_keys=True)
+
+
+# --- run reports from the library's objects ----------------------------------
+
+
+def _transcript_dict(t) -> dict:
+    return {
+        "receiver": t.receiver,
+        "message_index": t.message_index,
+        "bell_outcomes": [o.value for o in t.bell_outcomes],
+        "agent_bits": list(t.agent_bits),
+        "sender_ghz_bit": t.sender_ghz_bit,
+        "branch": t.branch.value,
+        "corrections": [op.value for op in t.corrections],
+        "fidelity": t.fidelity,
+        "branch_probability": t.branch_probability,
+    }
+
+
+def _density_dict(d) -> dict:
+    mat = d.matrix
+    return {
+        "diag": [float(mat[i, i].real) for i in range(mat.shape[0])],
+        "max_off_diagonal": d.max_off_diagonal(),
+    }
+
+
+def diag_matches(report, qubit: int, spec: MessageSpec) -> bool:
+    """Whether a defection report's qubit carries its message's diagonal,
+    preserved or swapped as the report's form says."""
+    alpha, beta = spec.qubits[qubit]
+    d = report.per_qubit_density[qubit].matrix
+    if report.conforms_to[qubit] is DiagonalForm.PRESERVED:
+        want = (abs(alpha) ** 2, abs(beta) ** 2)
+    else:
+        want = (abs(beta) ** 2, abs(alpha) ** 2)
+    return abs(d[0, 0].real - want[0]) < 1e-12 and abs(d[1, 1].real - want[1]) < 1e-12
+
+
+def _defection_dict(r) -> dict:
+    return {
+        "defector": r.defector + 1,
+        "bell_outcomes": [o.value for o in r.bell_outcomes],
+        "cooperator_bits": list(r.cooperator_bits),
+        "probability": r.probability,
+        "per_qubit": [
+            {
+                **_density_dict(d),
+                "conforms_to": form.value,
+                "max_recovery_fidelity": best,
+            }
+            for d, form, best in zip(r.per_qubit_density, r.conforms_to, r.max_fidelity)
+        ],
+        "off_diagonal_norm": r.off_diagonal_norm,
+    }
+
+
+def run_report(specs, shape, scenario: dict) -> tuple[dict, int]:
+    """The report and exit code of ``teleportnet run`` for ``scenario`` (the
+    report's ``scenario`` value), built from the library's transcripts and
+    defection reports one record dict at a time; ``report_text`` writes it."""
+    report = {"schema_version": 1, "command": "run", "scenario": scenario}
+    defector = scenario["defector"]
+    if defector is not None:
+        flat = MessageSpec(tuple(q for s in specs for q in s.qubits))
+        reports = analyze_defection(specs, shape, defector - 1)
+        ok = all(
+            r.off_diagonal_norm < 1e-12 and all(diag_matches(r, q, flat) for q in range(len(flat)))
+            for r in reports
+        )
+        report["kind"] = "defection_analysis"
+        report["branches"] = [_defection_dict(r) for r in reports]
+        report["summary"] = {
+            "num_branches": len(reports),
+            "max_off_diagonal": max(r.off_diagonal_norm for r in reports),
+            "probability_sum": sum(r.probability for r in reports),
+            "all_diagonal": ok,
+        }
+        return report, 0 if ok else 1
+    mode, seed = scenario["mode"], scenario["seed"]
+    if shape.num_receivers == 1:
+        transcripts = run_controlled_teleport(specs[0], shape, mode, seed=seed)
+        transcripts = transcripts if mode == "enumerate" else [transcripts]
+    else:
+        transcripts = run_multi_receiver(specs, shape, mode, seed=seed)
+        transcripts = [t for branch in transcripts for t in branch] if mode == "enumerate" else list(transcripts)
+    min_fid = min(t.fidelity for t in transcripts)
+    ok = min_fid >= 1.0 - FIDELITY_ATOL
+    prob_sum = sum(t.branch_probability for t in transcripts) / max(shape.num_receivers, 1)
+    report["kind"] = "protocol_run"
+    report["transcripts"] = [_transcript_dict(t) for t in transcripts]
+    report["summary"] = {
+        "num_transcripts": len(transcripts),
+        "min_fidelity": min_fid,
+        "branch_probability_sum": prob_sum if mode == "enumerate" else None,
+        "all_fidelities_pass": ok,
+    }
+    return report, 0 if ok else 1
 
 
 # --- sequential tree walker -------------------------------------------------

@@ -1,9 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from teleportnet.cli import main
+from teleportnet import MessageSpec, NetworkShape
+from teleportnet.cli import _diagonal_ok, main
+from teleportnet.defection import _network_defection, _reports
+
+from _oracles import diag_matches
 
 
 DATA = Path(__file__).parent / "data"
@@ -22,8 +27,13 @@ def run_cli(*argv):
     ("run --m 2 --n 2 --seed 5", "run_m2_n2_seed5.json"),
     # message_source holds NUL strings, "%s" and a "transcripts" key, all sorted before the records
     ("run --spec {data}/spec_hostile_strings.json", "run_spec_hostile_strings.json"),
+    ("run --ml 1 2 --n 2 --enumerate", "run_ml12_n2_enumerate.json"),
+    ("run --ml 1 2 --n 3 --defector 3", "run_ml12_n3_defector3.json"),
+    # preset "zero" messages: exact 0.0 diagonals and off-diagonal norms
+    ("run --spec {data}/spec_preset_zero_defector.json", "run_spec_preset_zero_defector.json"),
 ], ids=["defection", "enumerate", "compare-sweep", "compare-shape", "sampled-two-receivers",
-        "sampled", "hostile-spec-strings"])
+        "sampled", "hostile-spec-strings", "enumerate-two-receivers", "defection-two-receivers",
+        "defection-preset-zero"])
 def test_reports_match_stored_bytes(tmp_path, argv, name):
     out = tmp_path / name
     assert run_cli(*argv.format(data=DATA).split(), "--out", str(out)) == 0
@@ -179,6 +189,20 @@ class TestRunCommand:
         assert run_cli("run", "--spec", str(path), "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: defector")
 
+    def test_diagonal_check_matches_the_per_report_check(self):
+        """The run summary's column check against ``diag_matches`` on the
+        reports of the same table, with entries nudged past the 1e-12 bar."""
+        spec = MessageSpec.random(2, np.random.default_rng(3))
+        table = _network_defection([spec], NetworkShape.single(2, 2), 1)
+        table.marginals[0][5, 0, 0] += 3e-12
+        table.marginals[1][9, 1, 1] -= 3e-12
+        table.marginals[1][20, 0, 0] += 5e-13
+        table.off[12, 1] = 2e-12
+        want = [r.off_diagonal_norm < 1e-12 and all(diag_matches(r, q, spec) for q in range(2))
+                for r in _reports(table, 1)]
+        assert _diagonal_ok(table, spec.qubits).tolist() == want
+        assert want.count(False) == 3
+
     def test_fidelities_have_at_most_15_significant_digits(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--out", str(out))
@@ -223,7 +247,8 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--m", "abc"], ["--m", "1..x"], ["--n", "0", "--m", "1..3"], ["--n", "2", "--m", "0..3"],
-    ], ids=["abc", "1..x", "n-zero", "m-zero"])
+        ["--m", "3", "--k", "5", "--n", "1"], ["--m", "3", "--k", "0", "--n", "1"],
+    ], ids=["abc", "1..x", "n-zero", "m-zero", "k-with-m-range", "k-zero-with-m"])
     def test_malformed_m_range_is_config_error(self, capsys, argv):
         assert run_cli("compare", *argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, StateVector
-from teleportnet.defection import _reports
+from teleportnet.defection import _defection_table, _reports
 from teleportnet.protocol import measure_all
 
 from _oracles import (
@@ -148,7 +148,7 @@ def test_reports_on_non_diagonal_marginals(total, count, seed):
     outcomes = np.concatenate([rng.integers(0, 4, (count, total)), rng.integers(0, 2, (count, 2))], axis=1)
     probs = rng.dirichlet(np.ones(count))
     pairs = [MessageSpec.random(1, rng).qubits[0] for _ in range(total)]
-    reports = _reports(outcomes, probs, kept, pairs, 0, GRID)
+    reports = _reports(_defection_table(outcomes, probs, kept, pairs, GRID), 0)
     joints = [partial_trace_dense(k, range(total)) for k in kept]  # the top qubit is the defector's
     for r, row, joint in zip(reports, outcomes, joints):
         assert r.cooperator_bits == tuple(row[total:])

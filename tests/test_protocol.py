@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -358,3 +360,31 @@ class TestReconstructionSweep:
         trs = tn.run_controlled_teleport(spec, NetworkShape.single(2, 1))
         assert len(trs) == 4**2 * 2**2
         assert min(t.fidelity for t in trs) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("counts", [(1,), (1, 1)], ids=["single", "two-receivers"])
+def test_sampled_draws_follow_enumerated_probabilities(counts):
+    """Over seeds 0..1999 each branch is drawn within 5 sigma of the binomial
+    count its enumerated probability predicts. The seeds are fixed, so the
+    counts are too."""
+    rng = np.random.default_rng(2024)
+    specs = [MessageSpec.random(m, rng) for m in counts]
+    shape = NetworkShape(counts, 1)
+    if len(counts) == 1:
+        enumerated = [(t,) for t in tn.run_controlled_teleport(specs[0], shape)]
+        def draw(seed):
+            return (tn.run_controlled_teleport(specs[0], shape, "sampled", seed=seed),)
+    else:
+        enumerated = tn.run_multi_receiver(specs, shape)
+        def draw(seed):
+            return tn.run_multi_receiver(specs, shape, "sampled", seed=seed)
+
+    def key(branch):
+        return tuple((t.bell_outcomes, t.agent_bits, t.sender_ghz_bit) for t in branch)
+
+    probs = {key(b): b[0].branch_probability for b in enumerated}
+    draws = 2000
+    seen = Counter(key(draw(seed)) for seed in range(draws))
+    assert set(seen) <= set(probs)
+    for k, p in probs.items():
+        assert abs(seen[k] - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)), k

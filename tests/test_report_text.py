@@ -1,14 +1,20 @@
-"""The CLI's report writer, which lays out each record shape once and fills
-it per record, against one stdlib dump of the whole report."""
+"""The CLI's report writer, which lays out each record shape once and fills it
+from columns, against one stdlib dump of the whole report; and the report of
+``run`` against the same report built from the library's objects."""
 
+import json
 import math
+from unittest import mock
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from teleportnet.cli import _report_text
+from teleportnet import NetworkShape, cli
+from teleportnet.cli import _BITS, _float_column, _frame, _lookup, _records, _report_pieces
 
-from _oracles import report_text
+from _oracles import _round_floats, report_text, run_report
 
 # pieces that a fill-in-the-frame writer could mistake for its own syntax
 PIECES = ["%", "%s", "%%", "\x00", '"', "\\", "\n", '\n  "transcripts": ', "a", "é", "→", "😀"]
@@ -29,33 +35,151 @@ values = st.recursive(
     ),
     max_leaves=8,
 )
-records = st.dictionaries(texts, values, max_size=5)
 
 
-def _refill(template, draw):
-    """A record of the template's shape with newly drawn leaves."""
-    if isinstance(template, dict):
-        return {k: _refill(v, draw) for k, v in template.items()}
-    if isinstance(template, (list, tuple)):
-        return [_refill(v, draw) for v in template]
-    return draw(leaves)
+class Col:
+    """A column's place in a drawn record shape."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+
+# the frame's own strings: anything without the hole's character
+frame_texts = texts.filter(lambda s: "\x00" not in s)
+shape_leaves = st.one_of(
+    st.sampled_from(["float", "bits", "lookup"]).map(Col),
+    st.one_of(st.sampled_from([1, True, False, None, 0]), st.integers(-2**70, 2**70), floats, frame_texts),
+)
+record_shapes = st.dictionaries(frame_texts, st.recursive(
+    shape_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(frame_texts, inner, max_size=3)),
+    max_leaves=8,
+), max_size=5)
 
 
 @st.composite
 def record_lists(draw):
-    """Up to 8 records drawn from two or three shapes, each record with its own leaves."""
-    shapes = draw(st.lists(records, min_size=2, max_size=3))
-    return [_refill(draw(st.sampled_from(shapes)), draw) for _ in range(draw(st.integers(0, 8)))]
+    """One to three record shapes filled from columns of 1 to 8 rows: the
+    writer's skeletons and the records they stand for, row by row."""
+    shapes = draw(st.lists(record_shapes, min_size=1, max_size=3))
+    rows = draw(st.integers(1, 8))
+    column_values = {}
+
+    def column(kind):
+        if kind == "float":
+            xs = draw(st.lists(floats, min_size=rows, max_size=rows))
+            return _float_column(np.array(xs, dtype=float)), xs
+        if kind == "bits":
+            bits = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+            return _lookup(_BITS, np.array(bits)), bits
+        choices = draw(st.lists(st.one_of(texts, st.integers(-2**70, 2**70), st.booleans(), st.none()),
+                                min_size=1, max_size=4))
+        codes = draw(st.lists(st.integers(0, len(choices) - 1), min_size=rows, max_size=rows))
+        return _lookup([json.dumps(c) for c in choices], np.array(codes)), [choices[c] for c in codes]
+
+    def fill(node):
+        if isinstance(node, dict):
+            return {k: fill(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [fill(v) for v in node]
+        if not isinstance(node, Col):
+            return node
+        col, vals = column(node.kind)
+        column_values[id(col)] = vals
+        return col
+
+    def row(node, i):
+        if isinstance(node, dict):
+            return {k: row(v, i) for k, v in node.items()}
+        if isinstance(node, list):
+            return [row(v, i) for v in node]
+        return column_values[id(node)][i] if isinstance(node, np.ndarray) else node
+
+    skeletons = [fill(s) for s in shapes]
+    assume(column_values)
+    return skeletons, [row(s, i) for i in range(rows) for s in skeletons]
 
 
 @settings(max_examples=150, deadline=None)
 @given(record_lists(), st.dictionaries(texts, values, max_size=4),
-       st.sampled_from(["transcripts", "branches"]))
-def test_report_text_matches_one_stdlib_dump(recs, envelope, key):
-    report = {**envelope, "scenario": {"note": "\x00", "%s": "%", key: "\x00"}, key: recs}
-    assert _report_text(report) == report_text(report)
+       st.sampled_from(["transcripts", "branches"]), st.integers(1, 4))
+def test_report_text_matches_one_stdlib_dump(recs, envelope, key, chunk):
+    skeletons, records = recs
+    scenario = {"note": "\x00", "%s": "%", key: "\x00"}
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        got = "".join(_report_pieces({**envelope, "scenario": scenario, key: _records(skeletons)}))
+    assert got == report_text({**envelope, "scenario": scenario, key: records}) + "\n"
 
 
 def test_zero_signs_and_bool_int_float_stay_apart():
-    recs = [{"x": v} for v in (0.0, -0.0, 0.0, 1, True, 1.0, 1, False, 0, -0.0)]
-    assert _report_text({"branches": recs}) == report_text({"branches": recs})
+    xs = [0.0, -0.0, 0.0, 1.0, -0.0, 1.0]
+    choices = [1, True, False, 0, 1.0]
+    codes = [0, 1, 0, 2, 3, 4]
+    skeleton = {"x": _float_column(np.array(xs)), "y": _lookup([json.dumps(c) for c in choices], np.array(codes)),
+                "z": -0.0}
+    records = [{"x": x, "y": choices[c], "z": -0.0} for x, c in zip(xs, codes)]
+    assert "".join(_report_pieces({"branches": _records([skeleton])})) == report_text({"branches": records}) + "\n"
+
+
+def test_a_key_that_spells_a_hole_is_refused():
+    with pytest.raises(ValueError, match="hole"):
+        _frame({'"\x00': _lookup(_BITS, np.array([0]))})
+
+
+def test_float_column_texts_match_the_stdlib():
+    other_nan = (np.array([math.nan]).view(np.uint64) ^ 1).view(np.float64)[0]
+    xs = np.array([
+        0.0, -0.0, math.nan, other_nan, math.inf, -math.inf, 0.0, -0.0, math.nan, -math.inf,
+        0.1 + 0.2, 0.1 + 0.2, 1 - 2**-53, 1 + 2**-52, 2 / 3, 5e-324, -5e-324, 1.2345678901234567e300,
+        # these round at the 15th significant digit
+        1.0000000000000049, 0.99999999999999951, 0.12345678901234549, 0.12345678901234551,
+        123456789012345.67, 2.0000000000000004, -1.2345678901234549e-7, 1e16 + 2,
+    ])
+    with mock.patch.object(cli, "_float_text", wraps=cli._float_text) as float_text:
+        col = _float_column(xs)
+    assert col.tolist() == [json.dumps(_round_floats(x)) for x in xs.tolist()]
+    assert float_text.call_count == len(set(xs.view(np.uint64).tolist()))  # once per bit pattern
+
+
+@st.composite
+def run_scenarios(draw):
+    """A small ``run`` as a spec file's object and the report's ``scenario``."""
+    counts = draw(st.sampled_from([(1,), (2,), (1, 1), (1, 2), (2, 1)]))
+    n = draw(st.integers(1, 3))
+    qubit = st.lists(st.lists(st.floats(-1, 1), min_size=2, max_size=2), min_size=2, max_size=2).filter(
+        lambda q: sum(x * x for pair in q for x in pair) > 1e-6)
+    source = draw(st.one_of(
+        st.integers(0, 2**32 - 1).map(lambda seed: {"kind": "random", "seed": seed}),
+        st.sampled_from(["zero", "one"]).map(lambda name: {"kind": "preset", "name": name}),
+        st.lists(qubit, min_size=sum(counts), max_size=sum(counts)).map(
+            lambda amps: {"kind": "explicit", "amplitudes": amps}),
+    ))
+    kind = draw(st.sampled_from(["enumerate", "sampled", "defector"]))
+    seed = draw(st.integers(0, 2**31)) if kind == "sampled" else None
+    defector = draw(st.integers(1, n)) if kind == "defector" else None
+    spec = {"ml": list(counts), "n": n, "messages": source}
+    if kind == "enumerate":
+        spec["mode"] = "enumerate"
+    elif kind == "sampled":
+        spec["seed"] = seed
+    else:
+        spec["defector"] = defector
+    scenario = {
+        "message_counts": list(counts), "num_agents": n, "mode": "sampled" if kind == "sampled" else "enumerate",
+        "seed": seed, "defector": defector, "message_source": source,
+    }
+    return spec, scenario
+
+
+@settings(max_examples=25, deadline=None)
+@given(run_scenarios())
+def test_run_report_matches_library_objects(tmp_path_factory, scenario):
+    spec, want = scenario
+    work = tmp_path_factory.mktemp("run")
+    (work / "spec.json").write_text(json.dumps(spec))
+    code = cli.main(["run", "--spec", str(work / "spec.json"), "--out", str(work / "report.json")])
+    shape = NetworkShape(tuple(spec["ml"]), spec["n"])
+    specs, _ = cli._build_specs(spec, shape)
+    report, want_code = run_report(specs, shape, want)
+    assert code == want_code
+    assert (work / "report.json").read_text() == report_text(report) + "\n"
