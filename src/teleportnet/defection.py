@@ -20,10 +20,11 @@ from .protocol import (
     _event_qubits,
     _initial_state,
     _measure_baseline_copy,
-    measure_all,
+    _measure_laid_out,
+    _plan,
     protocol_events,
 )
-from .resources import MessageSpec, NetworkShape
+from .resources import MessageSpec, NetworkShape, QubitRegistry
 from .states import (
     BellOutcome,
     DensityMatrix,
@@ -205,12 +206,11 @@ def _network_defection(
     if not 0 <= defector < shape.num_agents:
         raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
     us = recovery_unitaries() if unitaries is None else unitaries
-    state, registry = _initial_state(specs, shape)
-    events = tuple(e for e in protocol_events(shape) if e != ("ghz", defector))
+    registry = QubitRegistry(shape)
+    groups = [_event_qubits(e, registry) for e in protocol_events(shape) if e != ("ghz", defector)]
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    outcomes, probs, kept = measure_all(
-        state, [_event_qubits(e, registry) for e in events], keep + [registry.agent(defector)]
-    )
+    order, layout = _plan(groups, keep + [registry.agent(defector)])
+    outcomes, probs, kept = _measure_laid_out(_initial_state(specs, shape, layout), groups, order)
     return _defection_table(outcomes, probs, kept, [q for s in specs for q in s.qubits], us)
 
 
@@ -291,7 +291,7 @@ def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -
     shape = shape or NetworkShape.single(2, 1)
     if shape.num_receivers != 1 or shape.message_counts[0] != 2:
         raise ValueError("shape must carry two message qubits to one receiver")
-    state, registry = _initial_state([spec], shape)
+    state, registry = StateVector._wrap(_initial_state([spec], shape)), QubitRegistry(shape)
     for i in range(2):
         pair = (registry.message(0, i), registry.sender_epr(0, i))
         _, _, state = measure_bell(state, pair, BellOutcome.PHI_PLUS)

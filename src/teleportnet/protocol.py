@@ -159,6 +159,17 @@ def _event_qubits(event: Event, registry: QubitRegistry) -> tuple[int, ...]:
 _ROTATIONS = {4: np.conj(_BELL_MATRIX), 2: HADAMARD}
 
 
+def _plan(
+    groups: Sequence[tuple[int, ...]], keep: Sequence[int], draw_order: Sequence[int] | None = None
+) -> tuple[list[int], list[int]]:
+    """The order in which ``groups`` are processed (default: group order), and
+    the executor's layout: their qubits in that order, then ``keep`` from last
+    to first, the first qubit on the most significant index bit.  Bit 2a + b
+    of a pair's axis holds (value of a, value of b)."""
+    order = list(range(len(groups))) if draw_order is None else list(draw_order)
+    return order, [q for g in order for q in groups[g]] + list(reversed(keep))
+
+
 def measure_all(
     state: StateVector,
     groups: Sequence[tuple[int, ...]],
@@ -182,18 +193,23 @@ def measure_all(
     each draw made by Born weights conditioned on the earlier ones.
     """
     n = state.num_qubits
-    order = list(range(len(groups))) if rng is None or draw_order is None else list(draw_order)
-    # layout (groups in the order they are processed..., kept qubits); bit
-    # 2a + b of a pair's axis holds (value of a, value of b)
-    axes = [n - 1 - q for g in order for q in groups[g]] + [n - 1 - q for q in reversed(keep)]
+    order, layout = _plan(groups, keep, None if rng is None else draw_order)
+    t = np.transpose(state.amplitudes.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
+    return _measure_laid_out(t, groups, order, rng)
+
+
+def _measure_laid_out(
+    t: np.ndarray, groups: Sequence[tuple[int, ...]], order: Sequence[int], rng: np.random.Generator | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``measure_all`` of amplitudes ``t`` already in ``_plan``'s layout.  Pass ``t``
+    as a temporary, so that a sampled run peaks at two full-size arrays, not three."""
     dims = [1 << len(groups[g]) for g in order]
-    t = np.transpose(state.amplitudes.reshape((2,) * n), axes).reshape(-1)
     if rng is None:
         for d in dims:
             # rotate the leading axis and move it behind the others, so that
             # after the last group the layout is (kept, groups...)
             t = t.reshape(d, -1).T @ _ROTATIONS[d].T
-        kept = t.reshape(1 << len(keep), -1).T
+        kept = t.reshape(-1, int(np.prod(dims))).T
         outcomes = np.stack(np.unravel_index(np.arange(kept.shape[0]), dims), axis=1)
     else:
         outcomes = np.zeros((1, len(groups)), dtype=np.int64)
@@ -319,7 +335,15 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
     return out
 
 
-def _initial_state(specs: Sequence[MessageSpec], shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:
+def _initial_state(
+    specs: Sequence[MessageSpec], shape: NetworkShape, layout: Sequence[int] | None = None
+) -> np.ndarray:
+    """The normalized message (x) control resource, with qubit ``layout[j]``
+    on index bit N-1-j (default: qubit q on bit q, as ``QubitRegistry``).
+
+    Only the resource's nonzero amplitudes are multiplied out and scattered
+    into place, so no full-size product or transpose of it is made.
+    """
     if len(specs) != shape.num_receivers:
         raise ValueError(f"got {len(specs)} message specs for {shape.num_receivers} receivers")
     for spec, m in zip(specs, shape.message_counts):
@@ -329,7 +353,18 @@ def _initial_state(specs: Sequence[MessageSpec], shape: NetworkShape) -> tuple[S
     message = prepare_message_state(MessageSpec(tuple(
         q for spec in specs for q in spec.qubits
     )))
-    return tensor(message, resource), QubitRegistry(shape)
+    n, m = shape.total_qubits, message.num_qubits
+    rnz = np.flatnonzero(resource.amplitudes)
+    vals = np.kron(resource.amplitudes[rnz], message.amplitudes)
+    vals /= np.linalg.norm(vals)
+    # qubit q of the product is bit q of (resource index << m) | message index
+    src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
+    dst = np.zeros_like(src)
+    for j, q in enumerate(range(n - 1, -1, -1) if layout is None else layout):
+        dst |= ((src >> q) & 1) << (n - 1 - j)
+    out = np.zeros(1 << n, dtype=np.complex128)
+    out[dst] = vals
+    return out
 
 
 def _draw_order(event_order: Sequence[Event] | None, canonical: tuple[Event, ...]) -> list[int] | None:
@@ -366,11 +401,13 @@ def _network_table(
     if agent_basis not in ("hadamard_z", "plus_minus"):
         raise ValueError(f"unknown agent basis {agent_basis!r}")
     canonical = protocol_events(shape)
-    order = _draw_order(event_order, canonical)
+    draw_order = _draw_order(event_order, canonical)
     rng = _sampling_rng(mode, seed)
-    state, registry = _initial_state(specs, shape)
+    registry = QubitRegistry(shape)
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    outcomes, probs, kept = measure_all(state, [_event_qubits(e, registry) for e in canonical], keep, rng, order)
+    groups = [_event_qubits(e, registry) for e in canonical]
+    order, layout = _plan(groups, keep, None if rng is None else draw_order)
+    outcomes, probs, kept = _measure_laid_out(_initial_state(specs, shape, layout), groups, order, rng)
     return _transcript_table(outcomes, probs, kept, specs, table)
 
 

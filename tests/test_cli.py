@@ -31,13 +31,35 @@ def run_cli(*argv):
     ("run --ml 1 2 --n 3 --defector 3", "run_ml12_n3_defector3.json"),
     # preset "zero" messages: exact 0.0 diagonals and off-diagonal norms
     ("run --spec {data}/spec_preset_zero_defector.json", "run_spec_preset_zero_defector.json"),
+    # 21 qubits: the drawn branch and its floats at benchmark width
+    ("run --m 5 --n 5 --seed 3", "run_m5_n5_seed3.json"),
+    ("run --ml 2 3 --n 5 --seed 4", "run_ml23_n5_seed4.json"),
 ], ids=["defection", "enumerate", "compare-sweep", "compare-shape", "sampled-two-receivers",
         "sampled", "hostile-spec-strings", "enumerate-two-receivers", "defection-two-receivers",
-        "defection-preset-zero"])
+        "defection-preset-zero", "sampled-wide", "sampled-wide-two-receivers"])
 def test_reports_match_stored_bytes(tmp_path, argv, name):
     out = tmp_path / name
     assert run_cli(*argv.format(data=DATA).split(), "--out", str(out)) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_main_runs_repeatedly_in_one_process(tmp_path):
+    """``main`` reuses one parser: no flag of one call leaks into the next."""
+    enum_out, sampled_out, again_out, compare_out = (tmp_path / f"{i}.json" for i in range(4))
+    assert run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--out", str(enum_out)) == 0
+    assert run_cli("run", "--m", "1", "--n", "1", "--seed", "1", "--out", str(sampled_out)) == 0
+    assert run_cli("compare", "--m", "2", "--n", "1", "--out", str(compare_out)) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--m", "x")
+    assert exc.value.code == 2
+    assert run_cli("run", "--m", "1", "--n", "1", "--seed", "1", "--out", str(again_out)) == 0
+
+    enum_report, sampled = json.loads(enum_out.read_text()), json.loads(sampled_out.read_text())
+    assert (enum_report["scenario"]["mode"], enum_report["summary"]["num_transcripts"]) == ("enumerate", 16)
+    assert (sampled["scenario"]["mode"], sampled["scenario"]["seed"]) == ("sampled", 1)
+    assert sampled["summary"]["num_transcripts"] == 1
+    assert json.loads(compare_out.read_text())["command"] == "compare"
+    assert again_out.read_bytes() == sampled_out.read_bytes()
 
 
 class TestRunCommand:

@@ -15,7 +15,9 @@ from teleportnet import (
     MessageSpec,
     NetworkShape,
     PauliOp,
+    QubitRegistry,
 )
+from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _initial_state, _plan
 
 from _oracles import conditional_kets
 
@@ -388,3 +390,64 @@ def test_sampled_draws_follow_enumerated_probabilities(counts):
     assert set(seen) <= set(probs)
     for k, p in probs.items():
         assert abs(seen[k] - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)), k
+
+
+@st.composite
+def messages(draw, counts):
+    """One spec per receiver: Haar-random, balanced with random phases, or
+    preset |0> and |1> qubits."""
+    kind = draw(st.sampled_from(["random", "balanced_random_phases", "preset"]))
+    if kind == "preset":
+        return [MessageSpec(tuple(draw(st.sampled_from([(1, 0), (0, 1)])) for _ in range(m))) for m in counts]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [getattr(MessageSpec, kind)(m, rng) for m in counts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_initial_state_layouts_match_the_transposed_product(data):
+    """The laid-out initial state is the full message (x) resource product,
+    transposed: equal, not close, so a different normalization divisor
+    fails here.  Checked for a random qubit order, the layout of a permuted
+    event order, and the layout of every defector."""
+    counts = data.draw(st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]))
+    shape = NetworkShape(counts, data.draw(st.integers(1, 4)))
+    specs = data.draw(messages(counts))
+    n = shape.total_qubits
+    message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
+    full = tn.tensor(message, tn.prepare_control_resource(shape)[0]).amplitudes
+    assert np.array_equal(_initial_state(specs, shape), full)
+
+    registry = QubitRegistry(shape)
+    events = tn.protocol_events(shape)
+    keep = [registry.receiver_epr(r, i) for r, m in enumerate(counts) for i in range(m)]
+    order = data.draw(st.permutations(range(len(events))))
+    layouts = [
+        data.draw(st.permutations(range(n))),
+        _plan([_event_qubits(e, registry) for e in events], keep, order)[1],
+    ]
+    for d in range(shape.num_agents):
+        groups = [_event_qubits(e, registry) for e in events if e != ("ghz", d)]
+        layouts.append(_plan(groups, keep + [registry.agent(d)])[1])
+    for layout in layouts:
+        want = np.transpose(full.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
+        assert np.array_equal(_initial_state(specs, shape, layout), want), layout
+
+
+@pytest.mark.parametrize("counts", [(5,), (2, 3)], ids=["single", "two-receivers"])
+def test_sampled_branches_take_the_closed_form_at_21_qubits(counts):
+    """The control resource is a stabilizer state and every measurement a
+    Pauli measurement, so every branch has probability 2^-(2M+n+1) and
+    reconstructs exactly: checked on drawn branches of 21-qubit networks."""
+    shape = NetworkShape(counts, 5)
+    rng = np.random.default_rng(21)
+    specs = [MessageSpec.random(m, rng) for m in counts]
+    expect = 2.0 ** -(2 * shape.total_messages + shape.num_agents + 1)
+    for seed in range(5):
+        if len(counts) == 1:
+            branch = (tn.run_controlled_teleport(specs[0], shape, "sampled", seed=seed),)
+        else:
+            branch = tn.run_multi_receiver(specs, shape, "sampled", seed=seed)
+        for t in branch:
+            assert abs(t.branch_probability - expect) <= 1e-12 * expect
+            assert t.fidelity >= 1.0 - FIDELITY_ATOL
