@@ -338,11 +338,14 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
 def _initial_state(
     specs: Sequence[MessageSpec], shape: NetworkShape, layout: Sequence[int] | None = None
 ) -> np.ndarray:
-    """The normalized message (x) control resource, with qubit ``layout[j]``
+    """The message (x) control resource, with qubit ``layout[j]``
     on index bit N-1-j (default: qubit q on bit q, as ``QubitRegistry``).
 
     Only the resource's nonzero amplitudes are multiplied out and scattered
-    into place, so no full-size product or transpose of it is made.
+    into place, so no full-size product or transpose of it is made.  Each
+    amplitude is the same single product as ``tensor``'s, so the two agree
+    bit for bit; nothing is renormalized, because a sum of squares rounds
+    differently with and without the zeros.
     """
     if len(specs) != shape.num_receivers:
         raise ValueError(f"got {len(specs)} message specs for {shape.num_receivers} receivers")
@@ -356,7 +359,6 @@ def _initial_state(
     n, m = shape.total_qubits, message.num_qubits
     rnz = np.flatnonzero(resource.amplitudes)
     vals = np.kron(resource.amplitudes[rnz], message.amplitudes)
-    vals /= np.linalg.norm(vals)
     # qubit q of the product is bit q of (resource index << m) | message index
     src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
     dst = np.zeros_like(src)

@@ -375,8 +375,9 @@ def fidelity(a: StateVector | DensityMatrix, b: StateVector) -> float:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Combined state; ``a`` keeps its qubit indices, ``b`` shifts up by
-    ``a.num_qubits``."""
-    return StateVector(np.kron(b.amplitudes, a.amplitudes))
+    ``a.num_qubits``.  Both factors are unit-norm, so their product is not
+    renormalized: each amplitude is exactly one product of two factors."""
+    return StateVector._wrap(np.kron(b.amplitudes, a.amplitudes))
 
 
 def states_close(a: StateVector, b: StateVector, atol: float = 1e-12, up_to_phase: bool = True) -> bool:
