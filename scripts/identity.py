@@ -1,0 +1,229 @@
+#!/usr/bin/env python3
+"""Hash the results of one source tree, or compare two trees' hashes.
+
+    python3 scripts/identity.py TREE [--out FILE]
+    python3 scripts/identity.py --diff A B
+
+The first form imports ``teleportnet`` from ``TREE/src`` and writes one JSON
+object of SHA-256 hashes, one per result group, to FILE or stdout.  Outcome
+columns (Bell outcomes, bits, corrections, branches, diagonal forms, copy
+indices) and float columns (probabilities, fidelities, density matrices)
+are hashed as separate groups, so a change in the last bit of a float shows
+apart from a changed branch.  Floats are hashed by ``float.hex`` and
+matrices by ``tobytes()``.  The groups cover:
+
+- enumerate and sampled transcripts at 40 seeds, each in the natural event
+  order with the ``hadamard_z`` agent basis and in a permuted event order
+  with ``plus_minus``
+- defection reports at every defector
+- the GHZ baseline (enumerate and sampled) and its defection at every
+  defector
+- ``entangled_info_check``
+- every branch and every defector of the message ``MessageSpec.random(3,
+  default_rng(0))`` with four agents
+- the report bytes and exit code of every stored-report CLI command
+
+The second form compares two hash files, or two trees (each hashed in its
+own process), prints the first group that differs and every other one, and
+exits 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import enum
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = range(40)
+# (message counts, agents), cycled over the seeds
+SHAPES = [((1,), 1), ((2,), 2), ((3,), 1), ((1,), 3), ((1, 1), 2), ((1, 2), 1), ((2, 1), 2), ((1, 1, 1), 1)]
+# the commands whose reports tests/data stores; {data} is TREE/tests/data
+CLI_COMMANDS = [
+    "run --m 2 --n 1 --defector 1",
+    "run --m 2 --n 1 --enumerate",
+    "compare --n 2 --m 1..6",
+    "compare --k 2 --ml 1 --n 2",
+    "run --ml 2 1 --n 2 --seed 9",
+    "run --m 2 --n 2 --seed 5",
+    "run --spec {data}/spec_hostile_strings.json",
+    "run --ml 1 2 --n 2 --enumerate",
+    "run --ml 1 2 --n 3 --defector 3",
+    "run --spec {data}/spec_preset_zero_defector.json",
+    "run --m 5 --n 5 --seed 3",
+    "run --ml 2 3 --n 5 --seed 4",
+]
+
+
+class Group:
+    """A running hash of one result group."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *values) -> None:
+        self.h.update(repr([_canonical(v) for v in values]).encode())
+
+    def hexdigest(self) -> str:
+        return self.h.hexdigest()
+
+
+def _canonical(v):
+    """Enums by value, floats by ``float.hex``, arrays and density matrices
+    by their bytes, dataclasses by their fields."""
+    import numpy as np
+
+    from teleportnet import DensityMatrix
+
+    if isinstance(v, enum.Enum):
+        return v.value
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, DensityMatrix):
+        v = v.matrix
+    if isinstance(v, np.ndarray):
+        return (str(v.dtype), v.shape, v.tobytes().hex())
+    if isinstance(v, (tuple, list)):
+        return tuple(_canonical(x) for x in v)
+    if dataclasses.is_dataclass(v):
+        return tuple(_canonical(getattr(v, f.name)) for f in dataclasses.fields(v))
+    return v
+
+
+def _transcripts(groups: dict, name: str, branches) -> None:
+    """Per receiver transcript of each branch: outcome and float columns."""
+    out, floats = groups.setdefault(f"{name}.outcomes", Group()), groups.setdefault(f"{name}.floats", Group())
+    for branch in branches:
+        for t in branch:
+            out.add(t.receiver, t.bell_outcomes, t.agent_bits, t.sender_ghz_bit, t.branch,
+                    t.corrections, t.classical_messages, t.message_index)
+            floats.add(t.fidelity, t.branch_probability)
+
+
+def _defection(groups: dict, name: str, reports) -> None:
+    out, floats = groups.setdefault(f"{name}.outcomes", Group()), groups.setdefault(f"{name}.floats", Group())
+    for r in reports:
+        out.add(r.defector, r.bell_outcomes, r.cooperator_bits, r.conforms_to, r.message_index)
+        floats.add(r.probability, r.joint_density, r.per_qubit_density, r.off_diagonal_norm, r.max_fidelity)
+
+
+def hash_tree(tree: Path) -> dict[str, str]:
+    sys.path.insert(0, str(tree / "src"))
+    import numpy as np
+
+    import teleportnet as tn
+    from teleportnet.cli import main as cli_main
+
+    if not Path(tn.__file__).resolve().is_relative_to((tree / "src").resolve()):
+        raise SystemExit(f"imported teleportnet from {tn.__file__}, not from {tree / 'src'}")
+
+    groups: dict[str, Group] = {}
+    for seed in SEEDS:
+        counts, agents = SHAPES[seed % len(SHAPES)]
+        shape = tn.NetworkShape(counts, agents)
+        rng = np.random.default_rng(seed)
+        specs = [tn.MessageSpec.random(m, rng) for m in counts]
+        events = tn.protocol_events(shape)
+        permuted = [events[i] for i in rng.permutation(len(events))]
+
+        def run(mode, **kwargs):
+            if len(counts) > 1:
+                out = tn.run_multi_receiver(specs, shape, mode, seed=seed, **kwargs)
+                return out if mode == "enumerate" else [out]
+            out = tn.run_controlled_teleport(specs[0], shape, mode, seed=seed, **kwargs)
+            return [(t,) for t in out] if mode == "enumerate" else [(out,)]
+
+        for mode in ("enumerate", "sampled"):
+            _transcripts(groups, f"{mode}.natural", run(mode))
+            _transcripts(groups, f"{mode}.permuted_plus_minus",
+                         run(mode, event_order=permuted, agent_basis="plus_minus"))
+        for d in range(agents):
+            _defection(groups, "defection", tn.analyze_defection(specs, shape, d))
+
+        spec = tn.MessageSpec(tuple(q for s in specs for q in s.qubits))
+        single = tn.NetworkShape.single(len(spec), agents)
+        for mode in ("enumerate", "sampled"):
+            _transcripts(groups, f"baseline.{mode}", [(t,) for t in tn.run_baseline_ghz(spec, single, mode, seed=seed)])
+        for d in range(agents):
+            _defection(groups, "baseline_defection", tn.analyze_baseline_defection(spec, single, d))
+
+        pair = tn.MessageSpec.random(2, rng)
+        c = tn.entangled_info_check(pair, tn.NetworkShape.single(2, 1 + seed % 3))
+        groups.setdefault("entangled_info_check.floats", Group()).add(
+            c.plus_probability, c.plus_fidelity, c.minus_probability, c.minus_fidelity)
+
+    # a message whose laid-out initial state once differed from the
+    # transposed product in the last bit of 64 amplitudes
+    falsifier, shape = tn.MessageSpec.random(3, np.random.default_rng(0)), tn.NetworkShape.single(3, 4)
+    _transcripts(groups, "falsifier.enumerate", [(t,) for t in tn.run_controlled_teleport(falsifier, shape)])
+    for d in range(shape.num_agents):
+        _defection(groups, "falsifier.defection", tn.analyze_defection(falsifier, shape, d))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        for command in CLI_COMMANDS:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                code = cli_main(command.format(data=tree / "tests" / "data").split() + ["--out", str(out)])
+            groups[f"cli[{command}]"] = group = Group()
+            group.add(code, printed.getvalue(), out.read_bytes() if out.exists() else b"")
+            out.unlink(missing_ok=True)
+    return {name: g.hexdigest() for name, g in groups.items()}
+
+
+def _load(path: Path) -> dict[str, str]:
+    """The hashes in a file written by this script, or those of a tree."""
+    if path.is_dir():
+        proc = subprocess.run([sys.executable, __file__, str(path)], capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+    return json.loads(path.read_text())
+
+
+def _differing(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    """The groups, in A's order and then B's, whose hashes differ or that only one side has."""
+    return [name for name in list(a) + [n for n in b if n not in a] if a.get(name) != b.get(name)]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("tree", nargs="?", type=Path, help="source tree whose src/ holds teleportnet")
+    parser.add_argument("--out", type=Path, help="hash file (default: stdout)")
+    parser.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"), help="hash files or trees to compare")
+    args = parser.parse_args()
+    if (args.tree is None) == (args.diff is None):
+        parser.error("give either TREE or --diff A B")
+    # one BLAS thread, here and in the processes that hash a tree, so that no
+    # reduction's order, and so no float's last bit, depends on the thread count
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+    if args.diff:
+        a, b = (_load(p) for p in args.diff)
+        differing = _differing(a, b)
+        if not differing:
+            print(f"all {len(a)} groups are equal")
+            return 0
+        print(f"first difference: {differing[0]}")
+        for name in differing[1:]:
+            print(f"also differs: {name}")
+        print(f"{len(differing)} of {len(set(a) | set(b))} groups differ")
+        return 1
+
+    text = json.dumps(hash_tree(args.tree.resolve()), indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,16 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .protocol import (
-    _BELL_ORDER,
-    _event_qubits,
-    _initial_state,
-    _measure_baseline_copy,
-    _measure_laid_out,
-    _plan,
-    protocol_events,
-)
-from .resources import MessageSpec, NetworkShape, QubitRegistry
+from .protocol import _BELL_ORDER, _baseline_branches, _initial_state, _network_branches
+from .resources import MessageSpec, NetworkShape, QubitRegistry, prepare_control_resource, prepare_message_state
 from .states import (
     BellOutcome,
     DensityMatrix,
@@ -206,11 +198,7 @@ def _network_defection(
     if not 0 <= defector < shape.num_agents:
         raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
     us = recovery_unitaries() if unitaries is None else unitaries
-    registry = QubitRegistry(shape)
-    groups = [_event_qubits(e, registry) for e in protocol_events(shape) if e != ("ghz", defector)]
-    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    order, layout = _plan(groups, keep + [registry.agent(defector)])
-    outcomes, probs, kept = _measure_laid_out(_initial_state(specs, shape, layout), groups, order)
+    outcomes, probs, kept = _network_branches(specs, shape, defector=defector)
     return _defection_table(outcomes, probs, kept, [q for s in specs for q in s.qubits], us)
 
 
@@ -270,14 +258,12 @@ def analyze_baseline_defection(
 ) -> list[DefectionReport]:
     """Defection in the per-qubit GHZ baseline: the defector withholds all of
     its per-copy bits; reports are per copy and per cooperating branch."""
-    if shape.num_receivers != 1:
-        raise ValueError("baseline defection covers the single-receiver network")
     if not 0 <= defector < shape.num_agents:
         raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
     us = recovery_unitaries() if unitaries is None else unitaries
     reports = []
-    for index, pair in enumerate(spec.qubits):
-        outcomes, probs, kept = _measure_baseline_copy(*pair, shape.num_agents, skip=defector)
+    copies = _baseline_branches(spec, shape, defector=defector)
+    for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
         reports += _reports(_defection_table(outcomes, probs, kept, [pair], us), defector, index)
     return reports
 
@@ -291,7 +277,8 @@ def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -
     shape = shape or NetworkShape.single(2, 1)
     if shape.num_receivers != 1 or shape.message_counts[0] != 2:
         raise ValueError("shape must carry two message qubits to one receiver")
-    state, registry = StateVector._wrap(_initial_state([spec], shape)), QubitRegistry(shape)
+    initial = _initial_state(prepare_control_resource(shape)[0], prepare_message_state(spec))
+    state, registry = StateVector._wrap(initial), QubitRegistry(shape)
     for i in range(2):
         pair = (registry.message(0, i), registry.sender_epr(0, i))
         _, _, state = measure_bell(state, pair, BellOutcome.PHI_PLUS)

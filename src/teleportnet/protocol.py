@@ -8,7 +8,10 @@ classical traffic, the applied corrections, and the reconstruction fidelity.
 Every measurement acts on its own qubits, so all of them commute.  One
 executor, ``measure_all``, therefore rotates each measured pair or qubit into
 its measurement basis in one pass over the state and reads every branch off
-the result, instead of collapsing a copy of the state once per branch.
+the result, instead of collapsing a copy of the state once per branch.  It
+takes a resource and a message state and builds their product straight in
+the layout it rotates; network runs, defection, the baseline and the
+baseline's defection all measure through it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .states import (
     PauliOp,
     StateVector,
     _pick,
-    tensor,
 )
 
 AgentBasis = Literal["hadamard_z", "plus_minus"]
@@ -171,38 +173,33 @@ def _plan(
 
 
 def measure_all(
-    state: StateVector,
+    resource: StateVector,
+    message: StateVector,
     groups: Sequence[tuple[int, ...]],
     keep: Sequence[int],
     rng: np.random.Generator | None = None,
     draw_order: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure every group of ``groups`` in one pass and keep ``keep``.
+    """Measure every group of ``groups`` of ``tensor(message, resource)`` in
+    one pass and keep ``keep``.
 
     A group is a qubit pair ``(a, b)``, measured in the Bell basis, or a
-    single qubit, measured in the X basis; every qubit of ``state`` lies in
-    exactly one group or in ``keep``.  Returns ``(outcomes, probabilities,
-    kept)``.  ``outcomes[b, g]`` is group g's result in branch b: an index
-    into ``BellOutcome`` for a pair, the bit (0 = plus) for a qubit.
-    ``kept[b]`` is the normalized state of the kept qubits in that branch,
-    bit t holding qubit ``keep[t]``.
+    single qubit, measured in the X basis; every qubit lies in exactly one
+    group or in ``keep``.  Returns ``(outcomes, probabilities, kept)``.
+    ``outcomes[b, g]`` is group g's result in branch b: an index into
+    ``BellOutcome`` for a pair, the bit (0 = plus) for a qubit.  ``kept[b]``
+    is the normalized state of the kept qubits in that branch, bit t holding
+    qubit ``keep[t]``.
 
     Without ``rng`` every branch is returned, in mixed-radix order of the
     group outcomes (the first group most significant).  With ``rng`` one
     branch is drawn group by group in ``draw_order`` (default: group order),
     each draw made by Born weights conditioned on the earlier ones.
     """
-    n = state.num_qubits
     order, layout = _plan(groups, keep, None if rng is None else draw_order)
-    t = np.transpose(state.amplitudes.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
-    return _measure_laid_out(t, groups, order, rng)
-
-
-def _measure_laid_out(
-    t: np.ndarray, groups: Sequence[tuple[int, ...]], order: Sequence[int], rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``measure_all`` of amplitudes ``t`` already in ``_plan``'s layout.  Pass ``t``
-    as a temporary, so that a sampled run peaks at two full-size arrays, not three."""
+    # the only full-size reference to the initial state: the first rotation
+    # rebinds it, so a sampled run peaks at two full-size arrays, not three
+    t = _initial_state(resource, message, layout)
     dims = [1 << len(groups[g]) for g in order]
     if rng is None:
         for d in dims:
@@ -227,6 +224,30 @@ def _measure_laid_out(
         b = low[0]
         raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
     return outcomes, probs, kept / np.sqrt(probs)[:, None]
+
+
+def _initial_state(resource: StateVector, message: StateVector, layout: Sequence[int] | None = None) -> np.ndarray:
+    """``tensor(message, resource)`` with qubit ``layout[j]`` on index bit
+    N-1-j (default: qubit q on bit q).
+
+    Only the resource's nonzero amplitudes are multiplied out and scattered
+    into place, so no full-size product or transpose of it is made.  Each
+    amplitude is the same single product as ``tensor``'s, so the two agree
+    bit for bit; nothing is renormalized, because a sum of squares rounds
+    differently with and without the zeros.
+    """
+    m = message.num_qubits
+    n = m + resource.num_qubits
+    rnz = np.flatnonzero(resource.amplitudes)
+    vals = np.kron(resource.amplitudes[rnz], message.amplitudes)
+    # qubit q of the product is bit q of (resource index << m) | message index
+    src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
+    dst = np.zeros_like(src)
+    for j, q in enumerate(range(n - 1, -1, -1) if layout is None else layout):
+        dst |= ((src >> q) & 1) << (n - 1 - j)
+    out = np.zeros(1 << n, dtype=np.complex128)
+    out[dst] = vals
+    return out
 
 
 def _fidelities(
@@ -335,40 +356,6 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
     return out
 
 
-def _initial_state(
-    specs: Sequence[MessageSpec], shape: NetworkShape, layout: Sequence[int] | None = None
-) -> np.ndarray:
-    """The message (x) control resource, with qubit ``layout[j]``
-    on index bit N-1-j (default: qubit q on bit q, as ``QubitRegistry``).
-
-    Only the resource's nonzero amplitudes are multiplied out and scattered
-    into place, so no full-size product or transpose of it is made.  Each
-    amplitude is the same single product as ``tensor``'s, so the two agree
-    bit for bit; nothing is renormalized, because a sum of squares rounds
-    differently with and without the zeros.
-    """
-    if len(specs) != shape.num_receivers:
-        raise ValueError(f"got {len(specs)} message specs for {shape.num_receivers} receivers")
-    for spec, m in zip(specs, shape.message_counts):
-        if len(spec) != m:
-            raise ValueError(f"spec length {len(spec)} does not match shape count {m}")
-    resource, _ = prepare_control_resource(shape)
-    message = prepare_message_state(MessageSpec(tuple(
-        q for spec in specs for q in spec.qubits
-    )))
-    n, m = shape.total_qubits, message.num_qubits
-    rnz = np.flatnonzero(resource.amplitudes)
-    vals = np.kron(resource.amplitudes[rnz], message.amplitudes)
-    # qubit q of the product is bit q of (resource index << m) | message index
-    src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
-    dst = np.zeros_like(src)
-    for j, q in enumerate(range(n - 1, -1, -1) if layout is None else layout):
-        dst |= ((src >> q) & 1) << (n - 1 - j)
-    out = np.zeros(1 << n, dtype=np.complex128)
-    out[dst] = vals
-    return out
-
-
 def _draw_order(event_order: Sequence[Event] | None, canonical: tuple[Event, ...]) -> list[int] | None:
     """``event_order`` as indices into the canonical events; None for their own order."""
     if event_order is None:
@@ -390,6 +377,30 @@ def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _network_branches(
+    specs: Sequence[MessageSpec],
+    shape: NetworkShape,
+    rng: np.random.Generator | None = None,
+    draw_order: Sequence[int] | None = None,
+    defector: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``measure_all`` over the network's message and control resource: every
+    protocol event but agent ``defector``'s, keeping the received qubits and,
+    above them, the defector's qubit."""
+    if len(specs) != shape.num_receivers:
+        raise ValueError(f"got {len(specs)} message specs for {shape.num_receivers} receivers")
+    for spec, m in zip(specs, shape.message_counts):
+        if len(spec) != m:
+            raise ValueError(f"spec length {len(spec)} does not match shape count {m}")
+    registry = QubitRegistry(shape)
+    groups = [_event_qubits(e, registry) for e in protocol_events(shape) if e != ("ghz", defector)]
+    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
+    if defector is not None:
+        keep.append(registry.agent(defector))
+    message = prepare_message_state(MessageSpec(tuple(q for spec in specs for q in spec.qubits)))
+    return measure_all(prepare_control_resource(shape)[0], message, groups, keep, rng, draw_order)
+
+
 def _network_table(
     specs: Sequence[MessageSpec],
     shape: NetworkShape,
@@ -402,14 +413,8 @@ def _network_table(
     """The transcript table of a network run: every branch, or one drawn branch."""
     if agent_basis not in ("hadamard_z", "plus_minus"):
         raise ValueError(f"unknown agent basis {agent_basis!r}")
-    canonical = protocol_events(shape)
-    draw_order = _draw_order(event_order, canonical)
-    rng = _sampling_rng(mode, seed)
-    registry = QubitRegistry(shape)
-    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    groups = [_event_qubits(e, registry) for e in canonical]
-    order, layout = _plan(groups, keep, None if rng is None else draw_order)
-    outcomes, probs, kept = _measure_laid_out(_initial_state(specs, shape, layout), groups, order, rng)
+    draw_order = _draw_order(event_order, protocol_events(shape))
+    outcomes, probs, kept = _network_branches(specs, shape, _sampling_rng(mode, seed), draw_order)
     return _transcript_table(outcomes, probs, kept, specs, table)
 
 
@@ -455,39 +460,30 @@ def run_multi_receiver(
     return branches if mode == "enumerate" else branches[0]
 
 
-def baseline_copy_state(alpha: complex, beta: complex, num_agents: int) -> tuple[StateVector, int]:
-    """One baseline copy: the message qubit tensored with an (n+2)-qubit GHZ.
-
-    Layout: message qubit 0, sender GHZ qubit 1, receiver qubit 2, agent
-    qubits 3..n+2.  Returns the state and the number of resource qubits.
-    """
-    ghz = prepare_ghz(num_agents + 2, +1)
-    return tensor(StateVector([alpha, beta]), ghz), ghz.num_qubits
-
-
 def baseline_resource_sizes(shape: NetworkShape) -> list[int]:
     """Resource qubits actually allocated per baseline copy."""
-    sizes = []
-    for m in shape.message_counts:
-        for _ in range(m):
-            _, aux = baseline_copy_state(1.0, 0.0, shape.num_agents)
-            sizes.append(aux)
-    return sizes
+    return [prepare_ghz(shape.num_agents + 2).num_qubits] * shape.total_messages
 
 
-def _measure_baseline_copy(
-    alpha: complex,
-    beta: complex,
-    num_agents: int,
-    skip: int | None = None,
+def _baseline_branches(
+    spec: MessageSpec,
+    shape: NetworkShape,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``measure_all`` over one baseline copy: the Bell pair (0, 1), then
-    every agent but ``skip``.  Keeps the receiver qubit, and above it the
-    skipped agent's qubit."""
-    state, _ = baseline_copy_state(alpha, beta, num_agents)
-    groups = [(0, 1)] + [(3 + j,) for j in range(num_agents) if j != skip]
-    return measure_all(state, groups, [2] if skip is None else [2, 3 + skip], rng)
+    defector: int | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``measure_all`` over each baseline copy, in message order.  A copy is
+    the message qubit 0 and an (n+2)-qubit GHZ above it: the sender's qubit
+    1, the receiver's qubit 2 and agent j's qubit 3 + j.  Measures the Bell
+    pair (0, 1), then every agent but ``defector``; keeps the receiver
+    qubit, and above it the defector's qubit."""
+    if shape.num_receivers != 1:
+        raise ValueError("the GHZ baseline covers the single-receiver network")
+    if len(spec) != shape.message_counts[0]:
+        raise ValueError(f"spec length {len(spec)} does not match shape count {shape.message_counts[0]}")
+    n = shape.num_agents
+    groups = [(0, 1)] + [(3 + j,) for j in range(n) if j != defector]
+    keep = [2] if defector is None else [2, 3 + defector]
+    return [measure_all(prepare_ghz(n + 2), StateVector(pair), groups, keep, rng) for pair in spec.qubits]
 
 
 def run_baseline_ghz(
@@ -504,14 +500,9 @@ def run_baseline_ghz(
     copy.  The correction is the usual table with the branch given by the
     parity of that copy's agent bits.
     """
-    if shape.num_receivers != 1:
-        raise ValueError("the baseline runner covers the single-receiver network")
-    if len(spec) != shape.message_counts[0]:
-        raise ValueError("spec length does not match shape")
-    rng = _sampling_rng(mode, seed)
     out = []
-    for index, pair in enumerate(spec.qubits):
-        outcomes, probs, kept = _measure_baseline_copy(*pair, shape.num_agents, rng=rng)
+    copies = _baseline_branches(spec, shape, _sampling_rng(mode, seed))
+    for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
         copy = MessageSpec((pair,))
         out += [t for t, in _transcripts(_transcript_table(outcomes, probs, kept, [copy], sender=False), index)]
     return out

@@ -210,6 +210,16 @@ class TestBaselineDefection:
         old_diags = {(r.bell_outcomes[0], tuple(np.round(np.diag(r.per_qubit_density[0].matrix).real, 12))) for r in old}
         assert new_diags == old_diags
 
+    def test_spec_of_the_wrong_length_is_refused(self, rng):
+        # one copy per message qubit: three qubits on a two-qubit shape would be three copies
+        spec = MessageSpec.random(3, rng)
+        with pytest.raises(ValueError, match="spec length 3 does not match"):
+            tn.analyze_baseline_defection(spec, NetworkShape.single(2, 2), 0, unitaries=GRID)
+        with pytest.raises(ValueError, match="spec length 3 does not match"):
+            tn.run_baseline_ghz(spec, NetworkShape.single(2, 2))
+        with pytest.raises(ValueError, match="spec length 3 does not match"):
+            tn.analyze_defection(spec, NetworkShape.single(2, 2), 0, unitaries=GRID)
+
 
 class TestEntangledInfoCheck:
     def test_balanced_first_qubit(self):

@@ -158,6 +158,6 @@ def test_reports_on_non_diagonal_marginals(total, count, seed):
 
 
 def test_zero_probability_branch_is_refused():
-    # |00> has no weight on the psi outcomes of a Bell measurement
+    # |0> (x) |0> has no weight on the psi outcomes of a Bell measurement
     with pytest.raises(ValueError, match="probability"):
-        measure_all(StateVector([1, 0, 0, 0]), [(0, 1)], [])
+        measure_all(StateVector([1, 0]), StateVector([1, 0]), [(0, 1)], [])

@@ -16,6 +16,7 @@ from teleportnet import (
     NetworkShape,
     PauliOp,
     QubitRegistry,
+    StateVector,
 )
 from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _initial_state, _plan
 
@@ -409,13 +410,18 @@ def test_initial_state_layouts_match_the_transposed_product(data):
     """The laid-out initial state is the full message (x) resource product,
     transposed: equal, not close, so a different normalization divisor
     fails here.  Checked for a random qubit order, the layout of a permuted
-    event order, and the layout of every defector."""
+    event order, and the layout of every defector; and for a GHZ baseline
+    copy at a random qubit order."""
     counts = data.draw(st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]))
     shape = NetworkShape(counts, data.draw(st.integers(1, 4)))
     specs = data.draw(messages(counts))
     events = tn.protocol_events(shape)
     _assert_layouts_match(specs, shape, data.draw(st.permutations(range(shape.total_qubits))),
                           data.draw(st.permutations(range(len(events)))))
+
+    ghz, pair = tn.prepare_ghz(shape.num_agents + 2), StateVector(specs[0].qubits[0])
+    layout = data.draw(st.permutations(range(shape.num_agents + 3)))
+    _assert_laid_out(_initial_state(ghz, pair, layout), tn.tensor(pair, ghz), layout)
 
 
 def test_initial_state_matches_the_transposed_product_where_a_norm_rounds_apart():
@@ -432,10 +438,10 @@ def _assert_layouts_match(specs, shape, permutation, order):
     """``_initial_state`` equals the transposed ``tensor`` of message and
     resource in the natural layout, ``permutation``, the layout of the event
     order ``order`` and the layout of every defector."""
-    n = shape.total_qubits
     message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
-    full = tn.tensor(message, tn.prepare_control_resource(shape)[0]).amplitudes
-    assert np.array_equal(_initial_state(specs, shape), full)
+    resource = tn.prepare_control_resource(shape)[0]
+    full = tn.tensor(message, resource)
+    assert np.array_equal(_initial_state(resource, message), full.amplitudes)
 
     registry = QubitRegistry(shape)
     events = tn.protocol_events(shape)
@@ -445,8 +451,14 @@ def _assert_layouts_match(specs, shape, permutation, order):
         groups = [_event_qubits(e, registry) for e in events if e != ("ghz", d)]
         layouts.append(_plan(groups, keep + [registry.agent(d)])[1])
     for layout in layouts:
-        want = np.transpose(full.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
-        assert np.array_equal(_initial_state(specs, shape, layout), want), layout
+        _assert_laid_out(_initial_state(resource, message, layout), full, layout)
+
+
+def _assert_laid_out(got, full, layout):
+    """``got`` is ``full`` with qubit ``layout[j]`` on index bit N-1-j."""
+    n = full.num_qubits
+    want = np.transpose(full.amplitudes.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
+    assert np.array_equal(got, want), layout
 
 
 @pytest.mark.parametrize("counts", [(5,), (2, 3)], ids=["single", "two-receivers"])
