@@ -21,7 +21,13 @@ matrices by ``tobytes()``.  The groups cover:
 - ``entangled_info_check``
 - every branch and every defector of the message ``MessageSpec.random(3,
   default_rng(0))`` with four agents
-- the report bytes and exit code of every stored-report CLI command
+- the recovery search at the benchmark's defection shapes: defection
+  reports at (3,3) with defector 2, (2,4) with defector 1 and ``ml=(1,2)``,
+  n = 3, defector 3, and the baseline's at (6,6) with defector 3, each at
+  three message seeds; ``max_recovery_fidelity`` on 200 single operators
+  with the default grid and with grids of 1, 2 and 3 unitaries
+- the report bytes and exit code of every stored-report CLI command and of
+  ``run --m 4 --n 4 --defector 2``
 
 The second form compares two hash files, or two trees (each hashed in its
 own process), prints the first group that differs and every other one, and
@@ -61,6 +67,10 @@ CLI_COMMANDS = [
     "run --m 5 --n 5 --seed 3",
     "run --ml 2 3 --n 5 --seed 4",
 ]
+# the largest defection report the benchmark ladder writes, 5 MiB
+LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2"]
+# (message counts, agents, 1-based defector) of the benchmark's defection runs
+BENCH_DEFECTIONS = [((3,), 3, 2), ((2,), 4, 1), ((1, 2), 3, 3)]
 
 
 class Group:
@@ -167,9 +177,31 @@ def hash_tree(tree: Path) -> dict[str, str]:
     for d in range(shape.num_agents):
         _defection(groups, "falsifier.defection", tn.analyze_defection(falsifier, shape, d))
 
+    for seed in range(3):
+        for counts, agents, defector in BENCH_DEFECTIONS:
+            rng = np.random.default_rng(seed)
+            specs = [tn.MessageSpec.random(m, rng) for m in counts]
+            reports = tn.analyze_defection(specs, tn.NetworkShape(counts, agents), defector - 1)
+            _defection(groups, f"bench.defection[{counts} n={agents} defector={defector}]", reports)
+        spec = tn.MessageSpec.random(6, np.random.default_rng(seed))
+        reports = tn.analyze_baseline_defection(spec, tn.NetworkShape.single(6, 6), 2)
+        _defection(groups, "bench.baseline_defection[(6,) n=6 defector=3]", reports)
+
+    # single operators: the search must not round a lone operator apart
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+    rhos = z @ z.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    targets = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    small = tn.recovery_unitaries(num_random=3, seed=1)
+    grids = {"default": tn.recovery_unitaries(), "1": small[-1:], "2": small[-2:], "3": small[-3:]}
+    for name, us in grids.items():
+        groups[f"max_recovery_fidelity[{name}].floats"] = group = Group()
+        group.add([tn.max_recovery_fidelity(rho, t, us) for rho, t in zip(rhos, targets)])
+
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        for command in CLI_COMMANDS:
+        for command in CLI_COMMANDS + LARGE_CLI_COMMANDS:
             printed = io.StringIO()
             with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
                 code = cli_main(command.format(data=tree / "tests" / "data").split() + ["--out", str(out)])

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Time ``teleportnet run`` end to end over a fixed ladder of shapes.
+
+    python3 scripts/ladder.py TREE --label NAME [--max-qubits Q]
+
+Every run of every shape is its own process, with ``TREE/src`` first on
+``PYTHONPATH`` and one BLAS thread (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1).  For each shape
+the script records the median wall time and max RSS of 5 repeats, every
+repeat, and the size of the report in bytes.  It writes them, with ``nproc``
+and the package, Python, numpy and BLAS versions, to ``BENCH_<NAME>.json`` in
+the current directory.
+
+Wall time runs from the start of the process to its exit, so it includes the
+interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
+that one process.  Shapes over ``--max-qubits`` (3m + n + 1 qubits) are
+listed under ``skipped`` and not run: ``run --m 8 --n 1 --enumerate`` peaks
+at about 3.2 GiB.
+
+Compare two trees by running the script once on each, on the same host, for
+instance on ``git archive`` copies of a parent commit and of a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# (message qubits m, agents n, the rest of the ``run`` arguments)
+LADDER = [
+    (1, 1, "--enumerate"),
+    (2, 2, "--enumerate"),
+    (3, 3, "--enumerate"),
+    (4, 2, "--enumerate"),
+    (3, 5, "--enumerate"),
+    (5, 3, "--enumerate"),
+    (6, 4, "--enumerate"),
+    (8, 1, "--enumerate"),
+    (3, 3, "--defector 2"),
+    (4, 4, "--defector 2"),
+    (5, 5, "--seed 1"),
+    (7, 3, "--seed 1"),
+]
+REPEATS = 5
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+VERSIONS = """
+import json, platform, numpy, teleportnet
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+print(json.dumps({"teleportnet": teleportnet.__version__, "python": platform.python_version(),
+                  "numpy": numpy.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip()}))
+"""
+
+
+def _env(tree: Path) -> dict[str, str]:
+    paths = [str(tree / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env.update({var: "1" for var in THREAD_VARS})
+    return env
+
+
+def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
+    """Wall seconds, max RSS in MiB and report bytes of one ``run`` process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        cmd = [sys.executable, "-m", "teleportnet.cli", *argv, "--out", str(out)]
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
+        return wall, usage.ru_maxrss / 1024, out.stat().st_size
+
+
+def ladder(tree: Path, max_qubits: int) -> dict:
+    env = _env(tree)
+    versions = json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
+                                         text=True, check=True).stdout)
+    shapes, skipped = [], []
+    for m, n, rest in LADDER:
+        command = f"run --m {m} --n {n} {rest}"
+        qubits = 3 * m + n + 1
+        if qubits > max_qubits:
+            skipped.append({"command": command, "qubits": qubits})
+            continue
+        walls, rss, sizes = zip(*(_run_once(command.split(), env) for _ in range(REPEATS)))
+        if len(set(sizes)) != 1:
+            raise SystemExit(f"{command} wrote reports of {sorted(set(sizes))} bytes")
+        shapes.append({
+            "command": command,
+            "qubits": qubits,
+            "wall_s": statistics.median(walls),
+            "max_rss_mib": statistics.median(rss),
+            "report_bytes": sizes[0],
+            "wall_s_runs": [round(w, 4) for w in walls],
+            "max_rss_mib_runs": list(rss),
+        })
+        print(f"{command:34} {shapes[-1]['wall_s']:8.3f} s {shapes[-1]['max_rss_mib']:8.1f} MiB", file=sys.stderr)
+    return {
+        "repeats": REPEATS,
+        "nproc": os.cpu_count(),
+        "threads": {var: "1" for var in THREAD_VARS},
+        "versions": versions,
+        "shapes": shapes,
+        "skipped": skipped,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("tree", type=Path, help="source tree whose src/ holds teleportnet")
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<LABEL>.json")
+    parser.add_argument("--max-qubits", type=int, default=26, help="skip larger shapes (default: 26, none)")
+    args = parser.parse_args()
+    result = {"label": args.label, **ladder(args.tree.resolve(), args.max_qubits)}
+    Path(f"BENCH_{args.label}.json").write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -134,23 +134,47 @@ def max_recovery_fidelity(
     """Best fidelity <t|U rho U^dag|t> over the recovery grid."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     us = recovery_unitaries() if unitaries is None else unitaries
+    if mat.shape != (2, 2):
+        raise ValueError(f"recovery acts on one qubit: the operator must be 2x2, not {mat.shape}")
+    if not np.any(target):
+        raise ValueError("the recovery target is the zero vector")
     return float(_best_recovery(mat[None], target, us)[0])
 
 
-# Operators per grid contraction: bounds the (block, grid) temporary whatever
+# Operators per grid contraction: bounds the (block, grid) temporaries whatever
 # the branch count.
 _BLOCK = 64
 
 
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
-    """Best fidelity over the grid for each operator of a (count, 2, 2) stack."""
+    """Best fidelity over the grid for each operator of a (count, 2, 2) stack:
+    a real product screens the grid, and the unitaries within a rounding margin
+    of each row's best are recomputed with the whole-grid einsum's bits."""
+    if len(unitaries) == 0:
+        raise ValueError("the recovery grid has no unitaries")
     t = np.asarray(target, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
-    return np.concatenate([
-        np.einsum("ga,bac,gc->bg", w.conj(), rhos[i:i + _BLOCK], w).real.max(axis=1)
-        for i in range(0, len(rhos), _BLOCK)
-    ])
+    k = (w.conj()[:, :, None] * w[:, None, :]).reshape(-1, 4)  # <w_g|rho|w_g> = k_g . rho.flat
+    screen = np.concatenate([k.real, -k.imag], axis=1).T
+    # screen and exact value each round within 32 eps |rho|_1 max|k_g|_1 (plus underflow),
+    # so the exact best is within twice that of the screened best; overflow keeps the row
+    scale = np.abs(k).sum(axis=1).max()
+    best = []
+    for i in range(0, len(rhos), _BLOCK):
+        block = rhos[i:i + _BLOCK]
+        if len(w) < 3:  # nothing to screen, and a grid of 2 rounds unlike its pairs
+            best.append(np.einsum("ga,bac,gc->bg", w.conj(), block, w).real.max(axis=1))
+            continue
+        flat = block.reshape(-1, 4)
+        values = np.concatenate([flat.real, flat.imag], axis=1) @ screen
+        floor = values.max(axis=1) - np.abs(flat).sum(axis=1) * scale * (64 * np.finfo(float).eps) - 1e-300
+        b, g = np.nonzero((values >= floor[:, None]) | ~np.isfinite(floor)[:, None])  # NaN rows keep all
+        if len(b) == 1:  # einsum rounds a lone pair unlike two or more
+            b, g = b.repeat(2), g.repeat(2)
+        exact = np.einsum("pa,pac,pc->p", w.conj()[g], block[b], w[g]).real
+        best.append(np.maximum.reduceat(exact, np.flatnonzero(np.diff(b, prepend=-1))))
+    return np.concatenate(best)
 
 
 def _form_for(outcome: BellOutcome) -> DiagonalForm:

@@ -100,6 +100,19 @@ def best_grid_fidelity(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
     return best
 
 
+def whole_grid_recovery(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
+    """The grid search as one complex einsum over the whole grid for each
+    block of 64 operators: the bit-exact reference for the library's
+    screened search, which must reproduce every value's last bit."""
+    t = np.asarray(pair, dtype=np.complex128).reshape(2)
+    t = t / np.linalg.norm(t)
+    w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
+    return np.concatenate([
+        np.einsum("ga,bac,gc->bg", w.conj(), rhos[i:i + 64], w).real.max(axis=1)
+        for i in range(0, len(rhos), 64)
+    ])
+
+
 def born_z_probability(amps: np.ndarray, qubit: int, bit: int) -> float:
     """Direct Born-rule sum over the indices whose ``qubit`` value is ``bit``."""
     total = 0.0

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teleportnet as tn
 from teleportnet import (
@@ -12,9 +14,18 @@ from teleportnet import (
     StateVector,
 )
 
-from _oracles import defection_mixture, max_eigenvalue
+from _oracles import defection_mixture, max_eigenvalue, whole_grid_recovery
 
 GRID = tn.recovery_unitaries(num_random=300, seed=3)
+RECOVERY_GRIDS = {
+    "1": GRID[-1:],
+    "2": GRID[-2:],
+    "3": GRID[-3:],
+    "cliffords": tn.recovery_unitaries(num_random=0, seed=0),
+    "GRID": GRID,
+    "default": tn.recovery_unitaries(),
+}
+STACK_KINDS = ["density", "near_diagonal", "maximally_mixed", "pure", "scaled_non_hermitian", "zero", "nan_row"]
 
 
 def _report_by_key(reports):
@@ -183,6 +194,78 @@ class TestRecoveryCeiling:
         assert grid.shape == (34, 2, 2)
         eye = np.einsum("gba,gbc->gac", grid.conj(), grid)
         np.testing.assert_allclose(eye, np.broadcast_to(np.eye(2), (34, 2, 2)), atol=1e-12)
+
+
+def _stack(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A (size, 2, 2) stack of one kind of operator."""
+    z = rng.standard_normal((size, 2, 2)) + 1j * rng.standard_normal((size, 2, 2))
+    if kind == "density":
+        rho = z @ z.conj().transpose(0, 2, 1)
+        return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    if kind == "near_diagonal":  # as defection leaves them: off-diagonals at the rounding level
+        p = rng.random(size)
+        rho = np.zeros((size, 2, 2), dtype=complex)
+        rho[:, 0, 0], rho[:, 1, 1], rho[:, 0, 1] = p, 1 - p, 1e-17 * z[:, 0, 1]
+        rho[:, 1, 0] = rho[:, 0, 1].conj()
+        return rho
+    if kind == "maximally_mixed":  # every unitary ties
+        return np.broadcast_to(np.eye(2) / 2, (size, 2, 2)).astype(complex)
+    if kind == "pure":
+        v = z[:, 0] / np.linalg.norm(z[:, 0], axis=1, keepdims=True)
+        return v[:, :, None] * v[:, None, :].conj()
+    if kind == "scaled_non_hermitian":
+        return 1e8 * z
+    if kind == "zero":
+        return np.zeros((size, 2, 2), dtype=complex)
+    rho = _stack("density", size, rng)  # "nan_row": one operator holds a NaN
+    rho[rng.integers(size), 0, 1] = np.nan
+    return rho
+
+
+class TestRecoverySearch:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(STACK_KINDS),
+        st.sampled_from([1, 63, 64, 65, 130]),
+        st.sampled_from(sorted(RECOVERY_GRIDS)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_whole_grid_bit_for_bit(self, kind, size, grid, seed):
+        rng = np.random.default_rng(seed)
+        rhos, us = _stack(kind, size, rng), RECOVERY_GRIDS[grid]
+        target = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        want = whole_grid_recovery(rhos, target, us)
+        got = tn.defection._best_recovery(rhos, target, us)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        if size == 1:
+            single = np.array([tn.max_recovery_fidelity(rhos[0], target, us)])
+            np.testing.assert_array_equal(single.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("counts,agents,defector", [((3,), 3, 2), ((1, 2), 3, 3)])
+    def test_grid_value_is_under_the_top_eigenvalue(self, counts, agents, defector):
+        # defector is 1-based, as on the command line
+        rng = np.random.default_rng(7)
+        specs = [MessageSpec.random(m, rng) for m in counts]
+        reports = tn.analyze_defection(specs, NetworkShape(counts, agents), defector - 1)
+        rhos = np.array([[d.matrix for d in r.per_qubit_density] for r in reports])
+        best = np.array([r.max_fidelity for r in reports])
+        assert best.shape == (len(reports), sum(counts))
+        assert np.all(best <= np.linalg.eigvalsh(rhos).max(axis=-1) + 1e-12)
+
+    def test_zero_target_is_refused(self):
+        with pytest.raises(ValueError, match="target is the zero vector"):
+            tn.max_recovery_fidelity(np.eye(2) / 2, [0, 0], GRID)
+
+    def test_two_qubit_operator_is_refused(self):
+        with pytest.raises(ValueError, match=r"must be 2x2, not \(4, 4\)"):
+            tn.max_recovery_fidelity(np.eye(4) / 4, [1, 0], GRID)
+
+    def test_empty_grid_is_refused(self, rng):
+        empty = np.empty((0, 2, 2), dtype=complex)
+        with pytest.raises(ValueError, match="grid has no unitaries"):
+            tn.max_recovery_fidelity(np.eye(2) / 2, [1, 0], empty)
+        with pytest.raises(ValueError, match="grid has no unitaries"):
+            tn.analyze_defection(MessageSpec.random(1, rng), NetworkShape.single(1, 1), 0, unitaries=empty)
 
 
 class TestBaselineDefection:
