@@ -28,6 +28,10 @@ matrices by ``tobytes()``.  The groups cover:
   with the default grid and with grids of 1, 2 and 3 unitaries
 - the report bytes and exit code of every stored-report CLI command and of
   ``run --m 4 --n 4 --defector 2``
+- sampled transcripts of 280 random messages, 10 at each of the shapes
+  (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
+  permuted event order; and of the benchmark's three 21-qubit sampled
+  shapes at three seeds
 
 The second form compares two hash files, or two trees (each hashed in its
 own process), prints the first group that differs and every other one, and
@@ -71,6 +75,11 @@ CLI_COMMANDS = [
 LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2"]
 # (message counts, agents, 1-based defector) of the benchmark's defection runs
 BENCH_DEFECTIONS = [((3,), 3, 2), ((2,), 4, 1), ((1, 2), 3, 3)]
+# message counts of the sampled random-message group, each with 1 to 4 agents
+SAMPLED_COUNTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
+SAMPLED_MESSAGES = 10
+# (message counts, agents) of the benchmark's sampled runs, 21 qubits each
+BENCH_SAMPLED = [((5,), 5), ((6,), 2), ((2, 3), 5)]
 
 
 class Group:
@@ -123,6 +132,15 @@ def _defection(groups: dict, name: str, reports) -> None:
     for r in reports:
         out.add(r.defector, r.bell_outcomes, r.cooperator_bits, r.conforms_to, r.message_index)
         floats.add(r.probability, r.joint_density, r.per_qubit_density, r.off_diagonal_norm, r.max_fidelity)
+
+
+def _sampled(specs, shape, seed: int, **kwargs) -> tuple:
+    """The drawn branch of a sampled run: one transcript per receiver."""
+    import teleportnet as tn
+
+    if len(specs) > 1:
+        return tn.run_multi_receiver(specs, shape, "sampled", seed=seed, **kwargs)
+    return (tn.run_controlled_teleport(specs[0], shape, "sampled", seed=seed, **kwargs),)
 
 
 def hash_tree(tree: Path) -> dict[str, str]:
@@ -186,6 +204,23 @@ def hash_tree(tree: Path) -> dict[str, str]:
         spec = tn.MessageSpec.random(6, np.random.default_rng(seed))
         reports = tn.analyze_baseline_defection(spec, tn.NetworkShape.single(6, 6), 2)
         _defection(groups, "bench.baseline_defection[(6,) n=6 defector=3]", reports)
+
+    # sampled draws, which measure only the state's support
+    rng = np.random.default_rng(13)
+    for counts in SAMPLED_COUNTS:
+        for agents in range(1, 5):
+            shape = tn.NetworkShape(counts, agents)
+            events = tn.protocol_events(shape)
+            for _ in range(SAMPLED_MESSAGES):
+                specs = [tn.MessageSpec.random(m, rng) for m in counts]
+                order = [events[i] for i in rng.permutation(len(events))]
+                branch = _sampled(specs, shape, int(rng.integers(2**31)), event_order=order)
+                _transcripts(groups, "sampled.random_messages", [branch])
+    for counts, agents in BENCH_SAMPLED:
+        for seed in range(3):
+            specs = [tn.MessageSpec.random(m, np.random.default_rng(seed)) for m in counts]
+            _transcripts(groups, f"sampled.bench[{counts} n={agents}]",
+                         [_sampled(specs, tn.NetworkShape(counts, agents), seed)])
 
     # single operators: the search must not round a lone operator apart
     rng = np.random.default_rng(0)

@@ -134,11 +134,16 @@ def max_recovery_fidelity(
     """Best fidelity <t|U rho U^dag|t> over the recovery grid."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     us = recovery_unitaries() if unitaries is None else unitaries
+    t = np.asarray(target, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValueError(f"recovery acts on one qubit: the operator must be 2x2, not {mat.shape}")
-    if not np.any(target):
+    if t.size != 2:
+        raise ValueError(f"the recovery target must be 2 amplitudes, not {t.size}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("the recovery target must be finite")
+    if not np.any(t):
         raise ValueError("the recovery target is the zero vector")
-    return float(_best_recovery(mat[None], target, us)[0])
+    return float(_best_recovery(mat[None], t, us)[0])
 
 
 # Operators per grid contraction: bounds the (block, grid) temporaries whatever
@@ -150,6 +155,8 @@ def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.nd
     """Best fidelity over the grid for each operator of a (count, 2, 2) stack:
     a real product screens the grid, and the unitaries within a rounding margin
     of each row's best are recomputed with the whole-grid einsum's bits."""
+    if np.ndim(unitaries) != 3 or np.shape(unitaries)[1:] != (2, 2):
+        raise ValueError(f"the recovery grid must be a (k, 2, 2) stack of unitaries, not {np.shape(unitaries)}")
     if len(unitaries) == 0:
         raise ValueError("the recovery grid has no unitaries")
     t = np.asarray(target, dtype=np.complex128).reshape(2)

@@ -159,6 +159,7 @@ def _event_qubits(event: Event, registry: QubitRegistry) -> tuple[int, ...]:
 # a Hadamard and a Z measurement, or directly in the X basis, gets the same
 # amplitudes, so the agent basis needs no rotation of its own.
 _ROTATIONS = {4: np.conj(_BELL_MATRIX), 2: HADAMARD}
+_WHOLE_ROW_BITS = 10  # a sampled row of at most 2^10 columns is rotated whole
 
 
 def _plan(
@@ -194,14 +195,12 @@ def measure_all(
     Without ``rng`` every branch is returned, in mixed-radix order of the
     group outcomes (the first group most significant).  With ``rng`` one
     branch is drawn group by group in ``draw_order`` (default: group order),
-    each draw made by Born weights conditioned on the earlier ones.
+    each by Born weights conditioned on the earlier ones, over the support.
     """
     order, layout = _plan(groups, keep, None if rng is None else draw_order)
-    # the only full-size reference to the initial state: the first rotation
-    # rebinds it, so a sampled run peaks at two full-size arrays, not three
-    t = _initial_state(resource, message, layout)
     dims = [1 << len(groups[g]) for g in order]
     if rng is None:
+        t = _initial_state(resource, message, layout)
         for d in dims:
             # rotate the leading axis and move it behind the others, so that
             # after the last group the layout is (kept, groups...)
@@ -209,13 +208,23 @@ def measure_all(
         kept = t.reshape(-1, int(np.prod(dims))).T
         outcomes = np.stack(np.unravel_index(np.arange(kept.shape[0]), dims), axis=1)
     else:
+        # only the support is rotated: per group, the columns (values of the
+        # later qubits) that hold a nonzero, in order, or a short row whole
+        n, idx, vals = _support(resource, message, layout)
         outcomes = np.zeros((1, len(groups)), dtype=np.int64)
         for g, d in zip(order, dims):
-            t = _ROTATIONS[d] @ t.reshape(d, -1)
+            n -= len(groups[g])
+            col = idx & ((1 << n) - 1)
+            cols, col = (np.arange(1 << n), col) if n <= _WHOLE_ROW_BITS else np.unique(col, return_inverse=True)
+            # pad a lone column: gemv would round it unlike the full row's gemm
+            t = np.zeros((d, max(len(cols), min(2, 1 << n))), dtype=np.complex128)
+            t[idx >> n, col] = vals
+            t = _ROTATIONS[d] @ t
             weights = np.einsum("ij,ij->i", t, t.conj()).real
             outcomes[0, g] = _pick(rng, range(d), weights)
-            t = t[outcomes[0, g]]
-        kept = t.reshape(1, -1)
+            idx, vals = cols, t[outcomes[0, g], :len(cols)]
+        kept = np.zeros((1, 1 << n), dtype=np.complex128)
+        kept[0, idx] = vals
     probs = np.einsum("bj,bj->b", kept, kept.conj()).real
     if not np.all(np.isfinite(probs)):
         raise ValueError("amplitudes must be finite")
@@ -226,27 +235,28 @@ def measure_all(
     return outcomes, probs, kept / np.sqrt(probs)[:, None]
 
 
-def _initial_state(resource: StateVector, message: StateVector, layout: Sequence[int] | None = None) -> np.ndarray:
-    """``tensor(message, resource)`` with qubit ``layout[j]`` on index bit
-    N-1-j (default: qubit q on bit q).
-
-    Only the resource's nonzero amplitudes are multiplied out and scattered
-    into place, so no full-size product or transpose of it is made.  Each
-    amplitude is the same single product as ``tensor``'s, so the two agree
-    bit for bit; nothing is renormalized, because a sum of squares rounds
-    differently with and without the zeros.
-    """
+def _support(resource: StateVector, message: StateVector, layout: Sequence[int] | None = None):
+    """``(N, indices, amplitudes)`` of ``tensor(message, resource)`` over the
+    resource's nonzeros, with qubit ``layout[j]`` on index bit N-1-j (default:
+    qubit q on bit q).  Each amplitude is the same single product as
+    ``tensor``'s, and none is renormalized (a sum of squares rounds apart with
+    and without the zeros), so the two agree bit for bit."""
     m = message.num_qubits
     n = m + resource.num_qubits
     rnz = np.flatnonzero(resource.amplitudes)
-    vals = np.kron(resource.amplitudes[rnz], message.amplitudes)
+    vals = (resource.amplitudes[rnz][:, None] * message.amplitudes).reshape(-1)
     # qubit q of the product is bit q of (resource index << m) | message index
     src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
-    dst = np.zeros_like(src)
-    for j, q in enumerate(range(n - 1, -1, -1) if layout is None else layout):
-        dst |= ((src >> q) & 1) << (n - 1 - j)
+    qubits = np.arange(n - 1, -1, -1) if layout is None else np.asarray(layout)
+    return n, ((src[:, None] >> qubits) & 1) @ (1 << np.arange(n - 1, -1, -1)), vals
+
+
+def _initial_state(resource: StateVector, message: StateVector, layout: Sequence[int] | None = None) -> np.ndarray:
+    """``_support`` scattered into a zeroed vector: ``tensor(message,
+    resource)`` in ``layout``, without a full-size product or transpose."""
+    n, idx, vals = _support(resource, message, layout)
     out = np.zeros(1 << n, dtype=np.complex128)
-    out[dst] = vals
+    out[idx] = vals
     return out
 
 

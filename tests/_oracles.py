@@ -6,7 +6,8 @@ walkers at the end are the reference for the one-pass measurement executor:
 they collapse the state one measurement at a time with the single-qubit and
 Bell kernels of ``teleportnet.states``.  ``report_text`` is the reference
 for the CLI's report writer, and ``run_report`` for the report of ``run``,
-built from the library's objects.
+built from the library's objects.  ``dense_sampled`` is the executor's
+sampled loop as it was when it rotated the full state vector.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from teleportnet import (
     protocol_events,
     run_controlled_teleport,
     run_multi_receiver,
+    tensor,
 )
-from teleportnet.protocol import FIDELITY_ATOL
+from teleportnet.protocol import _ROTATIONS, FIDELITY_ATOL, _plan
+from teleportnet.states import ZERO_BRANCH_ATOL, _pick
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -490,3 +493,33 @@ def walk_baseline_defection(spec, num_agents, defector):
         for index, (alpha, beta) in enumerate(spec.qubits)
         for (outcome, *bits), prob, state in _baseline_leaves(alpha, beta, num_agents, skip=defector)
     ]
+
+
+# --- the full-size sampled executor -----------------------------------------
+
+
+def dense_sampled(resource, message, groups, keep, rng, draw_order=None):
+    """``measure_all``'s sampled mode over the full 2^N vector: the laid-out
+    ``tensor(message, resource)`` is rotated one group at a time in
+    ``draw_order`` and each outcome drawn by the Born weights of every row.
+    Its bits are the reference for the loop over the state's support."""
+    order, layout = _plan(groups, keep, draw_order)
+    full = tensor(message, resource)
+    n = full.num_qubits
+    t = np.transpose(full.amplitudes.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
+    dims = [1 << len(groups[g]) for g in order]
+    outcomes = np.zeros((1, len(groups)), dtype=np.int64)
+    for g, d in zip(order, dims):
+        t = _ROTATIONS[d] @ t.reshape(d, -1)
+        weights = np.einsum("ij,ij->i", t, t.conj()).real
+        outcomes[0, g] = _pick(rng, range(d), weights)
+        t = t[outcomes[0, g]]
+    kept = t.reshape(1, -1)
+    probs = np.einsum("bj,bj->b", kept, kept.conj()).real
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("amplitudes must be finite")
+    low = np.flatnonzero(probs < ZERO_BRANCH_ATOL)
+    if low.size:
+        b = low[0]
+        raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
+    return outcomes, probs, kept / np.sqrt(probs)[:, None]

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,24 @@ class TestRecoverySearch:
     def test_two_qubit_operator_is_refused(self):
         with pytest.raises(ValueError, match=r"must be 2x2, not \(4, 4\)"):
             tn.max_recovery_fidelity(np.eye(4) / 4, [1, 0], GRID)
+
+    def test_grid_that_is_not_a_stack_of_2x2_matrices_is_refused(self, rng):
+        # a (3, 1, 2) grid once broadcast against the operator and returned 1.0
+        with pytest.raises(ValueError, match=r"\(k, 2, 2\) stack of unitaries, not \(3, 1, 2\)"):
+            tn.max_recovery_fidelity(np.eye(2) / 2, [1, 0], np.ones((3, 1, 2), dtype=complex))
+        with pytest.raises(ValueError, match=r"\(k, 2, 2\) stack of unitaries, not \(2, 2\)"):
+            tn.analyze_defection(MessageSpec.random(1, rng), NetworkShape.single(1, 1), 0, unitaries=np.eye(2))
+
+    def test_target_of_three_amplitudes_is_refused(self):
+        with pytest.raises(ValueError, match="target must be 2 amplitudes, not 3"):
+            tn.max_recovery_fidelity(np.eye(2) / 2, [1, 0, 0], GRID)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_is_refused(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="target must be finite"):
+                tn.max_recovery_fidelity(np.eye(2) / 2, [bad, 0], GRID)
 
     def test_empty_grid_is_refused(self, rng):
         empty = np.empty((0, 2, 2), dtype=complex)

@@ -1,5 +1,9 @@
 """The one-pass measurement executor against the sequential tree walker of
-``_oracles``, over random small networks, event orders and agent bases."""
+``_oracles``, over random small networks, event orders and agent bases; and
+its sampled loop over the state's support against the full-size loop."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teleportnet as tn
-from teleportnet import MessageSpec, NetworkShape, StateVector
+from teleportnet import MessageSpec, NetworkShape, QubitRegistry, StateVector, protocol
 from teleportnet.defection import _defection_table, _reports
-from teleportnet.protocol import measure_all
+from teleportnet.protocol import _event_qubits, measure_all
 
 from _oracles import (
     best_grid_fidelity,
+    dense_sampled,
     max_eigenvalue,
     partial_trace_dense,
     qubit_marginal_dense,
@@ -161,3 +166,115 @@ def test_zero_probability_branch_is_refused():
     # |0> (x) |0> has no weight on the psi outcomes of a Bell measurement
     with pytest.raises(ValueError, match="probability"):
         measure_all(StateVector([1, 0]), StateVector([1, 0]), [(0, 1)], [])
+
+
+def _assert_same_bits(got, want):
+    """Outcomes, probabilities and kept states agree in every bit."""
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def _network_args(specs, shape, defector=None):
+    """``measure_all``'s resource, message, groups and kept qubits for a
+    network run, or a defection when ``defector`` is given."""
+    registry = QubitRegistry(shape)
+    groups = [_event_qubits(e, registry) for e in tn.protocol_events(shape) if e != ("ghz", defector)]
+    keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
+    keep += [] if defector is None else [registry.agent(defector)]
+    message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
+    return tn.prepare_control_resource(shape)[0], message, groups, keep
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, protocol._WHOLE_ROW_BITS]),
+    st.data(),
+)
+def test_sampled_support_loop_matches_the_full_size_loop(counts, agents, preset, seed, whole_row_bits, data):
+    """Every bit of a drawn branch, for networks with and without a
+    defector's qubit kept, in the natural and a permuted draw order, and for
+    a GHZ baseline copy; both with every row found from the support and with
+    short rows rotated whole."""
+    shape = NetworkShape(counts, agents)
+    if preset:
+        basis = st.sampled_from([(1, 0), (0, 1)])
+        specs = [MessageSpec(tuple(data.draw(basis) for _ in range(m))) for m in counts]
+    else:
+        rng = np.random.default_rng(seed)
+        specs = [MessageSpec.random(m, rng) for m in counts]
+    defector = data.draw(st.sampled_from([None, *range(agents)]))
+    network = _network_args(specs, shape, defector)
+    copy = (tn.prepare_ghz(agents + 2), StateVector(specs[0].qubits[0]),
+            [(0, 1)] + [(3 + j,) for j in range(agents) if j != defector],
+            [2] if defector is None else [2, 3 + defector])
+    cases = [(*network, None), (*network, data.draw(st.permutations(range(len(network[2])))))]
+    cases.append((*copy, data.draw(st.permutations(range(len(copy[2]))))))
+    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
+        for *args, order in cases:
+            got = measure_all(*args, np.random.default_rng(seed), order)
+            _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed), order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0, 2]), st.data())
+def test_sampled_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, whole_row_bits, data):
+    """Random sparse resources, not only the protocol's stabilizer states,
+    measured in random pairs and single qubits, with the rest kept."""
+    rng = np.random.default_rng(seed)
+    amps = (rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)) * (rng.random(1 << size) < 0.5)
+    amps[rng.integers(1 << size)] += 1
+    resource = StateVector(amps / np.linalg.norm(amps))
+    message = tn.prepare_message_state(MessageSpec.random(m, rng))
+    qubits = data.draw(st.permutations(range(size + m)))
+    sizes = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=size + m))
+    groups, start = [], 0
+    for k in sizes:
+        if start + k <= size + m:
+            groups.append(tuple(qubits[start:start + k]))
+            start += k
+    args = (resource, message, groups, qubits[start:])
+    order = data.draw(st.permutations(range(len(groups))))
+    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
+        got = measure_all(*args, np.random.default_rng(seed), order)
+    _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed), order))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4])
+def test_sampled_lone_column_is_rotated_like_the_full_row(seed):
+    """Measuring the message of |psi> (x) |0> leaves the support a single
+    column; rotated alone, numpy takes gemv and rounds it unlike the full
+    row's gemm (at each of these seeds).  The row is found from the support,
+    as it is for rows longer than ``_WHOLE_ROW_BITS`` qubits."""
+    message = tn.prepare_message_state(MessageSpec.random(1, np.random.default_rng(seed)))
+    args = (StateVector([1, 0]), message, [(0,)], [1])
+    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", 0):
+        got = measure_all(*args, np.random.default_rng(seed))
+    _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("counts,agents", [((5,), 5), ((2, 3), 5)])
+def test_sampled_support_loop_matches_the_full_size_loop_at_21_qubits(counts, agents):
+    rng = np.random.default_rng(5)
+    args = _network_args([MessageSpec.random(m, rng) for m in counts], NetworkShape(counts, agents))
+    order = rng.permutation(len(args[2]))
+    _assert_same_bits(measure_all(*args, np.random.default_rng(5), order),
+                      dense_sampled(*args, np.random.default_rng(5), order))
+
+
+def test_sampled_run_never_allocates_the_state_vector():
+    """A sampled run at 23 qubits, whose state vector is 128 MiB, stays
+    under 16 MiB of traced allocations."""
+    spec = MessageSpec.random(6, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        t = tn.run_controlled_teleport(spec, NetworkShape.single(6, 4), "sampled", seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.fidelity >= 1.0 - tn.protocol.FIDELITY_ATOL
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
