@@ -32,6 +32,9 @@ matrices by ``tobytes()``.  The groups cover:
   (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
   permuted event order; and of the benchmark's three 21-qubit sampled
   shapes at three seeds
+- the executor's enumerate output, the bytes of ``(outcomes, probs,
+  kept)``, at the shapes of ``EXECUTOR_ENUMERATE``, with and without a
+  defector
 
 The second form compares two hash files, or two trees (each hashed in its
 own process), prints the first group that differs and every other one, and
@@ -80,6 +83,9 @@ SAMPLED_COUNTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
 SAMPLED_MESSAGES = 10
 # (message counts, agents) of the benchmark's sampled runs, 21 qubits each
 BENCH_SAMPLED = [((5,), 5), ((6,), 2), ((2, 3), 5)]
+# (message counts, agents, 1-based defector or None) of the executor group
+EXECUTOR_ENUMERATE = [((2,), 5, None), ((3,), 3, None), ((1, 2), 2, None), ((2,), 4, None), ((4,), 4, None),
+                      ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3)]
 
 
 class Group:
@@ -221,6 +227,16 @@ def hash_tree(tree: Path) -> dict[str, str]:
             specs = [tn.MessageSpec.random(m, np.random.default_rng(seed)) for m in counts]
             _transcripts(groups, f"sampled.bench[{counts} n={agents}]",
                          [_sampled(specs, tn.NetworkShape(counts, agents), seed)])
+
+    # every branch straight from the executor, which rotates only the support
+    from teleportnet.protocol import _network_branches
+
+    for counts, agents, defector in EXECUTOR_ENUMERATE:
+        specs = [tn.MessageSpec.random(m, np.random.default_rng(7)) for m in counts]
+        branches = _network_branches(specs, tn.NetworkShape(counts, agents),
+                                     defector=None if defector is None else defector - 1)
+        groups[f"executor.enumerate[{counts} n={agents} defector={defector}]"] = group = Group()
+        group.add(*branches)
 
     # single operators: the search must not round a lone operator apart
     rng = np.random.default_rng(0)

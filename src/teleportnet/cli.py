@@ -321,6 +321,8 @@ def cmd_run(args) -> int:
         defector = _as_int(defector, "defector")
         if not 1 <= defector <= shape.num_agents:
             raise ConfigError(f"defector must be in 1..{shape.num_agents}")
+    if config.get("mode", "sampled") not in ("enumerate", "sampled"):
+        raise ConfigError(f"mode must be \"enumerate\" or \"sampled\", got {config['mode']!r}")
     # defection analysis is exhaustive by construction
     enumerate_mode = args.enumerate or config.get("mode") == "enumerate" or defector is not None
     mode = "enumerate" if enumerate_mode else "sampled"

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .protocol import _BELL_ORDER, _baseline_branches, _initial_state, _network_branches
+from .protocol import _BELL_ORDER, _baseline_branches, _network_branches
 from .resources import MessageSpec, NetworkShape, QubitRegistry, prepare_control_resource, prepare_message_state
 from .states import (
     BellOutcome,
@@ -26,6 +26,7 @@ from .states import (
     measure_bell,
     partial_trace,
     project_onto_qubit_state,
+    tensor,
 )
 
 _PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
@@ -308,8 +309,8 @@ def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -
     shape = shape or NetworkShape.single(2, 1)
     if shape.num_receivers != 1 or shape.message_counts[0] != 2:
         raise ValueError("shape must carry two message qubits to one receiver")
-    initial = _initial_state(prepare_control_resource(shape)[0], prepare_message_state(spec))
-    state, registry = StateVector._wrap(initial), QubitRegistry(shape)
+    state = tensor(prepare_message_state(spec), prepare_control_resource(shape)[0])
+    registry = QubitRegistry(shape)
     for i in range(2):
         pair = (registry.message(0, i), registry.sender_epr(0, i))
         _, _, state = measure_bell(state, pair, BellOutcome.PHI_PLUS)

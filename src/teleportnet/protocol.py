@@ -7,11 +7,11 @@ classical traffic, the applied corrections, and the reconstruction fidelity.
 
 Every measurement acts on its own qubits, so all of them commute.  One
 executor, ``measure_all``, therefore rotates each measured pair or qubit into
-its measurement basis in one pass over the state and reads every branch off
-the result, instead of collapsing a copy of the state once per branch.  It
-takes a resource and a message state and builds their product straight in
-the layout it rotates; network runs, defection, the baseline and the
-baseline's defection all measure through it.
+its measurement basis in one pass and reads every branch off the result,
+instead of collapsing a copy of the state once per branch.  It rotates only
+the support of the message (x) resource product, in both modes, and keeps
+every rotated row or draws one; network runs, defection, the baseline and
+the baseline's defection all measure through it.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _event_qubits(event: Event, registry: QubitRegistry) -> tuple[int, ...]:
 # a Hadamard and a Z measurement, or directly in the X basis, gets the same
 # amplitudes, so the agent basis needs no rotation of its own.
 _ROTATIONS = {4: np.conj(_BELL_MATRIX), 2: HADAMARD}
-_WHOLE_ROW_BITS = 10  # a sampled row of at most 2^10 columns is rotated whole
+_WHOLE_ROW_BITS = 10  # a block of at most 2^10 rows x branches is laid out whole
 
 
 def _plan(
@@ -198,33 +198,44 @@ def measure_all(
     each by Born weights conditioned on the earlier ones, over the support.
     """
     order, layout = _plan(groups, keep, None if rng is None else draw_order)
-    dims = [1 << len(groups[g]) for g in order]
+    if any(len(g) not in (1, 2) for g in groups):
+        raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
+    if sorted(layout) != list(range(resource.num_qubits + message.num_qubits)):
+        raise ValueError(f"groups and keep must hold each qubit exactly once, got {sorted(layout)}")
+    n, cols, t = _support(resource, message, layout)
+    # t[c, b] is branch b's amplitude where the unmeasured qubits read cols[c];
+    # once cols is every value in order (whole), t is laid out densely
+    t, whole = t[:, None], False
+    outcomes = np.zeros((1, len(groups)), dtype=np.int64)
+    for g in order:
+        d, n = 1 << len(groups[g]), n - len(groups[g])
+        if not whole:
+            if t.shape[1] << n <= 1 << _WHOLE_ROW_BITS:
+                # a short block takes every value of the later qubits as a row,
+                # so an amplitude's row in the (d, rows) block is its old index
+                at, cols = cols, np.arange(1 << n)
+            else:
+                # the values that hold a nonzero, in order; a lone row is
+                # padded, since gemv would round it unlike the full block's gemm
+                hi, (cols, at) = cols >> n, np.unique(cols & ((1 << n) - 1), return_inverse=True)
+                at += hi * max(len(cols), min(2, 1 << n))
+                del hi
+            whole = len(cols) == 1 << n
+            vals, t = t, np.zeros((d * max(len(cols), min(2, 1 << n)), t.shape[1]), dtype=np.complex128)
+            t[at] = vals[:len(at)]
+            del vals, at  # only the block is held through the rotation
+        # rotate the group's axis and move it behind the branches: the first group stays most significant
+        t = (t.reshape(d, -1).T @ _ROTATIONS[d].T).reshape(-1, t.shape[-1] * d)
+        if rng is not None:
+            w = np.ascontiguousarray(t.T)
+            outcomes[0, g] = _pick(rng, range(d), np.einsum("ij,ij->i", w, w.conj()).real)
+            t = w[outcomes[0, g], :, None]
+    if not whole:
+        vals, t = t, np.zeros((1 << n, t.shape[1]), dtype=np.complex128)
+        t[cols] = vals[:len(cols)]
+    kept = t.T
     if rng is None:
-        t = _initial_state(resource, message, layout)
-        for d in dims:
-            # rotate the leading axis and move it behind the others, so that
-            # after the last group the layout is (kept, groups...)
-            t = t.reshape(d, -1).T @ _ROTATIONS[d].T
-        kept = t.reshape(-1, int(np.prod(dims))).T
-        outcomes = np.stack(np.unravel_index(np.arange(kept.shape[0]), dims), axis=1)
-    else:
-        # only the support is rotated: per group, the columns (values of the
-        # later qubits) that hold a nonzero, in order, or a short row whole
-        n, idx, vals = _support(resource, message, layout)
-        outcomes = np.zeros((1, len(groups)), dtype=np.int64)
-        for g, d in zip(order, dims):
-            n -= len(groups[g])
-            col = idx & ((1 << n) - 1)
-            cols, col = (np.arange(1 << n), col) if n <= _WHOLE_ROW_BITS else np.unique(col, return_inverse=True)
-            # pad a lone column: gemv would round it unlike the full row's gemm
-            t = np.zeros((d, max(len(cols), min(2, 1 << n))), dtype=np.complex128)
-            t[idx >> n, col] = vals
-            t = _ROTATIONS[d] @ t
-            weights = np.einsum("ij,ij->i", t, t.conj()).real
-            outcomes[0, g] = _pick(rng, range(d), weights)
-            idx, vals = cols, t[outcomes[0, g], :len(cols)]
-        kept = np.zeros((1, 1 << n), dtype=np.complex128)
-        kept[0, idx] = vals
+        outcomes = np.stack(np.unravel_index(np.arange(len(kept)), [1 << len(g) for g in groups]), axis=1)
     probs = np.einsum("bj,bj->b", kept, kept.conj()).real
     if not np.all(np.isfinite(probs)):
         raise ValueError("amplitudes must be finite")
@@ -249,15 +260,6 @@ def _support(resource: StateVector, message: StateVector, layout: Sequence[int] 
     src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
     qubits = np.arange(n - 1, -1, -1) if layout is None else np.asarray(layout)
     return n, ((src[:, None] >> qubits) & 1) @ (1 << np.arange(n - 1, -1, -1)), vals
-
-
-def _initial_state(resource: StateVector, message: StateVector, layout: Sequence[int] | None = None) -> np.ndarray:
-    """``_support`` scattered into a zeroed vector: ``tensor(message,
-    resource)`` in ``layout``, without a full-size product or transpose."""
-    n, idx, vals = _support(resource, message, layout)
-    out = np.zeros(1 << n, dtype=np.complex128)
-    out[idx] = vals
-    return out
 
 
 def _fidelities(

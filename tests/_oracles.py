@@ -6,8 +6,9 @@ walkers at the end are the reference for the one-pass measurement executor:
 they collapse the state one measurement at a time with the single-qubit and
 Bell kernels of ``teleportnet.states``.  ``report_text`` is the reference
 for the CLI's report writer, and ``run_report`` for the report of ``run``,
-built from the library's objects.  ``dense_sampled`` is the executor's
-sampled loop as it was when it rotated the full state vector.
+built from the library's objects.  ``dense_sampled`` and
+``dense_enumerate`` are the executor's sampled and enumerate loops as they
+were when they rotated the full state vector.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from teleportnet import (
     run_multi_receiver,
     tensor,
 )
-from teleportnet.protocol import _ROTATIONS, FIDELITY_ATOL, _plan
+from teleportnet.protocol import _ROTATIONS, FIDELITY_ATOL, _plan, _support
 from teleportnet.states import ZERO_BRANCH_ATOL, _pick
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -495,7 +496,20 @@ def walk_baseline_defection(spec, num_agents, defector):
     ]
 
 
-# --- the full-size sampled executor -----------------------------------------
+# --- the full-size executor ---------------------------------------------------
+
+
+def _normalized(outcomes, kept):
+    """``measure_all``'s ending: the row norms are the probabilities, and a
+    row that is not finite or has no weight is refused."""
+    probs = np.einsum("bj,bj->b", kept, kept.conj()).real
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("amplitudes must be finite")
+    low = np.flatnonzero(probs < ZERO_BRANCH_ATOL)
+    if low.size:
+        b = low[0]
+        raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
+    return outcomes, probs, kept / np.sqrt(probs)[:, None]
 
 
 def dense_sampled(resource, message, groups, keep, rng, draw_order=None):
@@ -514,12 +528,31 @@ def dense_sampled(resource, message, groups, keep, rng, draw_order=None):
         weights = np.einsum("ij,ij->i", t, t.conj()).real
         outcomes[0, g] = _pick(rng, range(d), weights)
         t = t[outcomes[0, g]]
-    kept = t.reshape(1, -1)
-    probs = np.einsum("bj,bj->b", kept, kept.conj()).real
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("amplitudes must be finite")
-    low = np.flatnonzero(probs < ZERO_BRANCH_ATOL)
-    if low.size:
-        b = low[0]
-        raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
-    return outcomes, probs, kept / np.sqrt(probs)[:, None]
+    return _normalized(outcomes, t.reshape(1, -1))
+
+
+def scattered_support(resource, message, layout=None):
+    """The laid-out state vector: the executor's support of ``tensor(message,
+    resource)`` scattered into zeros."""
+    n, idx, vals = _support(resource, message, layout)
+    out = np.zeros(1 << n, dtype=np.complex128)
+    out[idx] = vals
+    return out
+
+
+def dense_enumerate(resource, message, groups, keep):
+    """``measure_all``'s enumerate mode over the full 2^N vector: the
+    state's support scattered into zeros in the executor's layout, each
+    group's axis rotated in group order and moved behind the others, and
+    every row kept.  Its bits are the reference for the loop over the
+    state's support."""
+    order, layout = _plan(groups, keep, None)
+    dims = [1 << len(groups[g]) for g in order]
+    t = scattered_support(resource, message, layout)
+    for d in dims:
+        # rotate the leading axis and move it behind the others, so that
+        # after the last group the layout is (kept, groups...)
+        t = t.reshape(d, -1).T @ _ROTATIONS[d].T
+    kept = t.reshape(-1, int(np.prod(dims))).T
+    outcomes = np.stack(np.unravel_index(np.arange(kept.shape[0]), dims), axis=1)
+    return _normalized(outcomes, kept)

@@ -190,8 +190,10 @@ class TestRunCommand:
         {"m": 1, "n": True, "mode": "enumerate"},
         {"m": 1, "n": 1, "defector": 1.5},
         {"m": 1, "n": 1, "k": 0, "mode": "enumerate"},
+        {"m": 1, "n": 1, "mode": "enumrate", "seed": 3},
+        {"m": 1, "n": 1, "mode": 7},
     ], ids=["m", "defector", "seed", "ml", "negative-seed", "messages", "messages-seed", "preset-name",
-            "m-fraction", "n-bool", "defector-fraction", "k-zero"])
+            "m-fraction", "n-bool", "defector-fraction", "k-zero", "mode-misspelled", "mode-number"])
     def test_malformed_spec_values_are_config_errors(self, tmp_path, capsys, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))

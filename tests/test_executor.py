@@ -1,6 +1,7 @@
 """The one-pass measurement executor against the sequential tree walker of
 ``_oracles``, over random small networks, event orders and agent bases; and
-its sampled loop over the state's support against the full-size loop."""
+its loop over the state's support against the full-size loops, in sampled
+and in enumerate mode."""
 
 import tracemalloc
 from unittest import mock
@@ -17,6 +18,7 @@ from teleportnet.protocol import _event_qubits, measure_all
 
 from _oracles import (
     best_grid_fidelity,
+    dense_enumerate,
     dense_sampled,
     max_eigenvalue,
     partial_trace_dense,
@@ -186,6 +188,59 @@ def _network_args(specs, shape, defector=None):
     return tn.prepare_control_resource(shape)[0], message, groups, keep
 
 
+def _network_cases(counts, agents, preset, seed, data):
+    """A network's ``measure_all`` arguments, without or with a defector's
+    qubit kept, and a GHZ baseline copy's with the same defector."""
+    shape = NetworkShape(counts, agents)
+    if preset:
+        basis = st.sampled_from([(1, 0), (0, 1)])
+        specs = [MessageSpec(tuple(data.draw(basis) for _ in range(m))) for m in counts]
+    else:
+        rng = np.random.default_rng(seed)
+        specs = [MessageSpec.random(m, rng) for m in counts]
+    defector = data.draw(st.sampled_from([None, *range(agents)]))
+    network = _network_args(specs, shape, defector)
+    copy = (tn.prepare_ghz(agents + 2), StateVector(specs[0].qubits[0]),
+            [(0, 1)] + [(3 + j,) for j in range(agents) if j != defector],
+            [2] if defector is None else [2, 3 + defector])
+    return network, copy
+
+
+def _random_sparse_args(size, m, seed, data):
+    """A random sparse resource, not one of the protocol's stabilizer
+    states, and a random message, measured in random pairs and single
+    qubits, with the rest kept."""
+    rng = np.random.default_rng(seed)
+    amps = (rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)) * (rng.random(1 << size) < 0.5)
+    amps[rng.integers(1 << size)] += 1
+    resource = StateVector(amps / np.linalg.norm(amps))
+    message = tn.prepare_message_state(MessageSpec.random(m, rng))
+    qubits = data.draw(st.permutations(range(size + m)))
+    sizes = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=size + m))
+    groups, start = [], 0
+    for k in sizes:
+        if start + k <= size + m:
+            groups.append(tuple(qubits[start:start + k]))
+            start += k
+    return resource, message, groups, qubits[start:]
+
+
+def _result(f, *args):
+    """``f(*args)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def _assert_same_result(got, want):
+    """Both refused with the same message, or equal in every bit."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_bits(got, want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]),
@@ -200,18 +255,7 @@ def test_sampled_support_loop_matches_the_full_size_loop(counts, agents, preset,
     defector's qubit kept, in the natural and a permuted draw order, and for
     a GHZ baseline copy; both with every row found from the support and with
     short rows rotated whole."""
-    shape = NetworkShape(counts, agents)
-    if preset:
-        basis = st.sampled_from([(1, 0), (0, 1)])
-        specs = [MessageSpec(tuple(data.draw(basis) for _ in range(m))) for m in counts]
-    else:
-        rng = np.random.default_rng(seed)
-        specs = [MessageSpec.random(m, rng) for m in counts]
-    defector = data.draw(st.sampled_from([None, *range(agents)]))
-    network = _network_args(specs, shape, defector)
-    copy = (tn.prepare_ghz(agents + 2), StateVector(specs[0].qubits[0]),
-            [(0, 1)] + [(3 + j,) for j in range(agents) if j != defector],
-            [2] if defector is None else [2, 3 + defector])
+    network, copy = _network_cases(counts, agents, preset, seed, data)
     cases = [(*network, None), (*network, data.draw(st.permutations(range(len(network[2])))))]
     cases.append((*copy, data.draw(st.permutations(range(len(copy[2]))))))
     with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
@@ -225,20 +269,8 @@ def test_sampled_support_loop_matches_the_full_size_loop(counts, agents, preset,
 def test_sampled_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, whole_row_bits, data):
     """Random sparse resources, not only the protocol's stabilizer states,
     measured in random pairs and single qubits, with the rest kept."""
-    rng = np.random.default_rng(seed)
-    amps = (rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)) * (rng.random(1 << size) < 0.5)
-    amps[rng.integers(1 << size)] += 1
-    resource = StateVector(amps / np.linalg.norm(amps))
-    message = tn.prepare_message_state(MessageSpec.random(m, rng))
-    qubits = data.draw(st.permutations(range(size + m)))
-    sizes = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=size + m))
-    groups, start = [], 0
-    for k in sizes:
-        if start + k <= size + m:
-            groups.append(tuple(qubits[start:start + k]))
-            start += k
-    args = (resource, message, groups, qubits[start:])
-    order = data.draw(st.permutations(range(len(groups))))
+    args = _random_sparse_args(size, m, seed, data)
+    order = data.draw(st.permutations(range(len(args[2]))))
     with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
         got = measure_all(*args, np.random.default_rng(seed), order)
     _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed), order))
@@ -278,3 +310,67 @@ def test_sampled_run_never_allocates_the_state_vector():
         tracemalloc.stop()
     assert t.fidelity >= 1.0 - tn.protocol.FIDELITY_ATOL
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, protocol._WHOLE_ROW_BITS]),
+    st.data(),
+)
+def test_enumerate_support_loop_matches_the_full_size_loop(counts, agents, preset, seed, whole_row_bits, data):
+    """Every bit of every branch, for networks with and without a
+    defector's qubit kept and for a GHZ baseline copy; both with every
+    block found from the support and with short blocks laid out whole."""
+    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
+        for args in _network_cases(counts, agents, preset, seed, data):
+            _assert_same_bits(measure_all(*args), dense_enumerate(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0, 2]), st.data())
+def test_enumerate_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, whole_row_bits, data):
+    """Random sparse resources in random groupings; a branch of zero
+    weight is refused with the same message by both."""
+    args = _random_sparse_args(size, m, seed, data)
+    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
+        got = _result(measure_all, *args)
+    _assert_same_result(got, _result(dense_enumerate, *args))
+
+
+@pytest.mark.parametrize("whole_row_bits", [0, protocol._WHOLE_ROW_BITS])
+@pytest.mark.parametrize("counts,agents,defector", [((5,), 3, None), ((3,), 5, None), ((3,), 5, 2)],
+                         ids=["m5-n3", "m3-n5", "m3-n5-defector"])
+def test_enumerate_support_loop_matches_the_full_size_loop_at_19_and_15_qubits(counts, agents, defector,
+                                                                              whole_row_bits):
+    rng = np.random.default_rng(8)
+    args = _network_args([MessageSpec.random(m, rng) for m in counts], NetworkShape(counts, agents), defector)
+    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
+        got = measure_all(*args)
+    _assert_same_bits(got, dense_enumerate(*args))
+
+
+def test_enumerate_peak_stays_near_the_output():
+    """Enumerating (5,3), 19 qubits, holds at most the rotated block and its
+    output at once: the traced peak stays within 2.5 times the kept states."""
+    spec = MessageSpec.random(5, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        _, _, kept = protocol._network_branches([spec], NetworkShape.single(5, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * kept.nbytes, f"peak {peak / kept.nbytes:.2f} times the kept states"
+
+
+@pytest.mark.parametrize("groups,keep,fault", [
+    ([(0, 1)], [1], "exactly once"),
+    ([(0, 1, 2)], [], "pairs or single qubits"),
+    ([(0,)], [1], "exactly once"),
+], ids=["qubit-twice", "three-qubit-group", "qubit-missing"])
+def test_malformed_groups_are_refused(groups, keep, fault):
+    with pytest.raises(ValueError, match=fault):
+        measure_all(tn.prepare_ghz(2), StateVector([0.6, 0.8]), groups, keep)

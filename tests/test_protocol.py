@@ -18,9 +18,9 @@ from teleportnet import (
     QubitRegistry,
     StateVector,
 )
-from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _initial_state, _plan
+from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _plan
 
-from _oracles import conditional_kets
+from _oracles import conditional_kets, scattered_support
 
 
 class TestCorrectionRule:
@@ -421,7 +421,7 @@ def test_initial_state_layouts_match_the_transposed_product(data):
 
     ghz, pair = tn.prepare_ghz(shape.num_agents + 2), StateVector(specs[0].qubits[0])
     layout = data.draw(st.permutations(range(shape.num_agents + 3)))
-    _assert_laid_out(_initial_state(ghz, pair, layout), tn.tensor(pair, ghz), layout)
+    _assert_laid_out(scattered_support(ghz, pair, layout), tn.tensor(pair, ghz), layout)
 
 
 def test_initial_state_matches_the_transposed_product_where_a_norm_rounds_apart():
@@ -435,13 +435,13 @@ def test_initial_state_matches_the_transposed_product_where_a_norm_rounds_apart(
 
 
 def _assert_layouts_match(specs, shape, permutation, order):
-    """``_initial_state`` equals the transposed ``tensor`` of message and
-    resource in the natural layout, ``permutation``, the layout of the event
-    order ``order`` and the layout of every defector."""
+    """``_support`` scattered into zeros equals the transposed ``tensor`` of
+    message and resource in the natural layout, ``permutation``, the layout
+    of the event order ``order`` and the layout of every defector."""
     message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
     resource = tn.prepare_control_resource(shape)[0]
     full = tn.tensor(message, resource)
-    assert np.array_equal(_initial_state(resource, message), full.amplitudes)
+    assert np.array_equal(scattered_support(resource, message), full.amplitudes)
 
     registry = QubitRegistry(shape)
     events = tn.protocol_events(shape)
@@ -451,7 +451,7 @@ def _assert_layouts_match(specs, shape, permutation, order):
         groups = [_event_qubits(e, registry) for e in events if e != ("ghz", d)]
         layouts.append(_plan(groups, keep + [registry.agent(d)])[1])
     for layout in layouts:
-        _assert_laid_out(_initial_state(resource, message, layout), full, layout)
+        _assert_laid_out(scattered_support(resource, message, layout), full, layout)
 
 
 def _assert_laid_out(got, full, layout):
