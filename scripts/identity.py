@@ -35,6 +35,9 @@ matrices by ``tobytes()``.  The groups cover:
 - the executor's enumerate output, the bytes of ``(outcomes, probs,
   kept)``, at the shapes of ``EXECUTOR_ENUMERATE``, with and without a
   defector
+- the control resource's amplitude bytes at every single-receiver shape
+  that ``run`` admits with at most 22 resource qubits, and at the shapes
+  of ``RESOURCE_MULTI``
 
 The second form compares two hash files, or two trees (each hashed in its
 own process), prints the first group that differs and every other one, and
@@ -86,6 +89,9 @@ BENCH_SAMPLED = [((5,), 5), ((6,), 2), ((2, 3), 5)]
 # (message counts, agents, 1-based defector or None) of the executor group
 EXECUTOR_ENUMERATE = [((2,), 5, None), ((3,), 3, None), ((1, 2), 2, None), ((2,), 4, None), ((4,), 4, None),
                       ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3)]
+# largest resource of the control group (64 MiB), and its multi-receiver shapes
+RESOURCE_QUBITS = 22
+RESOURCE_MULTI = [((2, 3), 5), ((1, 1, 1), 4)]
 
 
 class Group:
@@ -237,6 +243,18 @@ def hash_tree(tree: Path) -> dict[str, str]:
                                      defector=None if defector is None else defector - 1)
         groups[f"executor.enumerate[{counts} n={agents} defector={defector}]"] = group = Group()
         group.add(*branches)
+
+    # the control resource, hashed straight from its buffer
+    from teleportnet.cli import MAX_TOTAL_QUBITS
+
+    groups["resources.control"] = group = Group()
+    single = [((m,), n) for m in range(1, MAX_TOTAL_QUBITS) for n in range(1, MAX_TOTAL_QUBITS)
+              if 3 * m + n + 1 <= MAX_TOTAL_QUBITS and 2 * m + n + 1 <= RESOURCE_QUBITS]
+    for counts, agents in single + RESOURCE_MULTI:
+        state, _ = tn.prepare_control_resource(tn.NetworkShape(counts, agents))
+        group.add(counts, agents, str(state.amplitudes.dtype))
+        group.h.update(state.amplitudes.data)
+        del state
 
     # single operators: the search must not round a lone operator apart
     rng = np.random.default_rng(0)

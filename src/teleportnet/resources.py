@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import NORM_ATOL, StateVector, tensor
+from .states import NORM_ATOL, StateVector
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -72,6 +72,17 @@ class MessageSpec:
         ))
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are refused, not truncated."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if isinstance(value, (bool, np.bool_)) or as_int is None or as_int != value:
+        raise ValueError(f"{name} takes integers, got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class NetworkShape:
     """Sizes of the teleportation network: per-receiver message counts and
@@ -81,15 +92,16 @@ class NetworkShape:
     num_agents: int
 
     def __post_init__(self):
-        counts = tuple(int(m) for m in self.message_counts)
+        counts = tuple(_integral(m, "message_counts") for m in self.message_counts)
+        agents = _integral(self.num_agents, "num_agents")
         if not counts:
             raise ValueError("need at least one receiver")
         if any(m < 1 for m in counts):
             raise ValueError("each receiver needs at least one message qubit")
-        if self.num_agents < 1:
+        if agents < 1:
             raise ValueError("need at least one agent")
         object.__setattr__(self, "message_counts", counts)
-        object.__setattr__(self, "num_agents", int(self.num_agents))
+        object.__setattr__(self, "num_agents", agents)
 
     @classmethod
     def single(cls, num_messages: int, num_agents: int) -> "NetworkShape":
@@ -210,33 +222,28 @@ def _bit_parity(indices: np.ndarray) -> np.ndarray:
     return (out & np.uint64(1)).astype(np.int64)
 
 
-def _epr_block(num_pairs: int, sign: int) -> StateVector:
-    """Product of ``num_pairs`` pairs (|00> + sign|11>)/sqrt(2), laid out as
-    [all first halves][all second halves]."""
-    dim = 1 << num_pairs
-    amps = np.zeros(dim * dim, dtype=np.complex128)
-    s = np.arange(dim)
-    signs = np.where(_bit_parity(s) == 1, float(sign), 1.0)
-    amps[s + (s << num_pairs)] = signs / np.sqrt(dim)
-    return StateVector(amps)
-
-
 def prepare_control_resource(shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:
-    """Entangled control resource: the sum of the all-plus EPR product tensored
-    with GHZ(+) and the all-minus EPR product tensored with GHZ(-).
+    """Entangled control resource (|Phi+>^M |GHZ+> + |Phi->^M |GHZ->)/sqrt(2)
+    over M EPR pairs and n + 1 GHZ qubits (the n agents' and the sender's).
 
-    The two terms are orthogonal, so the sum is renormalized by 1/sqrt(2).
+    It is written down from its closed form.  Both EPR products put 2^(-M/2)
+    on each |s>|s>, |Phi->^M with the sign (-1)^parity(s), and |GHZ+-> =
+    (|0...0> +- |1...1>)/sqrt(2).  So on |s>|s>|0...0> the two terms add when
+    s has even parity and cancel when it is odd, and on |s>|s>|1...1> the
+    other way round: the resource is the sum over all s of 2^(-M/2)
+    |s>|s>|p...p>, p = parity(s), and has just 2^M nonzeros.
     """
     registry = QubitRegistry(shape, include_messages=False)
     total = shape.total_messages
-    plus = tensor(_epr_block(total, +1), prepare_ghz(shape.num_agents + 1, +1))
-    minus = tensor(_epr_block(total, -1), prepare_ghz(shape.num_agents + 1, -1))
-    amps = (plus.amplitudes + minus.amplitudes) * _SQRT_HALF
+    s = np.arange(1 << total)
+    ghz = _bit_parity(s) * ((2 << shape.num_agents) - 1)
+    amps = np.zeros(1 << shape.resource_qubits, dtype=np.complex128)
+    amps[s | s << total | ghz << 2 * total] = np.sqrt(0.5 ** total)
     return StateVector(amps), registry
 
 
-def parity_decompose(state: StateVector, qubits: Sequence[int]) -> dict[ParityClass, float]:
-    """Probability mass on even- vs odd-parity bitstrings of ``qubits``."""
+def _parity_mask(state: StateVector, qubits: Sequence[int]) -> int:
+    """Bit mask of ``qubits``, which must be distinct qubits of ``state``."""
     qs = list(qubits)
     if len(set(qs)) != len(qs):
         raise ValueError("qubit list must be distinct")
@@ -245,6 +252,12 @@ def parity_decompose(state: StateVector, qubits: Sequence[int]) -> dict[ParityCl
         if not 0 <= q < state.num_qubits:
             raise IndexError(f"qubit {q} out of range")
         mask |= 1 << q
+    return mask
+
+
+def parity_decompose(state: StateVector, qubits: Sequence[int]) -> dict[ParityClass, float]:
+    """Probability mass on even- vs odd-parity bitstrings of ``qubits``."""
+    mask = _parity_mask(state, qubits)
     probs = state.probabilities()
     par = _bit_parity(np.arange(probs.size) & mask)
     odd = float(probs[par == 1].sum())
@@ -255,9 +268,9 @@ def joint_parity_weights(
     state: StateVector, parity_qubits: Sequence[int], marker_qubit: int
 ) -> dict[tuple[ParityClass, int], float]:
     """Mass on (parity of ``parity_qubits``, value of ``marker_qubit``) cells."""
-    mask = 0
-    for q in parity_qubits:
-        mask |= 1 << q
+    mask = _parity_mask(state, parity_qubits)
+    if not 0 <= marker_qubit < state.num_qubits:
+        raise IndexError(f"marker qubit {marker_qubit} out of range")
     probs = state.probabilities()
     idx = np.arange(probs.size)
     par = _bit_parity(idx & mask)

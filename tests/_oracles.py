@@ -8,7 +8,9 @@ Bell kernels of ``teleportnet.states``.  ``report_text`` is the reference
 for the CLI's report writer, and ``run_report`` for the report of ``run``,
 built from the library's objects.  ``dense_sampled`` and
 ``dense_enumerate`` are the executor's sampled and enumerate loops as they
-were when they rotated the full state vector.
+were when they rotated the full state vector, and
+``control_resource_two_terms`` is the control resource as it was built
+before it was written down from its closed form.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from teleportnet import (
     measure_x,
     measure_z,
     partial_trace,
+    prepare_ghz,
     protocol_events,
     run_controlled_teleport,
     run_multi_receiver,
@@ -219,6 +222,30 @@ def control_resource_dense(message_counts, num_agents: int) -> np.ndarray:
                 continue
             amps[idx] += coeff
     return amps / np.linalg.norm(amps)
+
+
+def _epr_block(num_pairs: int, sign: int) -> StateVector:
+    """Product of ``num_pairs`` pairs (|00> + sign|11>)/sqrt(2), laid out as
+    [all first halves][all second halves]."""
+    dim = 1 << num_pairs
+    amps = np.zeros(dim * dim, dtype=np.complex128)
+    s = np.arange(dim)
+    parity = np.array([bin(i).count("1") & 1 for i in range(dim)])
+    signs = np.where(parity == 1, float(sign), 1.0)
+    amps[s + (s << num_pairs)] = signs / np.sqrt(dim)
+    return StateVector(amps)
+
+
+def control_resource_two_terms(message_counts, num_agents: int) -> np.ndarray:
+    """The control resource as the sum of its two dense terms, the all-plus
+    EPR product with GHZ(+) and the all-minus one with GHZ(-), scaled by
+    1/sqrt(2) and normalized by ``StateVector``: the library's former build,
+    kept as the bitwise reference of the closed form."""
+    total = sum(message_counts)
+    plus = tensor(_epr_block(total, +1), prepare_ghz(num_agents + 1, +1))
+    minus = tensor(_epr_block(total, -1), prepare_ghz(num_agents + 1, -1))
+    amps = (plus.amplitudes + minus.amplitudes) * SQRT_HALF
+    return StateVector(amps).amplitudes
 
 
 def max_eigenvalue(rho: np.ndarray) -> float:

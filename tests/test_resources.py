@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,16 @@ from hypothesis import strategies as st
 
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, ParityClass, QubitRegistry, StateVector
+from teleportnet.cli import MAX_TOTAL_QUBITS
 
-from _oracles import control_resource_dense, partial_trace_dense, product_state_dense
+from _oracles import control_resource_dense, control_resource_two_terms, partial_trace_dense, product_state_dense
 
 SQ2 = 1.0 / np.sqrt(2.0)
+# every single-receiver shape that ``run`` admits with at most 18 resource
+# qubits, and two multi-receiver shapes at 1 to 3 agents
+RESOURCE_SHAPES = [((m,), n) for m in range(1, 9) for n in range(1, MAX_TOTAL_QUBITS)
+                   if 3 * m + n + 1 <= MAX_TOTAL_QUBITS and 2 * m + n + 1 <= 18]
+RESOURCE_SHAPES += [(counts, n) for counts in ((1, 2), (2, 3)) for n in (1, 2, 3)]
 
 
 class TestMessageSpec:
@@ -51,6 +59,20 @@ class TestNetworkShape:
     def test_rejects_degenerate(self, counts, n):
         with pytest.raises(ValueError):
             NetworkShape(counts, n)
+
+    @pytest.mark.parametrize("counts,n,field", [
+        ((1.7,), 2, "message_counts"), ((1,), 2.9, "num_agents"), ((True,), 1, "message_counts"),
+        ((1,), True, "num_agents"), ((1,), np.True_, "num_agents"), ((2, "3"), 1, "message_counts"),
+        ((1,), float("nan"), "num_agents"), ((1,), float("inf"), "num_agents"),
+    ])
+    def test_refuses_bools_and_non_integral_values(self, counts, n, field):
+        with pytest.raises(ValueError, match=field):
+            NetworkShape(counts, n)
+
+    def test_accepts_integral_values_of_any_type(self):
+        shape = NetworkShape((np.int64(2), np.uint8(1), 3.0), np.int32(4))
+        assert shape == NetworkShape((2, 1, 3), 4)
+        assert all(type(m) is int for m in shape.message_counts) and type(shape.num_agents) is int
 
 
 class TestQubitRegistry:
@@ -161,6 +183,20 @@ class TestControlResource:
         expect = control_resource_dense(counts, n)
         np.testing.assert_allclose(state.amplitudes, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("counts,n", RESOURCE_SHAPES)
+    def test_bits_match_the_two_term_build(self, counts, n):
+        state, _ = tn.prepare_control_resource(NetworkShape(counts, n))
+        assert state.amplitudes.tobytes() == control_resource_two_terms(counts, n).tobytes()
+
+    def test_build_holds_at_most_two_resources(self):
+        tracemalloc.start()
+        try:
+            state, _ = tn.prepare_control_resource(NetworkShape.single(6, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * state.amplitudes.nbytes
+
     def test_message_tensor_resource_support(self, rng):
         # the full initial state is the product of the message state with the
         # two-term resource; check amplitudes agree with the oracle product
@@ -228,3 +264,9 @@ class TestParityDecomposition:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):
             tn.parity_decompose(StateVector.zero(2), [0, 0])
+
+    @pytest.mark.parametrize("qubits,marker,error", [([5], 0, IndexError), ([0, 0], 2, ValueError),
+                                                     ([0, 1], 7, IndexError)])
+    def test_joint_parity_weights_validates_its_qubits(self, qubits, marker, error):
+        with pytest.raises(error):
+            tn.joint_parity_weights(tn.prepare_ghz(3), qubits, marker)
