@@ -27,7 +27,7 @@ matrices by ``tobytes()``.  The groups cover:
   three message seeds; ``max_recovery_fidelity`` on 200 single operators
   with the default grid and with grids of 1, 2 and 3 unitaries
 - the report bytes and exit code of every stored-report CLI command and of
-  ``run --m 4 --n 4 --defector 2``
+  ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``
 - sampled transcripts of 280 random messages, 10 at each of the shapes
   (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
   permuted event order; and of the benchmark's three 21-qubit sampled
@@ -77,8 +77,9 @@ CLI_COMMANDS = [
     "run --m 5 --n 5 --seed 3",
     "run --ml 2 3 --n 5 --seed 4",
 ]
-# the largest defection report the benchmark ladder writes, 5 MiB
-LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2"]
+# the largest defection report the benchmark ladder writes, 5 MiB, and one of
+# 4,096 branches whose 2x2 marginals take few distinct values (6 MiB)
+LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2", "run --m 5 --n 2 --defector 1"]
 # (message counts, agents, 1-based defector) of the benchmark's defection runs
 BENCH_DEFECTIONS = [((3,), 3, 2), ((2,), 4, 1), ((1, 2), 3, 3)]
 # message counts of the sampled random-message group, each with 1 to 4 agents

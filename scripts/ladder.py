@@ -45,6 +45,8 @@ LADDER = [
     (8, 1, "--enumerate"),
     (3, 3, "--defector 2"),
     (4, 4, "--defector 2"),
+    (5, 3, "--defector 1"),
+    (5, 4, "--defector 1"),
     (5, 5, "--seed 1"),
     (7, 3, "--seed 1"),
 ]

@@ -33,6 +33,7 @@ from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_QUBITS = 26
+MAX_DEFECTION_BYTES = 1 << 29  # of the joint operators --defector holds, every branch's
 DEFAULT_MESSAGE_SEED = 2718  # fixed so enumerate-mode reports never depend on --seed
 
 PRESETS = {
@@ -321,6 +322,10 @@ def cmd_run(args) -> int:
         defector = _as_int(defector, "defector")
         if not 1 <= defector <= shape.num_agents:
             raise ConfigError(f"defector must be in 1..{shape.num_agents}")
+        joint_bytes = 16 << (4 * shape.total_messages + shape.num_agents)  # 2^(2M+n) complex 2^M x 2^M
+        if joint_bytes > MAX_DEFECTION_BYTES:
+            raise ConfigError(f"defection analysis would hold an estimated {joint_bytes} bytes of joint operators, "
+                              f"over the limit of {MAX_DEFECTION_BYTES} bytes")
     if config.get("mode", "sampled") not in ("enumerate", "sampled"):
         raise ConfigError(f"mode must be \"enumerate\" or \"sampled\", got {config['mode']!r}")
     # defection analysis is exhaustive by construction

@@ -212,14 +212,27 @@ def _defection_table(
     total = len(qubits)
     halves = kept.reshape(len(kept), 2, 1 << total)
     joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
+    if total > 1:  # checked while no other stack is alive; with one received qubit it is the marginal
+        DensityMatrix._check_stack(joints)
     marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
-    best = np.stack([_best_recovery(m, pair, unitaries) for m, pair in zip(marginals, qubits)], axis=1)
+    # a handful of distinct 2x2 operators stand for all the branches: check and search those
+    keys = [_distinct(m) for m in marginals]
+    for m, (first, _) in zip(marginals, keys):
+        DensityMatrix._check_stack(m[first])
+    best = np.stack([_best_recovery(m[first], pair, unitaries)[inverse]
+                     for m, pair, (first, inverse) in zip(marginals, qubits, keys)], axis=1)
     off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals], axis=1)
-    DensityMatrix._check_stack(joints)
-    if total > 1:
-        for m in marginals:
-            DensityMatrix._check_stack(m)
     return _DefectionTable(outcomes, probs, joints, marginals, best, off)
+
+
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each bytewise-distinct operator of a (count, d, d) stack, and each
+    operator's row among those; a lone index in a last ``_BLOCK`` is repeated, since a grid of
+    one unitary rounds a lone operator unlike two or more, and no branch stack leaves one alone."""
+    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.append(first, first[-1:]) if len(first) % _BLOCK == 1 else first, inverse
 
 
 def _network_defection(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teleportnet import MessageSpec, NetworkShape
-from teleportnet.cli import _diagonal_ok, main
+from teleportnet.cli import MAX_DEFECTION_BYTES, _diagonal_ok, main
 from teleportnet.defection import _network_defection, _reports
 
 from _oracles import diag_matches
@@ -105,6 +105,16 @@ class TestRunCommand:
     def test_capacity_guard(self, capsys):
         assert run_cli("run", "--m", "1", "--n", "30", "--enumerate") == 2
         assert "exceeds simulator capacity" in capsys.readouterr().err
+
+    def test_defection_shape_whose_joint_stack_cannot_fit_is_refused(self, capsys):
+        # (6,2): 2^14 branches of 64x64 complex operators, 1 GiB; (5,5) is exactly at the limit
+        assert run_cli("run", "--m", "6", "--n", "2", "--defector", "1") == 2
+        assert capsys.readouterr().err == (
+            "error: defection analysis would hold an estimated 1073741824 bytes of joint operators, "
+            "over the limit of 536870912 bytes\n")
+        assert run_cli("run", "--ml", "3", "3", "--n", "2", "--defector", "2") == 2
+        assert "estimated 1073741824 bytes" in capsys.readouterr().err
+        assert MAX_DEFECTION_BYTES == 16 << (4 * 5 + 5)
 
     def test_missing_message_count(self):
         assert run_cli("run", "--n", "1", "--enumerate") == 2

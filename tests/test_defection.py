@@ -26,7 +26,8 @@ RECOVERY_GRIDS = {
     "GRID": GRID,
     "default": tn.recovery_unitaries(),
 }
-STACK_KINDS = ["density", "near_diagonal", "maximally_mixed", "pure", "scaled_non_hermitian", "zero", "nan_row"]
+STACK_KINDS = ["density", "near_diagonal", "maximally_mixed", "pure", "scaled_non_hermitian", "zero", "nan_row",
+               "repeated"]
 
 
 def _report_by_key(reports):
@@ -218,9 +219,25 @@ def _stack(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
         return 1e8 * z
     if kind == "zero":
         return np.zeros((size, 2, 2), dtype=complex)
+    if kind == "repeated":  # a few operators, repeated, with copies one zero's sign or one ulp apart
+        return _repeated_rows(_stack("near_diagonal", 3, rng).reshape(3, 4), rng)[:size].reshape(-1, 2, 2)
     rho = _stack("density", size, rng)  # "nan_row": one operator holds a NaN
     rho[rng.integers(size), 0, 1] = np.nan
     return rho
+
+
+def _repeated_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """At least 130 shuffled copies of the complex ``rows``, one entry of each
+    row zeroed first; one copy of each carries that zero as -0.0, another
+    one entry moved by one ulp."""
+    rows = rows.copy()
+    rows[:, 1] = 0.0
+    signed = rows.copy()
+    signed[:, 1] = complex(-0.0, -0.0)
+    ulp = rows.copy()
+    ulp.real[:, 0] = np.nextafter(ulp.real[:, 0], np.inf)
+    copies = np.concatenate([np.tile(rows, (-(-130 // len(rows)), 1)), signed, ulp])
+    return copies[rng.permutation(len(copies))]
 
 
 class TestRecoverySearch:
@@ -252,6 +269,45 @@ class TestRecoverySearch:
         best = np.array([r.max_fidelity for r in reports])
         assert best.shape == (len(reports), sum(counts))
         assert np.all(best <= np.linalg.eigvalsh(rhos).max(axis=-1) + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 3, 65]),
+        st.sampled_from(sorted(RECOVERY_GRIDS)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_defection_table_matches_the_whole_grid_per_row(self, total, distinct, grid, seed):
+        # the table searches each distinct marginal once: every row must keep the bits
+        # of a search over the whole stack, whose blocks are never a lone operator
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((distinct, 2 << total)) + 1j * rng.standard_normal((distinct, 2 << total))
+        rows[:, 1] = 0.0
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        kept = _repeated_rows(rows, rng) if distinct == 3 else np.repeat(rows, 4, axis=0)
+        qubits = [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(total)]
+        t = tn.defection._defection_table(np.zeros((len(kept), 0), int), np.ones(len(kept)), kept, qubits,
+                                          RECOVERY_GRIDS[grid])
+        assert t.best.shape == (len(kept), total)
+        for m, pair, best in zip(t.marginals, qubits, t.best.T):
+            want = whole_grid_recovery(m, pair, RECOVERY_GRIDS[grid])
+            np.testing.assert_array_equal(best.view(np.uint64), want.view(np.uint64))
+
+    def test_distinct_keys_operators_by_their_bytes(self):
+        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        signed = rho.copy()
+        signed[0, 1] = complex(-0.0, 0.0)
+        ulp = rho.copy()
+        ulp[0, 0] = np.nextafter(0.5, 1.0)
+        nan = rho.copy()
+        nan[1, 0] = np.nan
+        stack = np.stack([rho, signed, ulp, nan, rho, nan.copy(), signed])
+        first, inverse = tn.defection._distinct(stack)
+        # -0.0 and 0.0 and the one-ulp neighbour stay apart; a NaN matches its own bits
+        assert sorted(first.tolist()) == [0, 1, 2, 3]
+        np.testing.assert_array_equal(stack[first][inverse].view(np.uint64), stack.view(np.uint64))
+        assert len(set(inverse[[0, 1, 2, 3]].tolist())) == 4
+        assert inverse[4] == inverse[0] and inverse[5] == inverse[3] and inverse[6] == inverse[1]
 
     def test_zero_target_is_refused(self):
         with pytest.raises(ValueError, match="target is the zero vector"):
@@ -285,6 +341,43 @@ class TestRecoverySearch:
             tn.max_recovery_fidelity(np.eye(2) / 2, [1, 0], empty)
         with pytest.raises(ValueError, match="grid has no unitaries"):
             tn.analyze_defection(MessageSpec.random(1, rng), NetworkShape.single(1, 1), 0, unitaries=empty)
+
+
+class TestDefectionTableChecks:
+    """A faulty operator is refused on the ``run`` path, however many
+    bitwise-identical good ones surround it."""
+
+    @staticmethod
+    def _table(kept):
+        total = kept.shape[1].bit_length() - 2
+        return tn.defection._defection_table(np.zeros((len(kept), 0), int), np.ones(len(kept)), kept,
+                                             [(1.0, 0.0)] * total, GRID)
+
+    @staticmethod
+    def _copies(total, rng, count=200):
+        row = rng.standard_normal(2 << total) + 1j * rng.standard_normal(2 << total)
+        return np.tile(row / np.linalg.norm(row), (count, 1))
+
+    @pytest.mark.parametrize("total", [1, 2, 3])
+    def test_good_copies_pass(self, total, rng):
+        t = self._table(self._copies(total, rng))
+        assert (t.best == t.best[0]).all()
+
+    @pytest.mark.parametrize("total", [1, 2, 3])
+    @pytest.mark.parametrize("fault", ["scaled", "infinite"])
+    def test_one_faulty_branch_is_refused(self, total, fault, rng):
+        kept = self._copies(total, rng)
+        if fault == "scaled":
+            kept[137] *= 1.001
+        else:
+            kept[137, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^density matrix trace is not 1$"):
+            self._table(kept)
+
+    @pytest.mark.parametrize("total", [1, 2, 3])
+    def test_fault_in_every_copy_is_refused(self, total, rng):
+        with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
+            self._table(1.001 * self._copies(total, rng))
 
 
 class TestBaselineDefection:
