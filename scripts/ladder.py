@@ -15,7 +15,9 @@ Wall time runs from the start of the process to its exit, so it includes the
 interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
 that one process.  Shapes over ``--max-qubits`` (3m + n + 1 qubits) are
 listed under ``skipped`` and not run: ``run --m 8 --n 1 --enumerate`` peaks
-at about 3.2 GiB.
+at about 3.2 GiB.  A shape that ``run`` refuses (exit 2) is listed under
+``refused`` with the last line of its stderr, so that trees which refuse
+different shapes run the same ladder; any other failing exit aborts.
 
 Compare two trees by running the script once on each, on the same host, for
 instance on ``git archive`` copies of a parent commit and of a change.
@@ -47,6 +49,8 @@ LADDER = [
     (4, 4, "--defector 2"),
     (5, 3, "--defector 1"),
     (5, 4, "--defector 1"),
+    (6, 2, "--defector 1"),
+    (6, 4, "--defector 1"),
     (5, 5, "--seed 1"),
     (7, 3, "--seed 1"),
 ]
@@ -67,16 +71,23 @@ def _env(tree: Path) -> dict[str, str]:
     return env
 
 
+class Refused(Exception):
+    """``run`` exited 2, a configuration error; the message is its stderr's last line."""
+
+
 def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
     """Wall seconds, max RSS in MiB and report bytes of one ``run`` process."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report.json"
+        out, err = Path(tmp) / "report.json", Path(tmp) / "stderr.txt"
         cmd = [sys.executable, "-m", "teleportnet.cli", *argv, "--out", str(out)]
-        start = time.perf_counter()
-        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
+        with open(err, "w") as stderr:
+            start = time.perf_counter()
+            proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode == 2:
+            raise Refused((err.read_text().strip().splitlines() or [""])[-1])
         if proc.returncode != 0:
             raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
         return wall, usage.ru_maxrss / 1024, out.stat().st_size
@@ -86,14 +97,19 @@ def ladder(tree: Path, max_qubits: int) -> dict:
     env = _env(tree)
     versions = json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
                                          text=True, check=True).stdout)
-    shapes, skipped = [], []
+    shapes, skipped, refused = [], [], []
     for m, n, rest in LADDER:
         command = f"run --m {m} --n {n} {rest}"
         qubits = 3 * m + n + 1
         if qubits > max_qubits:
             skipped.append({"command": command, "qubits": qubits})
             continue
-        walls, rss, sizes = zip(*(_run_once(command.split(), env) for _ in range(REPEATS)))
+        try:
+            walls, rss, sizes = zip(*(_run_once(command.split(), env) for _ in range(REPEATS)))
+        except Refused as exc:
+            refused.append({"command": command, "qubits": qubits, "stderr": str(exc)})
+            print(f"{command:34} refused: {exc}", file=sys.stderr)
+            continue
         if len(set(sizes)) != 1:
             raise SystemExit(f"{command} wrote reports of {sorted(set(sizes))} bytes")
         shapes.append({
@@ -113,6 +129,7 @@ def ladder(tree: Path, max_qubits: int) -> dict:
         "versions": versions,
         "shapes": shapes,
         "skipped": skipped,
+        "refused": refused,
     }
 
 

@@ -33,7 +33,6 @@ from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_QUBITS = 26
-MAX_DEFECTION_BYTES = 1 << 29  # of the joint operators --defector holds, every branch's
 DEFAULT_MESSAGE_SEED = 2718  # fixed so enumerate-mode reports never depend on --seed
 
 PRESETS = {
@@ -322,10 +321,6 @@ def cmd_run(args) -> int:
         defector = _as_int(defector, "defector")
         if not 1 <= defector <= shape.num_agents:
             raise ConfigError(f"defector must be in 1..{shape.num_agents}")
-        joint_bytes = 16 << (4 * shape.total_messages + shape.num_agents)  # 2^(2M+n) complex 2^M x 2^M
-        if joint_bytes > MAX_DEFECTION_BYTES:
-            raise ConfigError(f"defection analysis would hold an estimated {joint_bytes} bytes of joint operators, "
-                              f"over the limit of {MAX_DEFECTION_BYTES} bytes")
     if config.get("mode", "sampled") not in ("enumerate", "sampled"):
         raise ConfigError(f"mode must be \"enumerate\" or \"sampled\", got {config['mode']!r}")
     # defection analysis is exhaustive by construction
@@ -349,7 +344,7 @@ def cmd_run(args) -> int:
     # The summaries reduce the columns in record order, as a loop over the
     # records would: the bytes of the report do not change.
     if defector is not None:
-        table = _network_defection(specs, shape, defector - 1)
+        table = _network_defection(specs, shape, defector - 1)[0]
         ok = bool(_diagonal_ok(table, [q for s in specs for q in s.qubits]).all())
         report["kind"] = "defection_analysis"
         report["branches"] = _defection_records(table, defector)
@@ -480,7 +475,7 @@ def _selftest_checks():
             for n in (1, 2):
                 spec = MessageSpec.random(m, rng)
                 for defector in range(n):
-                    table = _network_defection([spec], NetworkShape.single(m, n), defector)
+                    table = _network_defection([spec], NetworkShape.single(m, n), defector)[0]
                     if not _diagonal_ok(table, spec.qubits).all():
                         return f"defection leaves a non-diagonal or wrong diagonal at m={m} n={n}"
         return None

@@ -9,6 +9,7 @@ can still reach.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -21,7 +22,6 @@ from .states import (
     BellOutcome,
     DensityMatrix,
     StateVector,
-    _partial_trace_stack,
     fidelity,
     measure_bell,
     partial_trace,
@@ -194,7 +194,6 @@ class _DefectionTable(NamedTuple):
 
     outcomes: np.ndarray  # measure_all's outcomes: Bell outcomes, then the cooperators' bits
     probs: np.ndarray
-    joints: np.ndarray  # the received qubits' joint operators, validated
     marginals: list[np.ndarray]  # per received qubit, its 2x2 operators, validated
     best: np.ndarray  # best[b, i]: received qubit i's best recovery fidelity
     off: np.ndarray  # off[b, i]: received qubit i's largest off-diagonal magnitude
@@ -211,10 +210,9 @@ def _defection_table(
     received ones with the defector's qubit on top."""
     total = len(qubits)
     halves = kept.reshape(len(kept), 2, 1 << total)
-    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
-    if total > 1:  # checked while no other stack is alive; with one received qubit it is the marginal
-        DensityMatrix._check_stack(joints)
-    marginals = [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
+    if total > 1:  # each branch's joint H^T conj(H) has the trace and nonzero eigenvalues of this dual
+        DensityMatrix._check_stack(np.einsum("bdi,bei->bde", halves.conj(), halves))
+    marginals = [_marginal(halves, total, i) for i in range(total)]
     # a handful of distinct 2x2 operators stand for all the branches: check and search those
     keys = [_distinct(m) for m in marginals]
     for m, (first, _) in zip(marginals, keys):
@@ -222,7 +220,17 @@ def _defection_table(
     best = np.stack([_best_recovery(m[first], pair, unitaries)[inverse]
                      for m, pair, (first, inverse) in zip(marginals, qubits, keys)], axis=1)
     off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals], axis=1)
-    return _DefectionTable(outcomes, probs, joints, marginals, best, off)
+    return _DefectionTable(outcomes, probs, marginals, best, off)
+
+
+def _marginal(halves: np.ndarray, total: int, qubit: int) -> np.ndarray:
+    """Received qubit ``qubit``'s 2x2 operators: each branch's joint operator traced over the other
+    qubits without being built. Its diagonal blocks, one per value of those qubits (the lowest varies
+    slowest), are added to a zero start in a partial trace's order, and so with its bits."""
+    others = [q for q in range(total) if q != qubit]
+    bases = (sum(b << q for b, q in zip(bits, others)) for bits in itertools.product((0, 1), repeat=len(others)))
+    blocks = (np.einsum("bda,bdc->bac", h, h.conj()) for h in (halves[:, :, [a, a | 1 << qubit]] for a in bases))
+    return np.ascontiguousarray(next(blocks) if total == 1 else sum(blocks))  # the search's bits need C order
 
 
 def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,14 +245,14 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _network_defection(
     specs: Sequence[MessageSpec], shape: NetworkShape, defector: int, unitaries: np.ndarray | None = None
-) -> _DefectionTable:
+) -> tuple[_DefectionTable, np.ndarray]:
     """The defection table of a network whose agent ``defector`` (0-based)
-    withholds its Hadamard, measurement and bit."""
+    withholds its Hadamard, measurement and bit, and the kept states it reduces."""
     if not 0 <= defector < shape.num_agents:
         raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
     us = recovery_unitaries() if unitaries is None else unitaries
     outcomes, probs, kept = _network_branches(specs, shape, defector=defector)
-    return _defection_table(outcomes, probs, kept, [q for s in specs for q in s.qubits], us)
+    return _defection_table(outcomes, probs, kept, [q for s in specs for q in s.qubits], us), kept
 
 
 def analyze_defection(
@@ -261,24 +269,26 @@ def analyze_defection(
     network); per-qubit entries are flattened over receivers in block order.
     """
     specs = [spec] if isinstance(spec, MessageSpec) else list(spec)
-    return _reports(_network_defection(specs, shape, defector, unitaries), defector)
+    return _reports(*_network_defection(specs, shape, defector, unitaries), defector)
 
 
-def _reports(t: _DefectionTable, defector: int, message_index: int | None = None) -> list[DefectionReport]:
-    """One report per row of the table."""
+def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
+             message_index: int | None = None) -> list[DefectionReport]:
+    """One report per row of the table, with its joint operator from the kept states the table reduced."""
     total = len(t.marginals)
+    halves = kept.reshape(len(kept), 2, 1 << total)
+    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
     norms = t.off.max(axis=1).tolist()
     reports = []
-    for b, (row, prob, mat) in enumerate(zip(t.outcomes.tolist(), t.probs.tolist(), t.joints)):
-        joint = DensityMatrix._wrap(mat)
-        per_qubit = (joint,) if total == 1 else tuple(DensityMatrix._wrap(m[b]) for m in t.marginals)
+    for b, (row, prob, mat) in enumerate(zip(t.outcomes.tolist(), t.probs.tolist(), joints)):
+        per_qubit = tuple(DensityMatrix._wrap(m[b]) for m in t.marginals)
         bells = tuple(_BELL_ORDER[o] for o in row[:total])
         reports.append(DefectionReport(
             defector=defector,
             bell_outcomes=bells,
             cooperator_bits=tuple(row[total:]),
             probability=prob,
-            joint_density=joint,
+            joint_density=DensityMatrix._wrap(mat),
             per_qubit_density=per_qubit,
             off_diagonal_norm=norms[b],
             max_fidelity=tuple(t.best[b].tolist()),
@@ -309,7 +319,7 @@ def analyze_baseline_defection(
     reports = []
     copies = _baseline_branches(spec, shape, defector=defector)
     for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
-        reports += _reports(_defection_table(outcomes, probs, kept, [pair], us), defector, index)
+        reports += _reports(_defection_table(outcomes, probs, kept, [pair], us), kept, defector, index)
     return reports
 
 

@@ -169,6 +169,8 @@ class DensityMatrix:
         tr = np.trace(mats, axis1=1, axis2=2)
         if np.any((np.abs(tr.real - 1.0) > cls.TRACE_ATOL) | (np.abs(tr.imag) > cls.TRACE_ATOL)):
             raise ValueError("density matrix trace is not 1")
+        if not np.all(np.isfinite(mats)):  # NaN passes every comparison above
+            raise ValueError("density matrix is not finite")
         if np.any(np.linalg.eigvalsh(mats).min(axis=1) < cls.EIGENVALUE_FLOOR):
             raise ValueError("density matrix has a negative eigenvalue")
 
@@ -337,29 +339,15 @@ def partial_trace(source: StateVector | DensityMatrix, keep: Iterable[int]) -> D
     n = source.num_qubits
     if kept[0] < 0 or kept[-1] >= n:
         raise IndexError(f"keep set {kept} out of range for {n} qubits")
-    if isinstance(source, DensityMatrix):
-        return DensityMatrix(_partial_trace_stack(source.matrix[None], n, kept)[0])
     traced = [q for q in range(n) if q not in kept]
     axis = lambda q: n - 1 - q  # noqa: E731  (axis j of the reshaped tensor is qubit n-1-j)
-    psi = source.amplitudes.reshape([2] * n)
     perm = [axis(q) for q in reversed(kept)] + [axis(q) for q in traced]
-    mat = np.transpose(psi, perm).reshape(1 << len(kept), -1)
+    k, d = 1 << len(kept), 1 << len(traced)
+    if isinstance(source, DensityMatrix):  # row axes, then the same order of column axes
+        rho = np.transpose(source.matrix.reshape([2] * (2 * n)), perm + [n + a for a in perm])
+        return DensityMatrix(np.einsum("atbt->ab", rho.reshape(k, d, k, d)))
+    mat = np.transpose(source.amplitudes.reshape([2] * n), perm).reshape(k, d)
     return DensityMatrix(mat @ mat.conj().T)
-
-
-def _partial_trace_stack(rhos: np.ndarray, n: int, kept: Sequence[int]) -> np.ndarray:
-    """Reduced operators over the sorted, in-range ``kept`` for a stack
-    ``(count, 2^n, 2^n)`` of n-qubit operators; no validation."""
-    traced = [q for q in range(n) if q not in kept]
-    axis = lambda q: n - q  # noqa: E731  (axis 0 is the stack; axis j >= 1 is qubit n-j)
-    keep_r = [axis(q) for q in reversed(kept)]
-    keep_c = [n + a for a in keep_r]
-    trace_r = [axis(q) for q in traced]
-    trace_c = [n + a for a in trace_r]
-    t = np.transpose(rhos.reshape([len(rhos)] + [2] * (2 * n)), [0] + keep_r + trace_r + keep_c + trace_c)
-    k, d = len(kept), len(traced)
-    t = t.reshape(len(rhos), 1 << k, 1 << d, 1 << k, 1 << d)
-    return np.einsum("...atbt->...ab", t)
 
 
 def fidelity(a: StateVector | DensityMatrix, b: StateVector) -> float:

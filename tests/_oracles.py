@@ -10,7 +10,9 @@ built from the library's objects.  ``dense_sampled`` and
 ``dense_enumerate`` are the executor's sampled and enumerate loops as they
 were when they rotated the full state vector, and
 ``control_resource_two_terms`` is the control resource as it was built
-before it was written down from its closed form.
+before it was written down from its closed form. ``joint_stack_marginals``
+is the defection table's reduction as it was when it built every branch's
+joint operator and traced the stack.
 """
 
 from __future__ import annotations
@@ -583,3 +585,27 @@ def dense_enumerate(resource, message, groups, keep):
     kept = t.reshape(-1, int(np.prod(dims))).T
     outcomes = np.stack(np.unravel_index(np.arange(kept.shape[0]), dims), axis=1)
     return _normalized(outcomes, kept)
+
+
+def joint_stack_marginals(kept: np.ndarray, total: int) -> list[np.ndarray]:
+    """Each received qubit's 2x2 operators for a defection's ``kept`` rows (the
+    defector's qubit on top), through the stack of every branch's joint
+    operator and one partial trace of it per qubit."""
+    halves = kept.reshape(len(kept), 2, 1 << total)
+    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
+    return [joints] if total == 1 else [_partial_trace_stack(joints, total, [i]) for i in range(total)]
+
+
+def _partial_trace_stack(rhos: np.ndarray, n: int, kept) -> np.ndarray:
+    """Reduced operators over the sorted, in-range ``kept`` for a stack
+    ``(count, 2^n, 2^n)`` of n-qubit operators; no validation."""
+    traced = [q for q in range(n) if q not in kept]
+    axis = lambda q: n - q  # noqa: E731  (axis 0 is the stack; axis j >= 1 is qubit n-j)
+    keep_r = [axis(q) for q in reversed(kept)]
+    keep_c = [n + a for a in keep_r]
+    trace_r = [axis(q) for q in traced]
+    trace_c = [n + a for a in trace_r]
+    t = np.transpose(rhos.reshape([len(rhos)] + [2] * (2 * n)), [0] + keep_r + trace_r + keep_c + trace_c)
+    k, d = len(kept), len(traced)
+    t = t.reshape(len(rhos), 1 << k, 1 << d, 1 << k, 1 << d)
+    return np.einsum("...atbt->...ab", t)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teleportnet import MessageSpec, NetworkShape
-from teleportnet.cli import MAX_DEFECTION_BYTES, _diagonal_ok, main
+from teleportnet.cli import _diagonal_ok, main
 from teleportnet.defection import _network_defection, _reports
 
 from _oracles import diag_matches
@@ -106,15 +106,13 @@ class TestRunCommand:
         assert run_cli("run", "--m", "1", "--n", "30", "--enumerate") == 2
         assert "exceeds simulator capacity" in capsys.readouterr().err
 
-    def test_defection_shape_whose_joint_stack_cannot_fit_is_refused(self, capsys):
-        # (6,2): 2^14 branches of 64x64 complex operators, 1 GiB; (5,5) is exactly at the limit
-        assert run_cli("run", "--m", "6", "--n", "2", "--defector", "1") == 2
-        assert capsys.readouterr().err == (
-            "error: defection analysis would hold an estimated 1073741824 bytes of joint operators, "
-            "over the limit of 536870912 bytes\n")
-        assert run_cli("run", "--ml", "3", "3", "--n", "2", "--defector", "2") == 2
-        assert "estimated 1073741824 bytes" in capsys.readouterr().err
-        assert MAX_DEFECTION_BYTES == 16 << (4 * 5 + 5)
+    def test_defection_at_six_message_qubits_runs(self, tmp_path):
+        # (6,2): 2^14 branches whose 64x64 joint operators would take 1 GiB; none is built
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--m", "6", "--n", "2", "--defector", "1", "--out", str(out)) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["all_diagonal"] is True
+        assert summary["num_branches"] == 1 << 14
 
     def test_missing_message_count(self):
         assert run_cli("run", "--n", "1", "--enumerate") == 2
@@ -227,13 +225,13 @@ class TestRunCommand:
         """The run summary's column check against ``diag_matches`` on the
         reports of the same table, with entries nudged past the 1e-12 bar."""
         spec = MessageSpec.random(2, np.random.default_rng(3))
-        table = _network_defection([spec], NetworkShape.single(2, 2), 1)
+        table, kept = _network_defection([spec], NetworkShape.single(2, 2), 1)
         table.marginals[0][5, 0, 0] += 3e-12
         table.marginals[1][9, 1, 1] -= 3e-12
         table.marginals[1][20, 0, 0] += 5e-13
         table.off[12, 1] = 2e-12
         want = [r.off_diagonal_norm < 1e-12 and all(diag_matches(r, q, spec) for q in range(2))
-                for r in _reports(table, 1)]
+                for r in _reports(table, kept, 1)]
         assert _diagonal_ok(table, spec.qubits).tolist() == want
         assert want.count(False) == 3
 

@@ -15,7 +15,7 @@ from teleportnet import (
     StateVector,
 )
 
-from _oracles import defection_mixture, max_eigenvalue, whole_grid_recovery
+from _oracles import defection_mixture, joint_stack_marginals, max_eigenvalue, whole_grid_recovery
 
 GRID = tn.recovery_unitaries(num_random=300, seed=3)
 RECOVERY_GRIDS = {
@@ -378,6 +378,56 @@ class TestDefectionTableChecks:
     def test_fault_in_every_copy_is_refused(self, total, rng):
         with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
             self._table(1.001 * self._copies(total, rng))
+
+
+class TestNonFiniteOperators:
+    """NaN passes every comparison, so the checks refuse it by name."""
+
+    def test_nan_density_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="^density matrix is not finite$"):
+            tn.DensityMatrix([[0.5, np.nan], [np.nan, 0.5]])
+
+    @pytest.mark.parametrize("total", [1, 2, 3])
+    def test_one_nan_branch_is_refused(self, total, rng):
+        kept = TestDefectionTableChecks._copies(total, rng)
+        kept[137, 0] = np.nan
+        with pytest.raises(ValueError, match="^density matrix is not finite$"):
+            TestDefectionTableChecks._table(kept)
+
+
+def _assert_same_marginals(table, kept):
+    want = joint_stack_marginals(kept, len(table.marginals))
+    for got, expected in zip(table.marginals, want, strict=True):
+        assert got.flags.c_contiguous  # the recovery search rounds by layout
+        np.testing.assert_array_equal(got.view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+
+
+class TestMarginalsMatchTheJointStack:
+    """The table's marginals keep the bits of a partial trace of every
+    branch's joint operator, which it no longer builds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 70), st.integers(0, 2**32 - 1))
+    def test_random_kept_states(self, total, count, seed):
+        rng = np.random.default_rng(seed)
+        kept = rng.standard_normal((count, 2 << total)) + 1j * rng.standard_normal((count, 2 << total))
+        kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+        qubits = [(1.0, 0.0)] * total
+        table = tn.defection._defection_table(np.zeros((count, 0), int), np.ones(count), kept, qubits, GRID[:3])
+        _assert_same_marginals(table, kept)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([((1,), 1), ((2,), 2), ((3,), 3), ((4,), 2), ((1, 2), 2), ((2, 3), 1), ((1, 1, 1), 2)]),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_defection_networks(self, network, defector, seed):
+        counts, n = network
+        rng = np.random.default_rng(seed)
+        specs = [MessageSpec.random(m, rng) for m in counts]
+        table, kept = tn.defection._network_defection(specs, NetworkShape(counts, n), defector % n, GRID[:3])
+        _assert_same_marginals(table, kept)
 
 
 class TestBaselineDefection:

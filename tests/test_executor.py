@@ -155,7 +155,7 @@ def test_reports_on_non_diagonal_marginals(total, count, seed):
     outcomes = np.concatenate([rng.integers(0, 4, (count, total)), rng.integers(0, 2, (count, 2))], axis=1)
     probs = rng.dirichlet(np.ones(count))
     pairs = [MessageSpec.random(1, rng).qubits[0] for _ in range(total)]
-    reports = _reports(_defection_table(outcomes, probs, kept, pairs, GRID), 0)
+    reports = _reports(_defection_table(outcomes, probs, kept, pairs, GRID), kept, 0)
     joints = [partial_trace_dense(k, range(total)) for k in kept]  # the top qubit is the defector's
     for r, row, joint in zip(reports, outcomes, joints):
         assert r.cooperator_bits == tuple(row[total:])
@@ -364,6 +364,21 @@ def test_enumerate_peak_stays_near_the_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * kept.nbytes, f"peak {peak / kept.nbytes:.2f} times the kept states"
+
+
+def test_defection_table_peak_stays_near_the_kept_states():
+    """The defection table of (5,3), defector 1, builds no joint operator
+    (that stack alone would be 16 times the kept states): its traced peak
+    stays within 2 times them."""
+    spec = MessageSpec.random(5, np.random.default_rng(0))
+    outcomes, probs, kept = protocol._network_branches([spec], NetworkShape.single(5, 3), defector=0)
+    tracemalloc.start()
+    try:
+        _defection_table(outcomes, probs, kept, spec.qubits, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * kept.nbytes, f"peak {peak / kept.nbytes:.2f} times the kept states"
 
 
 @pytest.mark.parametrize("groups,keep,fault", [
