@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
-"""Time ``teleportnet run`` end to end over a fixed ladder of shapes.
+"""Time ``teleportnet`` end to end over a fixed ladder: ``run`` at a range of
+shapes, ``selftest`` and one ``compare`` sweep.
 
     python3 scripts/ladder.py TREE --label NAME [--max-qubits Q]
 
-Every run of every shape is its own process, with ``TREE/src`` first on
-``PYTHONPATH`` and one BLAS thread (``OMP_NUM_THREADS``,
-``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1).  For each shape
-the script records the median wall time and max RSS of 5 repeats, every
-repeat, and the size of the report in bytes.  It writes them, with ``nproc``
-and the package, Python, numpy and BLAS versions, to ``BENCH_<NAME>.json`` in
-the current directory.
+Every repeat of every command is its own process, with ``TREE/src`` first
+on ``PYTHONPATH`` and one BLAS thread (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1).  For each
+command the script records the median wall time and max RSS of 5 repeats,
+every repeat, and the size of the report in bytes (0 for ``selftest``, which
+writes none).  It writes them, with ``nproc`` and the package, Python, numpy
+and BLAS versions, to ``BENCH_<NAME>.json`` in the current directory.
 
 Wall time runs from the start of the process to its exit, so it includes the
 interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
-that one process.  Shapes over ``--max-qubits`` (3m + n + 1 qubits) are
-listed under ``skipped`` and not run: ``run --m 8 --n 1 --enumerate`` peaks
-at about 3.2 GiB.  A shape that ``run`` refuses (exit 2) is listed under
-``refused`` with the last line of its stderr, so that trees which refuse
-different shapes run the same ladder; any other failing exit aborts.
+that one process.  Commands over ``--max-qubits`` (3M + n + 1 qubits for M
+message qubits) are listed under ``skipped`` and not run:
+``run --m 8 --n 1 --enumerate`` peaks at about 3.2 GiB.  A shape that ``run``
+refuses (exit 2) is listed under ``refused`` with the last line of its
+stderr, so that trees which refuse different shapes run the same ladder; any
+other failing exit aborts.
 
 Compare two trees by running the script once on each, on the same host, for
 instance on ``git archive`` copies of a parent commit and of a change.
@@ -35,24 +37,28 @@ import tempfile
 import time
 from pathlib import Path
 
-# (message qubits m, agents n, the rest of the ``run`` arguments)
+# (``teleportnet`` arguments, qubits of the largest state they simulate): 3M + n + 1 for
+# ``run`` with M message qubits in all, (2,2)'s 9 for ``selftest`` and none for ``compare``
 LADDER = [
-    (1, 1, "--enumerate"),
-    (2, 2, "--enumerate"),
-    (3, 3, "--enumerate"),
-    (4, 2, "--enumerate"),
-    (3, 5, "--enumerate"),
-    (5, 3, "--enumerate"),
-    (6, 4, "--enumerate"),
-    (8, 1, "--enumerate"),
-    (3, 3, "--defector 2"),
-    (4, 4, "--defector 2"),
-    (5, 3, "--defector 1"),
-    (5, 4, "--defector 1"),
-    (6, 2, "--defector 1"),
-    (6, 4, "--defector 1"),
-    (5, 5, "--seed 1"),
-    (7, 3, "--seed 1"),
+    ("run --m 1 --n 1 --enumerate", 5),
+    ("run --m 2 --n 2 --enumerate", 9),
+    ("run --m 3 --n 3 --enumerate", 13),
+    ("run --m 4 --n 2 --enumerate", 15),
+    ("run --m 3 --n 5 --enumerate", 15),
+    ("run --m 5 --n 3 --enumerate", 19),
+    ("run --m 6 --n 4 --enumerate", 23),
+    ("run --m 8 --n 1 --enumerate", 26),
+    ("run --ml 2 3 --n 3 --enumerate", 19),
+    ("run --m 3 --n 3 --defector 2", 13),
+    ("run --m 4 --n 4 --defector 2", 17),
+    ("run --m 5 --n 3 --defector 1", 19),
+    ("run --m 5 --n 4 --defector 1", 20),
+    ("run --m 6 --n 2 --defector 1", 21),
+    ("run --m 6 --n 4 --defector 1", 23),
+    ("run --m 5 --n 5 --seed 1", 21),
+    ("run --m 7 --n 3 --seed 1", 25),
+    ("selftest", 9),
+    ("compare --m 1..12 --n 4", 0),
 ]
 REPEATS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -76,10 +82,11 @@ class Refused(Exception):
 
 
 def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
-    """Wall seconds, max RSS in MiB and report bytes of one ``run`` process."""
+    """Wall seconds, max RSS in MiB and report bytes (0 for ``selftest``, which writes none) of one process."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = Path(tmp) / "report.json", Path(tmp) / "stderr.txt"
-        cmd = [sys.executable, "-m", "teleportnet.cli", *argv, "--out", str(out)]
+        writes = argv[0] != "selftest"
+        cmd = [sys.executable, "-m", "teleportnet.cli", *argv, *(["--out", str(out)] if writes else [])]
         with open(err, "w") as stderr:
             start = time.perf_counter()
             proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
@@ -90,7 +97,7 @@ def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
             raise Refused((err.read_text().strip().splitlines() or [""])[-1])
         if proc.returncode != 0:
             raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
-        return wall, usage.ru_maxrss / 1024, out.stat().st_size
+        return wall, usage.ru_maxrss / 1024, out.stat().st_size if writes else 0
 
 
 def ladder(tree: Path, max_qubits: int) -> dict:
@@ -98,9 +105,7 @@ def ladder(tree: Path, max_qubits: int) -> dict:
     versions = json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
                                          text=True, check=True).stdout)
     shapes, skipped, refused = [], [], []
-    for m, n, rest in LADDER:
-        command = f"run --m {m} --n {n} {rest}"
-        qubits = 3 * m + n + 1
+    for command, qubits in LADDER:
         if qubits > max_qubits:
             skipped.append({"command": command, "qubits": qubits})
             continue

@@ -186,28 +186,28 @@ def _resolve_shape(args, config: dict) -> NetworkShape:
     if ml is not None and m is not None:
         raise ConfigError("give either --m or --ml, not both")
     k = None if k is None else _as_int(k, "k")
+    copies = 1  # receivers are counts repeated this often; a huge k builds no list before the cap refuses it
     if ml is not None:
         if not isinstance(ml, list):
             raise ConfigError(f"ml must be a list of message counts, got {ml!r}")
         counts = [_as_int(x, "ml") for x in ml]
         if k is not None:
             if len(counts) == 1:
-                counts = counts * k
+                copies = k
             elif len(counts) != k:
                 raise ConfigError(f"--ml lists {len(counts)} receivers but --k is {k}")
     elif m is not None:
-        counts = [_as_int(m, "m")] * (1 if k is None else k)
+        counts, copies = [_as_int(m, "m")], (1 if k is None else k)
     else:
         raise ConfigError("message count is required (--m or --ml)")
     try:
-        shape = NetworkShape(tuple(counts), _as_int(n, "n"))
+        shape = NetworkShape(tuple(counts * min(copies, 1)), _as_int(n, "n"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if shape.total_qubits > MAX_TOTAL_QUBITS:
-        raise ConfigError(
-            f"shape exceeds simulator capacity: {shape.total_qubits} qubits > {MAX_TOTAL_QUBITS}"
-        )
-    return shape
+    qubits = 3 * shape.total_messages * copies + shape.num_agents + 1
+    if qubits > MAX_TOTAL_QUBITS:
+        raise ConfigError(f"shape exceeds simulator capacity: {qubits} qubits > {MAX_TOTAL_QUBITS}")
+    return NetworkShape(shape.message_counts * copies, shape.num_agents)
 
 
 def _message_pairs(source: dict, total: int) -> list[tuple[complex, complex]]:

@@ -153,9 +153,8 @@ _BLOCK = 64
 
 
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
-    """Best fidelity over the grid for each operator of a (count, 2, 2) stack:
-    a real product screens the grid, and the unitaries within a rounding margin
-    of each row's best are recomputed with the whole-grid einsum's bits."""
+    """Best fidelity over the grid for each operator of a (count, 2, 2) stack: one einsum
+    over the whole grid per block, on the stack in C order, since the einsum rounds by layout."""
     if np.ndim(unitaries) != 3 or np.shape(unitaries)[1:] != (2, 2):
         raise ValueError(f"the recovery grid must be a (k, 2, 2) stack of unitaries, not {np.shape(unitaries)}")
     if len(unitaries) == 0:
@@ -163,26 +162,9 @@ def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.nd
     t = np.asarray(target, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
-    k = (w.conj()[:, :, None] * w[:, None, :]).reshape(-1, 4)  # <w_g|rho|w_g> = k_g . rho.flat
-    screen = np.concatenate([k.real, -k.imag], axis=1).T
-    # screen and exact value each round within 32 eps |rho|_1 max|k_g|_1 (plus underflow),
-    # so the exact best is within twice that of the screened best; overflow keeps the row
-    scale = np.abs(k).sum(axis=1).max()
-    best = []
-    for i in range(0, len(rhos), _BLOCK):
-        block = rhos[i:i + _BLOCK]
-        if len(w) < 3:  # nothing to screen, and a grid of 2 rounds unlike its pairs
-            best.append(np.einsum("ga,bac,gc->bg", w.conj(), block, w).real.max(axis=1))
-            continue
-        flat = block.reshape(-1, 4)
-        values = np.concatenate([flat.real, flat.imag], axis=1) @ screen
-        floor = values.max(axis=1) - np.abs(flat).sum(axis=1) * scale * (64 * np.finfo(float).eps) - 1e-300
-        b, g = np.nonzero((values >= floor[:, None]) | ~np.isfinite(floor)[:, None])  # NaN rows keep all
-        if len(b) == 1:  # einsum rounds a lone pair unlike two or more
-            b, g = b.repeat(2), g.repeat(2)
-        exact = np.einsum("pa,pac,pc->p", w.conj()[g], block[b], w[g]).real
-        best.append(np.maximum.reduceat(exact, np.flatnonzero(np.diff(b, prepend=-1))))
-    return np.concatenate(best)
+    rhos = np.ascontiguousarray(rhos)
+    return np.concatenate([np.einsum("ga,bac,gc->bg", w.conj(), rhos[i:i + _BLOCK], w).real.max(axis=1)
+                           for i in range(0, len(rhos), _BLOCK)])
 
 
 def _form_for(outcome: BellOutcome) -> DiagonalForm:
@@ -230,7 +212,7 @@ def _marginal(halves: np.ndarray, total: int, qubit: int) -> np.ndarray:
     others = [q for q in range(total) if q != qubit]
     bases = (sum(b << q for b, q in zip(bits, others)) for bits in itertools.product((0, 1), repeat=len(others)))
     blocks = (np.einsum("bda,bdc->bac", h, h.conj()) for h in (halves[:, :, [a, a | 1 << qubit]] for a in bases))
-    return np.ascontiguousarray(next(blocks) if total == 1 else sum(blocks))  # the search's bits need C order
+    return np.ascontiguousarray(next(blocks) if total == 1 else sum(blocks))  # the layout the search rounds in
 
 
 def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -112,7 +112,7 @@ def best_grid_fidelity(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
 def whole_grid_recovery(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
     """The grid search as one complex einsum over the whole grid for each
     block of 64 operators: the bit-exact reference for the library's
-    screened search, which must reproduce every value's last bit."""
+    search over distinct operators, which must reproduce every value's last bit."""
     t = np.asarray(pair, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>

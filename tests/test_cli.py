@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,23 @@ class TestRunCommand:
     def test_capacity_guard(self, capsys):
         assert run_cli("run", "--m", "1", "--n", "30", "--enumerate") == 2
         assert "exceeds simulator capacity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["m", "ml", "spec"])
+    def test_huge_receiver_count_is_refused_before_any_list_is_built(self, source, tmp_path, capsys):
+        # a million receivers of one qubit: the refusal must not grow with k
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"m": 1, "n": 1, "k": 10**6}))
+        argv = {"m": ["--m", "1", "--n", "1", "--k", "1000000"], "ml": ["--ml", "1", "--n", "1", "--k", "1000000"],
+                "spec": ["--spec", str(spec)]}[source]
+        tracemalloc.start()
+        try:
+            code = run_cli("run", *argv, "--enumerate")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == "error: shape exceeds simulator capacity: 3000002 qubits > 26\n"
+        assert peak < 1 << 20
 
     def test_defection_at_six_message_qubits_runs(self, tmp_path):
         # (6,2): 2^14 branches whose 64x64 joint operators would take 1 GiB; none is built

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,34 @@ class TestRecoverySearch:
         for m, pair, best in zip(t.marginals, qubits, t.best.T):
             want = whole_grid_recovery(m, pair, RECOVERY_GRIDS[grid])
             np.testing.assert_array_equal(best.view(np.uint64), want.view(np.uint64))
+
+    def test_bits_do_not_depend_on_the_memory_layout(self):
+        # the einsum rounds by the strides it is given: the search must make the layout its own
+        rng = np.random.default_rng(18)
+        us = tn.recovery_unitaries()
+        for rho in _stack("density", 500, rng):
+            target = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            want = np.float64(tn.max_recovery_fidelity(rho, target, us)).view(np.uint64)
+            for copy in (np.asfortranarray(rho), rho.T.copy().T):
+                assert np.float64(tn.max_recovery_fidelity(copy, target, us)).view(np.uint64) == want
+        for _ in range(100):
+            rhos = _stack("density", 8, rng)
+            target = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            want = tn.defection._best_recovery(rhos, target, us)
+            got = tn.defection._best_recovery(np.asfortranarray(rhos), target, us)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_search_memory_is_bounded_by_the_block(self):
+        # 4,096 operators against the 1,024-unitary grid: one unblocked einsum would hold 64 MiB
+        rhos = _stack("density", 4096, np.random.default_rng(5))
+        us = tn.recovery_unitaries()
+        tracemalloc.start()
+        try:
+            tn.defection._best_recovery(rhos, (0.6, 0.8j), us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     def test_distinct_keys_operators_by_their_bytes(self):
         rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
