@@ -24,7 +24,8 @@ matrices by ``tobytes()``.  The groups cover:
 - the recovery search at the benchmark's defection shapes: defection
   reports at (3,3) with defector 2, (2,4) with defector 1 and ``ml=(1,2)``,
   n = 3, defector 3, and the baseline's at (6,6) with defector 3, each at
-  three message seeds; ``max_recovery_fidelity`` on 200 single operators
+  three message seeds, with the baseline's enumerate and sampled transcripts
+  at (6,6) for the same messages; ``max_recovery_fidelity`` on 200 single operators
   with the default grid and with grids of 1, 2 and 3 unitaries
 - the report bytes and exit code of every stored-report CLI command and of
   ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``
@@ -217,6 +218,9 @@ def hash_tree(tree: Path) -> dict[str, str]:
         spec = tn.MessageSpec.random(6, np.random.default_rng(seed))
         reports = tn.analyze_baseline_defection(spec, tn.NetworkShape.single(6, 6), 2)
         _defection(groups, "bench.baseline_defection[(6,) n=6 defector=3]", reports)
+        for mode in ("enumerate", "sampled"):
+            transcripts = tn.run_baseline_ghz(spec, tn.NetworkShape.single(6, 6), mode, seed=seed)
+            _transcripts(groups, f"bench.baseline.{mode}[(6,) n=6]", [(t,) for t in transcripts])
 
     # sampled draws, which measure only the state's support
     rng = np.random.default_rng(13)

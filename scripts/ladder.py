@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time ``teleportnet`` end to end over a fixed ladder: ``run`` at a range of
-shapes, ``selftest`` and one ``compare`` sweep.
+shapes, ``selftest``, one ``compare`` sweep and two library calls of the GHZ
+baseline.
 
     python3 scripts/ladder.py TREE --label NAME [--max-qubits Q]
 
@@ -8,8 +9,10 @@ Every repeat of every command is its own process, with ``TREE/src`` first
 on ``PYTHONPATH`` and one BLAS thread (``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1).  For each
 command the script records the median wall time and max RSS of 5 repeats,
-every repeat, and the size of the report in bytes (0 for ``selftest``, which
-writes none).  It writes them, with ``nproc`` and the package, Python, numpy
+every repeat, and the size of the report in bytes (0 for ``selftest`` and the
+library entries, which write none).  A library entry, ``lib CALL``, is a
+child ``python -c`` that imports ``teleportnet`` and makes CALL 20 times at
+(6,6) with a fixed message.  It writes them, with ``nproc`` and the package, Python, numpy
 and BLAS versions, to ``BENCH_<NAME>.json`` in the current directory.
 
 Wall time runs from the start of the process to its exit, so it includes the
@@ -37,8 +40,9 @@ import tempfile
 import time
 from pathlib import Path
 
-# (``teleportnet`` arguments, qubits of the largest state they simulate): 3M + n + 1 for
-# ``run`` with M message qubits in all, (2,2)'s 9 for ``selftest`` and none for ``compare``
+# (``teleportnet`` arguments or ``lib`` and a library call, qubits of the largest state they
+# simulate): 3M + n + 1 for ``run`` with M message qubits in all, (2,2)'s 9 for ``selftest``,
+# none for ``compare`` and a baseline copy's n + 3 for the library calls
 LADDER = [
     ("run --m 1 --n 1 --enumerate", 5),
     ("run --m 2 --n 2 --enumerate", 9),
@@ -59,7 +63,16 @@ LADDER = [
     ("run --m 7 --n 3 --seed 1", 25),
     ("selftest", 9),
     ("compare --m 1..12 --n 4", 0),
+    ("lib run_baseline_ghz(spec, shape)", 9),
+    ("lib analyze_baseline_defection(spec, shape, 2)", 9),
 ]
+# the child of a ``lib`` entry: the call, 20 times, at (6,6) with a fixed message
+LIBRARY = """
+import numpy as np, teleportnet as tn
+spec, shape = tn.MessageSpec.random(6, np.random.default_rng(0)), tn.NetworkShape.single(6, 6)
+for _ in range(20):
+    tn.{call}
+"""
 REPEATS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 VERSIONS = """
@@ -82,11 +95,15 @@ class Refused(Exception):
 
 
 def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
-    """Wall seconds, max RSS in MiB and report bytes (0 for ``selftest``, which writes none) of one process."""
+    """Wall seconds, max RSS in MiB and report bytes (0 for ``selftest`` and ``lib``, which write none)
+    of one process."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = Path(tmp) / "report.json", Path(tmp) / "stderr.txt"
-        writes = argv[0] != "selftest"
-        cmd = [sys.executable, "-m", "teleportnet.cli", *argv, *(["--out", str(out)] if writes else [])]
+        writes = argv[0] not in ("selftest", "lib")
+        if argv[0] == "lib":
+            cmd = [sys.executable, "-c", LIBRARY.format(call=" ".join(argv[1:]))]
+        else:
+            cmd = [sys.executable, "-m", "teleportnet.cli", *argv, *(["--out", str(out)] if writes else [])]
         with open(err, "w") as stderr:
             start = time.perf_counter()
             proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=stderr)

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .protocol import _BELL_ORDER, _baseline_branches, _network_branches
+from .protocol import _BELL_ORDER, _baseline_branches, _network_branches, _parts, _record
 from .resources import MessageSpec, NetworkShape, QubitRegistry, prepare_control_resource, prepare_message_state
 from .states import (
     BellOutcome,
@@ -150,6 +150,8 @@ def max_recovery_fidelity(
 # Operators per grid contraction: bounds the (block, grid) temporaries whatever
 # the branch count.
 _BLOCK = 64
+# Branches per block of the joint check's 2x2 duals: bounds the conjugate copy it takes.
+_DUAL_BLOCK = 512
 
 
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
@@ -192,8 +194,10 @@ def _defection_table(
     received ones with the defector's qubit on top."""
     total = len(qubits)
     halves = kept.reshape(len(kept), 2, 1 << total)
-    if total > 1:  # each branch's joint H^T conj(H) has the trace and nonzero eigenvalues of this dual
-        DensityMatrix._check_stack(np.einsum("bdi,bei->bde", halves.conj(), halves))
+    if total > 1:  # each branch's joint H^T conj(H) has the trace and nonzero eigenvalues of this dual,
+        # formed a block of branches at a time, so that no conjugate copy of kept is made
+        blocks = np.split(halves, range(_DUAL_BLOCK, len(halves), _DUAL_BLOCK))
+        DensityMatrix._check_stack(np.concatenate([np.einsum("bdi,bei->bde", h.conj(), h) for h in blocks]))
     marginals = [_marginal(halves, total, i) for i in range(total)]
     # a handful of distinct 2x2 operators stand for all the branches: check and search those
     keys = [_distinct(m) for m in marginals]
@@ -256,28 +260,30 @@ def analyze_defection(
 
 def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
              message_index: int | None = None) -> list[DefectionReport]:
-    """One report per row of the table, with its joint operator from the kept states the table reduced."""
+    """One report per row of the table, with its joint operator from the kept
+    states the table reduced.  Each distinct tuple of Bell outcomes, with its
+    diagonal forms, and each bytewise-distinct marginal is built once and
+    shared by the rows; with one received qubit the joint is the marginal."""
     total = len(t.marginals)
-    halves = kept.reshape(len(kept), 2, 1 << total)
-    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
-    norms = t.off.max(axis=1).tolist()
-    reports = []
-    for b, (row, prob, mat) in enumerate(zip(t.outcomes.tolist(), t.probs.tolist(), joints)):
-        per_qubit = tuple(DensityMatrix._wrap(m[b]) for m in t.marginals)
-        bells = tuple(_BELL_ORDER[o] for o in row[:total])
-        reports.append(DefectionReport(
-            defector=defector,
-            bell_outcomes=bells,
-            cooperator_bits=tuple(row[total:]),
-            probability=prob,
-            joint_density=DensityMatrix._wrap(mat),
-            per_qubit_density=per_qubit,
-            off_diagonal_norm=norms[b],
-            max_fidelity=tuple(t.best[b].tolist()),
-            conforms_to=tuple(_form_for(o) for o in bells),
-            message_index=message_index,
-        ))
-    return reports
+    per_qubit = []
+    for m in t.marginals:
+        first, inverse = _distinct(m)
+        per_qubit.append(list(map(DensityMatrix._wrap_all(m[first]).__getitem__, inverse.tolist())))
+    if total == 1:
+        joints = per_qubit[0]
+    else:
+        halves = kept.reshape(len(kept), 2, 1 << total)
+        joints = DensityMatrix._wrap_all(np.einsum("bdi,bdj->bij", halves, halves.conj()))  # defector traced out
+    first, at = _parts(t.outcomes[:, :total], 4)
+    bells = [tuple(map(_BELL_ORDER.__getitem__, row)) for row in t.outcomes[first, :total].tolist()]
+    parts = [(b, tuple(map(_form_for, b))) for b in bells]
+    return [_record(DefectionReport, {
+        "defector": defector, "bell_outcomes": b, "cooperator_bits": tuple(bits), "probability": p,
+        "joint_density": joint, "per_qubit_density": densities, "off_diagonal_norm": norm,
+        "max_fidelity": tuple(best), "conforms_to": forms, "message_index": message_index,
+    }) for (b, forms), bits, p, joint, densities, norm, best in zip(
+        map(parts.__getitem__, at), t.outcomes[:, total:].tolist(), t.probs.tolist(), joints,
+        zip(*per_qubit), t.off.max(axis=1).tolist(), t.best.tolist())]
 
 
 def analyze_two_party_defection(spec: MessageSpec) -> list[DefectionReport]:

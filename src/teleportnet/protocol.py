@@ -326,46 +326,61 @@ def _transcript_table(
     return _TranscriptTable(outcomes, parity, ops, probs, fids, counts, sender)
 
 
+def _record(cls, fields: dict):
+    """A frozen dataclass record holding ``fields``, every field's value, built
+    without ``__init__``; a record class has no ``__post_init__`` to skip."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
+def _parts(digits: np.ndarray, base: int) -> tuple[list[int], list[int]]:
+    """The first row of each distinct row of ``digits``, a (rows, k) array of
+    digits below ``base``, and each row's index among those first rows."""
+    keys = (digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)).tolist()
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the last write is the first row
+    index = dict(zip(first, range(len(first))))
+    return list(first.values()), list(map(index.__getitem__, keys))
+
+
 def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[tuple[ProtocolTranscript, ...]]:
-    """One tuple of transcripts (one per receiver) per row of the table."""
+    """One tuple of transcripts (one per receiver) per row of the table.  The
+    rows share the parts they have in common: each distinct agents' and
+    sender's part, and each receiver's distinct (parity, Bell outcomes) part,
+    is built once."""
     total = sum(t.counts)
     num_agents = t.outcomes.shape[1] - total - int(t.sender)
-    labels = [f"pair{r}.{i if message_index is None else message_index}"
-              for r, m in enumerate(t.counts) for i in range(m)]
-    bell_messages = [[ClassicalMessage("sender", o, label) for o in _BELL_ORDER] for label in labels]
-    agent_messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)]
-                      for j in range(num_agents)]
-    sender_messages = [ClassicalMessage("sender", bit, "ghz_s") for bit in (0, 1)]
-    branches = (Branch.EVEN, Branch.ODD)
+    # the message that each column after the Bell outcomes (each agent's bit, then the
+    # sender's) sends for each bit value
+    messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)] for j in range(num_agents)]
+    if t.sender:
+        messages.append([ClassicalMessage("sender", bit, "ghz_s") for bit in (0, 1)])
+    first, at = _parts(t.outcomes[:, total:], 2)
+    sender, branches = t.sender, (Branch.EVEN, Branch.ODD)
+    # (agent bits, sender bit, their messages, branch) of each distinct part
+    shared = [(tuple(row[:num_agents]), row[-1] if sender else None, tuple(map(list.__getitem__, messages, row)),
+               branches[odd]) for row, odd in zip(t.outcomes[first, total:].tolist(), t.parity[first].tolist())]
+    shared = [shared[i] for i in at]
+    probs = t.probs.tolist()
 
-    out = []
-    for row, row_ops, odd, p, *row_fids in zip(
-        t.outcomes.tolist(), t.ops.tolist(), t.parity.tolist(), t.probs.tolist(), *(f.tolist() for f in t.fids)
-    ):
-        bits = tuple(row[total:total + num_agents])
-        sender_bit = row[-1] if t.sender else None
-        shared = tuple(agent_messages[j][b] for j, b in enumerate(bits))
-        if t.sender:
-            shared += (sender_messages[sender_bit],)
-        per_receiver = []
-        start = 0
-        for r, m in enumerate(t.counts):
-            own = range(start, start + m)
-            per_receiver.append(ProtocolTranscript(
-                receiver=r,
-                bell_outcomes=tuple(_BELL_ORDER[row[i]] for i in own),
-                agent_bits=bits,
-                sender_ghz_bit=sender_bit,
-                branch=branches[odd],
-                corrections=tuple(_PAULI_ORDER[row_ops[i]] for i in own),
-                fidelity=row_fids[r],
-                branch_probability=p,
-                classical_messages=tuple(bell_messages[i][row[i]] for i in own) + shared,
-                message_index=message_index,
-            ))
-            start += m
-        out.append(tuple(per_receiver))
-    return out
+    columns = []  # per receiver, its transcript of every row
+    start = 0
+    for r, m in enumerate(t.counts):
+        cols = slice(start, start + m)
+        bell_messages = [[ClassicalMessage("sender", o, f"pair{r}.{i if message_index is None else message_index}")
+                          for o in _BELL_ORDER] for i in range(m)]
+        first, at = _parts(np.column_stack([t.parity, t.outcomes[:, cols]]), 4)
+        parts = [(tuple(map(_BELL_ORDER.__getitem__, row)), tuple(map(_PAULI_ORDER.__getitem__, ops)),
+                  tuple(map(list.__getitem__, bell_messages, row)))
+                 for row, ops in zip(t.outcomes[first, cols].tolist(), t.ops[first, cols].tolist())]
+        columns.append([_record(ProtocolTranscript, {
+            "receiver": r, "bell_outcomes": bells, "agent_bits": bits, "sender_ghz_bit": sender_bit,
+            "branch": branch, "corrections": corrections, "fidelity": f, "branch_probability": p,
+            "classical_messages": own + common, "message_index": message_index,
+        }) for (bells, corrections, own), (bits, sender_bit, common, branch), f, p
+            in zip(map(parts.__getitem__, at), shared, t.fids[r].tolist(), probs)])
+        start += m
+    return list(zip(*columns))
 
 
 def _draw_order(event_order: Sequence[Event] | None, canonical: tuple[Event, ...]) -> list[int] | None:

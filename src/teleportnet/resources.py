@@ -239,7 +239,8 @@ def prepare_control_resource(shape: NetworkShape) -> tuple[StateVector, QubitReg
     ghz = _bit_parity(s) * ((2 << shape.num_agents) - 1)
     amps = np.zeros(1 << shape.resource_qubits, dtype=np.complex128)
     amps[s | s << total | ghz << 2 * total] = np.sqrt(0.5 ** total)
-    return StateVector(amps), registry
+    amps /= np.linalg.norm(amps)  # in place, with the bits of the constructor's normalization
+    return StateVector._wrap(amps), registry
 
 
 def _parity_mask(state: StateVector, qubits: Sequence[int]) -> int:

@@ -175,13 +175,18 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @classmethod
-    def _wrap(cls, mat: np.ndarray) -> "DensityMatrix":
-        """Trusted fast path for a complex square matrix of a stack that
-        ``_check_stack`` has passed; it is not copied."""
-        dm = object.__new__(cls)
-        object.__setattr__(dm, "num_qubits", _num_qubits_for(mat.shape[0]))
-        object.__setattr__(dm, "matrix", _read_only(mat))
-        return dm
+    def _wrap_all(cls, stack: np.ndarray) -> list["DensityMatrix"]:
+        """Trusted fast path for every operator of a complex (count, d, d)
+        stack that ``_check_stack`` has passed: the stack is made read-only
+        once, and each wrapper holds a view of it, not a copy."""
+        n = _num_qubits_for(stack.shape[1])
+        out = []
+        for mat in _read_only(stack):
+            dm = object.__new__(cls)
+            object.__setattr__(dm, "num_qubits", n)
+            object.__setattr__(dm, "matrix", mat)
+            out.append(dm)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

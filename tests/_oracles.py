@@ -12,7 +12,9 @@ were when they rotated the full state vector, and
 ``control_resource_two_terms`` is the control resource as it was built
 before it was written down from its closed form. ``joint_stack_marginals``
 is the defection table's reduction as it was when it built every branch's
-joint operator and traced the stack.
+joint operator and traced the stack.  ``row_transcripts`` and ``row_reports``
+are the library's record builders as they were when they built every field
+of every row on its own, through the dataclass constructors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import numpy as np
 from teleportnet import (
     CORRECTIONS,
     BellOutcome,
+    Branch,
     ClassicalMessage,
+    DefectionReport,
+    DensityMatrix,
     DiagonalForm,
     MessageSpec,
     ProtocolTranscript,
@@ -46,8 +51,9 @@ from teleportnet import (
     run_multi_receiver,
     tensor,
 )
-from teleportnet.protocol import _ROTATIONS, FIDELITY_ATOL, _plan, _support
-from teleportnet.states import ZERO_BRANCH_ATOL, _pick
+from teleportnet.defection import _form_for
+from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, FIDELITY_ATOL, _plan, _support
+from teleportnet.states import ZERO_BRANCH_ATOL, _num_qubits_for, _pick, _read_only
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -609,3 +615,82 @@ def _partial_trace_stack(rhos: np.ndarray, n: int, kept) -> np.ndarray:
     k, d = len(kept), len(traced)
     t = t.reshape(len(rhos), 1 << k, 1 << d, 1 << k, 1 << d)
     return np.einsum("...atbt->...ab", t)
+
+
+# --- the per-row record builders ----------------------------------------------
+
+
+def row_transcripts(t, message_index=None) -> list[tuple[ProtocolTranscript, ...]]:
+    """One tuple of transcripts (one per receiver) per row of the table."""
+    total = sum(t.counts)
+    num_agents = t.outcomes.shape[1] - total - int(t.sender)
+    labels = [f"pair{r}.{i if message_index is None else message_index}"
+              for r, m in enumerate(t.counts) for i in range(m)]
+    bell_messages = [[ClassicalMessage("sender", o, label) for o in _BELL_ORDER] for label in labels]
+    agent_messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)]
+                      for j in range(num_agents)]
+    sender_messages = [ClassicalMessage("sender", bit, "ghz_s") for bit in (0, 1)]
+    branches = (Branch.EVEN, Branch.ODD)
+
+    out = []
+    for row, row_ops, odd, p, *row_fids in zip(
+        t.outcomes.tolist(), t.ops.tolist(), t.parity.tolist(), t.probs.tolist(), *(f.tolist() for f in t.fids)
+    ):
+        bits = tuple(row[total:total + num_agents])
+        sender_bit = row[-1] if t.sender else None
+        shared = tuple(agent_messages[j][b] for j, b in enumerate(bits))
+        if t.sender:
+            shared += (sender_messages[sender_bit],)
+        per_receiver = []
+        start = 0
+        for r, m in enumerate(t.counts):
+            own = range(start, start + m)
+            per_receiver.append(ProtocolTranscript(
+                receiver=r,
+                bell_outcomes=tuple(_BELL_ORDER[row[i]] for i in own),
+                agent_bits=bits,
+                sender_ghz_bit=sender_bit,
+                branch=branches[odd],
+                corrections=tuple(_PAULI_ORDER[row_ops[i]] for i in own),
+                fidelity=row_fids[r],
+                branch_probability=p,
+                classical_messages=tuple(bell_messages[i][row[i]] for i in own) + shared,
+                message_index=message_index,
+            ))
+            start += m
+        out.append(tuple(per_receiver))
+    return out
+
+
+def _wrap(mat: np.ndarray) -> DensityMatrix:
+    """A density matrix holding ``mat``, a complex square matrix of a checked
+    stack, made read-only and not copied."""
+    dm = object.__new__(DensityMatrix)
+    object.__setattr__(dm, "num_qubits", _num_qubits_for(mat.shape[0]))
+    object.__setattr__(dm, "matrix", _read_only(mat))
+    return dm
+
+
+def row_reports(t, kept: np.ndarray, defector: int, message_index=None) -> list[DefectionReport]:
+    """One report per row of the table, with its joint operator from the kept states the table reduced."""
+    total = len(t.marginals)
+    halves = kept.reshape(len(kept), 2, 1 << total)
+    joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
+    norms = t.off.max(axis=1).tolist()
+    reports = []
+    for b, (row, prob, mat) in enumerate(zip(t.outcomes.tolist(), t.probs.tolist(), joints)):
+        per_qubit = tuple(_wrap(m[b]) for m in t.marginals)
+        bells = tuple(_BELL_ORDER[o] for o in row[:total])
+        reports.append(DefectionReport(
+            defector=defector,
+            bell_outcomes=bells,
+            cooperator_bits=tuple(row[total:]),
+            probability=prob,
+            joint_density=_wrap(mat),
+            per_qubit_density=per_qubit,
+            off_diagonal_norm=norms[b],
+            max_fidelity=tuple(t.best[b].tolist()),
+            conforms_to=tuple(_form_for(o) for o in bells),
+            message_index=message_index,
+        ))
+    return reports

@@ -408,6 +408,31 @@ class TestDefectionTableChecks:
         with pytest.raises(ValueError, match="^density matrix trace is not 1$"):
             self._table(1.001 * self._copies(total, rng))
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_first_failing_check_is_raised_across_dual_blocks(self, nan_first, rng):
+        # the joint check runs a block of branches at a time; a NaN fails its
+        # finite check and a scaled branch the trace check, which comes first,
+        # whichever block each falls in
+        block = tn.defection._DUAL_BLOCK
+        kept = self._copies(2, rng, count=3 * block)
+        nan, scaled = (10, 2 * block + 10) if nan_first else (2 * block + 10, 10)
+        kept[nan, 0] = np.nan
+        kept[scaled] *= 1.001
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^density matrix trace is not 1$"):
+            self._table(kept)
+
+    def test_joint_check_holds_no_copy_of_kept(self):
+        spec = MessageSpec.random(5, np.random.default_rng(0))
+        outcomes, probs, kept = tn.protocol._network_branches([spec], NetworkShape.single(5, 3), defector=0)
+        us = tn.recovery_unitaries()
+        tracemalloc.start()
+        try:
+            tn.defection._defection_table(outcomes, probs, kept, spec.qubits, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * kept.nbytes
+
 
 class TestNonFiniteOperators:
     """NaN passes every comparison, so the checks refuse it by name."""
