@@ -31,8 +31,9 @@ matrices by ``tobytes()``.  The groups cover:
   ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``
 - sampled transcripts of 280 random messages, 10 at each of the shapes
   (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
-  permuted event order; and of the benchmark's three 21-qubit sampled
-  shapes at three seeds
+  permuted event order; of the benchmark's three 21-qubit sampled shapes at
+  three seeds; and of the widest sampled shapes, (1,22) and (2,19), whose
+  control resource has 25 qubits, at three seeds
 - the executor's enumerate output, the bytes of ``(outcomes, probs,
   kept)``, at the shapes of ``EXECUTOR_ENUMERATE``, with and without a
   defector
@@ -88,6 +89,8 @@ SAMPLED_COUNTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
 SAMPLED_MESSAGES = 10
 # (message counts, agents) of the benchmark's sampled runs, 21 qubits each
 BENCH_SAMPLED = [((5,), 5), ((6,), 2), ((2, 3), 5)]
+# (message counts, agents) of sampled runs with the widest control resource that ``run`` admits
+WIDE_SAMPLED = [((1,), 22), ((2,), 19)]
 # (message counts, agents, 1-based defector or None) of the executor group
 EXECUTOR_ENUMERATE = [((2,), 5, None), ((3,), 3, None), ((1, 2), 2, None), ((2,), 4, None), ((4,), 4, None),
                       ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3)]
@@ -237,6 +240,11 @@ def hash_tree(tree: Path) -> dict[str, str]:
         for seed in range(3):
             specs = [tn.MessageSpec.random(m, np.random.default_rng(seed)) for m in counts]
             _transcripts(groups, f"sampled.bench[{counts} n={agents}]",
+                         [_sampled(specs, tn.NetworkShape(counts, agents), seed)])
+    for counts, agents in WIDE_SAMPLED:
+        for seed in range(3):
+            specs = [tn.MessageSpec.random(m, np.random.default_rng(seed)) for m in counts]
+            _transcripts(groups, f"sampled.wide[{counts} n={agents}]",
                          [_sampled(specs, tn.NetworkShape(counts, agents), seed)])
 
     # every branch straight from the executor, which rotates only the support

@@ -3,7 +3,7 @@
 shapes, ``selftest``, one ``compare`` sweep and two library calls of the GHZ
 baseline.
 
-    python3 scripts/ladder.py TREE --label NAME [--max-qubits Q]
+    python3 scripts/ladder.py TREE --label NAME [--max-qubits Q] [--skip COMMAND ...]
 
 Every repeat of every command is its own process, with ``TREE/src`` first
 on ``PYTHONPATH`` and one BLAS thread (``OMP_NUM_THREADS``,
@@ -18,11 +18,12 @@ and BLAS versions, to ``BENCH_<NAME>.json`` in the current directory.
 Wall time runs from the start of the process to its exit, so it includes the
 interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
 that one process.  Commands over ``--max-qubits`` (3M + n + 1 qubits for M
-message qubits) are listed under ``skipped`` and not run:
-``run --m 8 --n 1 --enumerate`` peaks at about 3.2 GiB.  A shape that ``run``
-refuses (exit 2) is listed under ``refused`` with the last line of its
-stderr, so that trees which refuse different shapes run the same ladder; any
-other failing exit aborts.
+message qubits), and those named by ``--skip``, are listed under ``skipped``
+and not run: ``run --m 8 --n 1 --enumerate`` peaks at about 3.2 GiB, while
+``run --m 1 --n 22 --seed 1``, as wide, needs no skip.  A shape that
+``run`` refuses (exit 2) is listed under ``refused`` with the last line of
+its stderr, so that trees which refuse different shapes run the same ladder;
+any other failing exit aborts.
 
 Compare two trees by running the script once on each, on the same host, for
 instance on ``git archive`` copies of a parent commit and of a change.
@@ -61,6 +62,8 @@ LADDER = [
     ("run --m 6 --n 4 --defector 1", 23),
     ("run --m 5 --n 5 --seed 1", 21),
     ("run --m 7 --n 3 --seed 1", 25),
+    ("run --m 6 --n 2 --seed 1", 21),
+    ("run --m 1 --n 22 --seed 1", 26),
     ("selftest", 9),
     ("compare --m 1..12 --n 4", 0),
     ("lib run_baseline_ghz(spec, shape)", 9),
@@ -117,13 +120,13 @@ def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
         return wall, usage.ru_maxrss / 1024, out.stat().st_size if writes else 0
 
 
-def ladder(tree: Path, max_qubits: int) -> dict:
+def ladder(tree: Path, max_qubits: int, skip: list[str]) -> dict:
     env = _env(tree)
     versions = json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
                                          text=True, check=True).stdout)
     shapes, skipped, refused = [], [], []
     for command, qubits in LADDER:
-        if qubits > max_qubits:
+        if qubits > max_qubits or command in skip:
             skipped.append({"command": command, "qubits": qubits})
             continue
         try:
@@ -160,8 +163,12 @@ def main() -> int:
     parser.add_argument("tree", type=Path, help="source tree whose src/ holds teleportnet")
     parser.add_argument("--label", required=True, help="names the output file BENCH_<LABEL>.json")
     parser.add_argument("--max-qubits", type=int, default=26, help="skip larger shapes (default: 26, none)")
+    parser.add_argument("--skip", nargs="+", default=[], metavar="COMMAND", help="skip these ladder commands")
     args = parser.parse_args()
-    result = {"label": args.label, **ladder(args.tree.resolve(), args.max_qubits)}
+    unknown = sorted(set(args.skip) - {command for command, _ in LADDER})
+    if unknown:
+        parser.error(f"not ladder commands: {unknown}")
+    result = {"label": args.label, **ladder(args.tree.resolve(), args.max_qubits, args.skip)}
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

@@ -26,7 +26,7 @@ from .resources import (
     MessageSpec,
     NetworkShape,
     QubitRegistry,
-    prepare_control_resource,
+    _control_support,
     prepare_ghz,
     prepare_message_state,
 )
@@ -174,7 +174,7 @@ def _plan(
 
 
 def measure_all(
-    resource: StateVector,
+    resource: tuple[int, np.ndarray, np.ndarray],
     message: StateVector,
     groups: Sequence[tuple[int, ...]],
     keep: Sequence[int],
@@ -182,7 +182,8 @@ def measure_all(
     draw_order: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure every group of ``groups`` of ``tensor(message, resource)`` in
-    one pass and keep ``keep``.
+    one pass and keep ``keep``.  ``resource`` is given by its support: its
+    qubit count and the indices and amplitudes of its nonzeros, in any order.
 
     A group is a qubit pair ``(a, b)``, measured in the Bell basis, or a
     single qubit, measured in the X basis; every qubit lies in exactly one
@@ -200,7 +201,7 @@ def measure_all(
     order, layout = _plan(groups, keep, None if rng is None else draw_order)
     if any(len(g) not in (1, 2) for g in groups):
         raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
-    if sorted(layout) != list(range(resource.num_qubits + message.num_qubits)):
+    if sorted(layout) != list(range(resource[0] + message.num_qubits)):
         raise ValueError(f"groups and keep must hold each qubit exactly once, got {sorted(layout)}")
     n, cols, t = _support(resource, message, layout)
     # t[c, b] is branch b's amplitude where the unmeasured qubits read cols[c];
@@ -246,20 +247,26 @@ def measure_all(
     return outcomes, probs, kept / np.sqrt(probs)[:, None]
 
 
-def _support(resource: StateVector, message: StateVector, layout: Sequence[int] | None = None):
+def _nonzeros(state: StateVector) -> tuple[int, np.ndarray, np.ndarray]:
+    """``state``'s support as ``measure_all`` takes a resource."""
+    return state.num_qubits, (at := np.flatnonzero(state.amplitudes)), state.amplitudes[at]
+
+
+def _support(resource: tuple[int, np.ndarray, np.ndarray], message: StateVector, layout: Sequence[int] | None = None):
     """``(N, indices, amplitudes)`` of ``tensor(message, resource)`` over the
-    resource's nonzeros, with qubit ``layout[j]`` on index bit N-1-j (default:
+    resource's support, with qubit ``layout[j]`` on index bit N-1-j (default:
     qubit q on bit q).  Each amplitude is the same single product as
     ``tensor``'s, and none is renormalized (a sum of squares rounds apart with
     and without the zeros), so the two agree bit for bit."""
     m = message.num_qubits
-    n = m + resource.num_qubits
-    rnz = np.flatnonzero(resource.amplitudes)
-    vals = (resource.amplitudes[rnz][:, None] * message.amplitudes).reshape(-1)
-    # qubit q of the product is bit q of (resource index << m) | message index
-    src = ((rnz[:, None] << m) | np.arange(1 << m)).reshape(-1)
+    n = m + resource[0]
     qubits = np.arange(n - 1, -1, -1) if layout is None else np.asarray(layout)
-    return n, ((src[:, None] >> qubits) & 1) @ (1 << np.arange(n - 1, -1, -1)), vals
+    bits = 1 << np.arange(n - 1, -1, -1)
+    # product qubit q >= m is resource qubit q - m, q < m message qubit q: lay each out alone, then join
+    res, msg = qubits >= m, qubits < m
+    at = ((resource[1][:, None] >> (qubits[res] - m)) & 1) @ bits[res]
+    at = at[:, None] | ((np.arange(1 << m)[:, None] >> qubits[msg]) & 1) @ bits[msg]
+    return n, at.reshape(-1), (resource[2][:, None] * message.amplitudes).reshape(-1)
 
 
 def _fidelities(
@@ -425,7 +432,7 @@ def _network_branches(
     if defector is not None:
         keep.append(registry.agent(defector))
     message = prepare_message_state(MessageSpec(tuple(q for spec in specs for q in spec.qubits)))
-    return measure_all(prepare_control_resource(shape)[0], message, groups, keep, rng, draw_order)
+    return measure_all(_control_support(shape), message, groups, keep, rng, draw_order)
 
 
 def _network_table(
@@ -510,7 +517,7 @@ def _baseline_branches(
     n = shape.num_agents
     groups = [(0, 1)] + [(3 + j,) for j in range(n) if j != defector]
     keep = [2] if defector is None else [2, 3 + defector]
-    return [measure_all(prepare_ghz(n + 2), StateVector(pair), groups, keep, rng) for pair in spec.qubits]
+    return [measure_all(_nonzeros(prepare_ghz(n + 2)), StateVector(pair), groups, keep, rng) for pair in spec.qubits]
 
 
 def run_baseline_ghz(

@@ -196,9 +196,9 @@ class QubitRegistry:
 
 def prepare_message_state(spec: MessageSpec) -> StateVector:
     """Product state over the message qubits, qubit i = message qubit i."""
-    amps = np.array([1.0], dtype=np.complex128)
-    for a, b in spec.qubits:
-        amps = np.kron(np.array([a, b], dtype=np.complex128), amps)
+    amps = np.ones(1, dtype=np.complex128)
+    for pair in np.array(spec.qubits, dtype=np.complex128):
+        amps = (pair[:, None] * amps).reshape(-1)
     return StateVector(amps)
 
 
@@ -222,25 +222,29 @@ def _bit_parity(indices: np.ndarray) -> np.ndarray:
     return (out & np.uint64(1)).astype(np.int64)
 
 
-def prepare_control_resource(shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:
-    """Entangled control resource (|Phi+>^M |GHZ+> + |Phi->^M |GHZ->)/sqrt(2)
-    over M EPR pairs and n + 1 GHZ qubits (the n agents' and the sender's).
-
-    It is written down from its closed form.  Both EPR products put 2^(-M/2)
-    on each |s>|s>, |Phi->^M with the sign (-1)^parity(s), and |GHZ+-> =
-    (|0...0> +- |1...1>)/sqrt(2).  So on |s>|s>|0...0> the two terms add when
-    s has even parity and cancel when it is odd, and on |s>|s>|1...1> the
-    other way round: the resource is the sum over all s of 2^(-M/2)
-    |s>|s>|p...p>, p = parity(s), and has just 2^M nonzeros.
-    """
-    registry = QubitRegistry(shape, include_messages=False)
+def _control_support(shape: NetworkShape) -> tuple[int, np.ndarray, np.ndarray]:
+    """The control resource's qubit count, and the indices and amplitudes of
+    its nonzeros, one per M-bit string s in the order of s.  Both EPR products
+    put 2^(-M/2) on each |s>|s>, |Phi->^M with the sign (-1)^parity(s), so
+    with |GHZ+-> = (|0...0> +- |1...1>)/sqrt(2) the resource is the sum over
+    all s of 2^(-M/2) |s>|s>|p...p>, p = parity(s).  The 2^M values are
+    normalized among themselves, which rounds as the whole vector's norm at
+    every shape under the 26-qubit cap."""
     total = shape.total_messages
     s = np.arange(1 << total)
     ghz = _bit_parity(s) * ((2 << shape.num_agents) - 1)
-    amps = np.zeros(1 << shape.resource_qubits, dtype=np.complex128)
-    amps[s | s << total | ghz << 2 * total] = np.sqrt(0.5 ** total)
-    amps /= np.linalg.norm(amps)  # in place, with the bits of the constructor's normalization
-    return StateVector._wrap(amps), registry
+    vals = np.full(1 << total, np.sqrt(0.5 ** total), dtype=np.complex128)
+    vals /= np.linalg.norm(vals)
+    return shape.resource_qubits, s | s << total | ghz << 2 * total, vals
+
+
+def prepare_control_resource(shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:
+    """Entangled control resource (|Phi+>^M |GHZ+> + |Phi->^M |GHZ->)/sqrt(2) over M EPR
+    pairs and n + 1 GHZ qubits (the n agents' and the sender's): ``_control_support``, scattered."""
+    num_qubits, indices, vals = _control_support(shape)
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[indices] = vals
+    return StateVector._wrap(amps), QubitRegistry(shape, include_messages=False)
 
 
 def _parity_mask(state: StateVector, qubits: Sequence[int]) -> int:

@@ -18,6 +18,7 @@ UNITARY_ATOL = 1e-12
 ZERO_BRANCH_ATOL = 1e-14
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's bound on a sum of probabilities off 1
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -235,9 +236,16 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
 
 
 def _pick(selector: Selector, outcomes: Sequence, probs: Sequence[float]):
+    """The outcome ``selector`` names, or a generator's draw by the weights ``probs``
+    through ``Generator.choice``'s own arithmetic: the same outcome and generator state."""
     if isinstance(selector, np.random.Generator):
         p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-        return outcomes[selector.choice(len(outcomes), p=p / p.sum())]
+        cdf = (p / p.sum()).cumsum()
+        # choice refuses NaN, negative weights (none survive the clip) and a sum off 1
+        if not abs(cdf[-1] - 1.0) <= _CHOICE_ATOL:
+            raise ValueError(f"weights {list(probs)} are not probabilities")
+        cdf /= cdf[-1]
+        return outcomes[cdf.searchsorted(selector.random(), side="right")]
     if selector not in outcomes:
         raise ValueError(f"invalid branch selector {selector!r}")
     return selector

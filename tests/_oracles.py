@@ -8,9 +8,11 @@ Bell kernels of ``teleportnet.states``.  ``report_text`` is the reference
 for the CLI's report writer, and ``run_report`` for the report of ``run``,
 built from the library's objects.  ``dense_sampled`` and
 ``dense_enumerate`` are the executor's sampled and enumerate loops as they
-were when they rotated the full state vector, and
-``control_resource_two_terms`` is the control resource as it was built
-before it was written down from its closed form. ``joint_stack_marginals``
+were when they rotated the full state vector, and ``choice_pick`` the draw
+as it was when it called ``Generator.choice``.  ``control_resource_two_terms``
+is the control resource as it was built before it was written down from its
+closed form, and ``kron_message_state`` the message state as it was built
+by one ``np.kron`` per qubit. ``joint_stack_marginals``
 is the defection table's reduction as it was when it built every branch's
 joint operator and traced the stack.  ``row_transcripts`` and ``row_reports``
 are the library's record builders as they were when they built every field
@@ -53,7 +55,7 @@ from teleportnet import (
 )
 from teleportnet.defection import _form_for
 from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, FIDELITY_ATOL, _plan, _support
-from teleportnet.states import ZERO_BRANCH_ATOL, _num_qubits_for, _pick, _read_only
+from teleportnet.states import ZERO_BRANCH_ATOL, _num_qubits_for, _read_only
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -547,13 +549,37 @@ def _normalized(outcomes, kept):
     return outcomes, probs, kept / np.sqrt(probs)[:, None]
 
 
+def choice_pick(rng, outcomes, probs):
+    """``states._pick``'s draw as it was: ``Generator.choice`` on the
+    clipped, normalized weights."""
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    return outcomes[rng.choice(len(outcomes), p=p / p.sum())]
+
+
+def kron_message_state(spec) -> StateVector:
+    """``prepare_message_state`` as it was: one ``np.kron`` per qubit."""
+    amps = np.array([1.0], dtype=np.complex128)
+    for a, b in spec.qubits:
+        amps = np.kron(np.array([a, b], dtype=np.complex128), amps)
+    return StateVector(amps)
+
+
+def resource_state(resource) -> StateVector:
+    """A resource given as ``measure_all`` takes it, by its qubit count and
+    support, scattered into zeros."""
+    n, idx, vals = resource
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[idx] = vals
+    return StateVector._wrap(amps)
+
+
 def dense_sampled(resource, message, groups, keep, rng, draw_order=None):
     """``measure_all``'s sampled mode over the full 2^N vector: the laid-out
     ``tensor(message, resource)`` is rotated one group at a time in
     ``draw_order`` and each outcome drawn by the Born weights of every row.
     Its bits are the reference for the loop over the state's support."""
     order, layout = _plan(groups, keep, draw_order)
-    full = tensor(message, resource)
+    full = tensor(message, resource_state(resource))
     n = full.num_qubits
     t = np.transpose(full.amplitudes.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
     dims = [1 << len(groups[g]) for g in order]
@@ -561,7 +587,7 @@ def dense_sampled(resource, message, groups, keep, rng, draw_order=None):
     for g, d in zip(order, dims):
         t = _ROTATIONS[d] @ t.reshape(d, -1)
         weights = np.einsum("ij,ij->i", t, t.conj()).real
-        outcomes[0, g] = _pick(rng, range(d), weights)
+        outcomes[0, g] = choice_pick(rng, range(d), weights)
         t = t[outcomes[0, g]]
     return _normalized(outcomes, t.reshape(1, -1))
 

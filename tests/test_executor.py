@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, QubitRegistry, StateVector, protocol
 from teleportnet.defection import _defection_table, _reports
-from teleportnet.protocol import _event_qubits, measure_all
+from teleportnet.protocol import _event_qubits, _nonzeros, measure_all
+from teleportnet.resources import _control_support
 
 from _oracles import (
     best_grid_fidelity,
@@ -167,7 +168,7 @@ def test_reports_on_non_diagonal_marginals(total, count, seed):
 def test_zero_probability_branch_is_refused():
     # |0> (x) |0> has no weight on the psi outcomes of a Bell measurement
     with pytest.raises(ValueError, match="probability"):
-        measure_all(StateVector([1, 0]), StateVector([1, 0]), [(0, 1)], [])
+        measure_all(_nonzeros(StateVector([1, 0])), StateVector([1, 0]), [(0, 1)], [])
 
 
 def _assert_same_bits(got, want):
@@ -185,7 +186,7 @@ def _network_args(specs, shape, defector=None):
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
     keep += [] if defector is None else [registry.agent(defector)]
     message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
-    return tn.prepare_control_resource(shape)[0], message, groups, keep
+    return _control_support(shape), message, groups, keep
 
 
 def _network_cases(counts, agents, preset, seed, data):
@@ -200,7 +201,7 @@ def _network_cases(counts, agents, preset, seed, data):
         specs = [MessageSpec.random(m, rng) for m in counts]
     defector = data.draw(st.sampled_from([None, *range(agents)]))
     network = _network_args(specs, shape, defector)
-    copy = (tn.prepare_ghz(agents + 2), StateVector(specs[0].qubits[0]),
+    copy = (_nonzeros(tn.prepare_ghz(agents + 2)), StateVector(specs[0].qubits[0]),
             [(0, 1)] + [(3 + j,) for j in range(agents) if j != defector],
             [2] if defector is None else [2, 3 + defector])
     return network, copy
@@ -213,7 +214,7 @@ def _random_sparse_args(size, m, seed, data):
     rng = np.random.default_rng(seed)
     amps = (rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)) * (rng.random(1 << size) < 0.5)
     amps[rng.integers(1 << size)] += 1
-    resource = StateVector(amps / np.linalg.norm(amps))
+    resource = _nonzeros(StateVector(amps / np.linalg.norm(amps)))
     message = tn.prepare_message_state(MessageSpec.random(m, rng))
     qubits = data.draw(st.permutations(range(size + m)))
     sizes = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=size + m))
@@ -283,7 +284,7 @@ def test_sampled_lone_column_is_rotated_like_the_full_row(seed):
     row's gemm (at each of these seeds).  The row is found from the support,
     as it is for rows longer than ``_WHOLE_ROW_BITS`` qubits."""
     message = tn.prepare_message_state(MessageSpec.random(1, np.random.default_rng(seed)))
-    args = (StateVector([1, 0]), message, [(0,)], [1])
+    args = (_nonzeros(StateVector([1, 0])), message, [(0,)], [1])
     with mock.patch.object(protocol, "_WHOLE_ROW_BITS", 0):
         got = measure_all(*args, np.random.default_rng(seed))
     _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
@@ -310,6 +311,21 @@ def test_sampled_run_never_allocates_the_state_vector():
         tracemalloc.stop()
     assert t.fidelity >= 1.0 - tn.protocol.FIDELITY_ATOL
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_sampled_run_never_allocates_the_control_resource():
+    """A sampled run at (1,22), whose control resource alone would be 2^25
+    amplitudes (512 MiB), stays under 4 MiB of traced allocations: it
+    measures the resource's closed-form support of 2 amplitudes."""
+    spec = MessageSpec.random(1, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        table = protocol._network_table([spec], NetworkShape.single(1, 22), "sampled", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.fids[0][0] >= 1.0 - tn.protocol.FIDELITY_ATOL
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,4 +404,4 @@ def test_defection_table_peak_stays_near_the_kept_states():
 ], ids=["qubit-twice", "three-qubit-group", "qubit-missing"])
 def test_malformed_groups_are_refused(groups, keep, fault):
     with pytest.raises(ValueError, match=fault):
-        measure_all(tn.prepare_ghz(2), StateVector([0.6, 0.8]), groups, keep)
+        measure_all(_nonzeros(tn.prepare_ghz(2)), StateVector([0.6, 0.8]), groups, keep)

@@ -18,7 +18,8 @@ from teleportnet import (
     QubitRegistry,
     StateVector,
 )
-from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _plan
+from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _nonzeros, _plan
+from teleportnet.resources import _control_support
 
 from _oracles import conditional_kets, scattered_support
 
@@ -421,7 +422,7 @@ def test_initial_state_layouts_match_the_transposed_product(data):
 
     ghz, pair = tn.prepare_ghz(shape.num_agents + 2), StateVector(specs[0].qubits[0])
     layout = data.draw(st.permutations(range(shape.num_agents + 3)))
-    _assert_laid_out(scattered_support(ghz, pair, layout), tn.tensor(pair, ghz), layout)
+    _assert_laid_out(scattered_support(_nonzeros(ghz), pair, layout), tn.tensor(pair, ghz), layout)
 
 
 def test_initial_state_matches_the_transposed_product_where_a_norm_rounds_apart():
@@ -439,8 +440,8 @@ def _assert_layouts_match(specs, shape, permutation, order):
     message and resource in the natural layout, ``permutation``, the layout
     of the event order ``order`` and the layout of every defector."""
     message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
-    resource = tn.prepare_control_resource(shape)[0]
-    full = tn.tensor(message, resource)
+    resource = _control_support(shape)
+    full = tn.tensor(message, tn.prepare_control_resource(shape)[0])
     assert np.array_equal(scattered_support(resource, message), full.amplitudes)
 
     registry = QubitRegistry(shape)

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, ParityClass, QubitRegistry, StateVector
 from teleportnet.cli import MAX_TOTAL_QUBITS
+from teleportnet.protocol import _nonzeros
+from teleportnet.resources import _control_support
 
-from _oracles import control_resource_dense, control_resource_two_terms, partial_trace_dense, product_state_dense
+from _oracles import (
+    control_resource_dense,
+    control_resource_two_terms,
+    kron_message_state,
+    partial_trace_dense,
+    product_state_dense,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 # every single-receiver shape that ``run`` admits with at most 18 resource
@@ -132,6 +140,17 @@ class TestPrepareMessageState:
         state = tn.prepare_message_state(spec)
         np.testing.assert_allclose(state.amplitudes, product_state_dense(spec.qubits), atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(["random", "balanced_random_phases"]), st.integers(0, 2**32 - 1))
+    def test_bits_match_the_kron_build(self, m, kind, seed):
+        spec = getattr(MessageSpec, kind)(m, np.random.default_rng(seed))
+        assert tn.prepare_message_state(spec).amplitudes.tobytes() == kron_message_state(spec).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("pairs", [((1, 0),), ((0, 1), (1, 0)), ((SQ2, -SQ2), (-0.0, 1), (1j, 0))])
+    def test_bits_match_the_kron_build_on_preset_pairs(self, pairs):
+        spec = MessageSpec(pairs)
+        assert tn.prepare_message_state(spec).amplitudes.tobytes() == kron_message_state(spec).amplitudes.tobytes()
+
     def test_per_qubit_marginals(self, rng):
         spec = MessageSpec.random(3, rng)
         state = tn.prepare_message_state(spec)
@@ -187,6 +206,18 @@ class TestControlResource:
     def test_bits_match_the_two_term_build(self, counts, n):
         state, _ = tn.prepare_control_resource(NetworkShape(counts, n))
         assert state.amplitudes.tobytes() == control_resource_two_terms(counts, n).tobytes()
+
+    @pytest.mark.parametrize("counts,n", [s for s in RESOURCE_SHAPES if len(s[0]) == 1] + [((2, 3), 5)])
+    def test_closed_form_support_is_the_nonzeros(self, counts, n):
+        # what network runs measure is, index for index and bit for bit, the
+        # support of the vector that prepare_control_resource returns
+        shape = NetworkShape(counts, n)
+        qubits, idx, vals = _control_support(shape)
+        want_qubits, want_idx, want_vals = _nonzeros(tn.prepare_control_resource(shape)[0])
+        order = np.argsort(idx)
+        assert qubits == want_qubits
+        assert (idx.dtype, idx[order].tobytes()) == (want_idx.dtype, want_idx.tobytes())
+        assert (vals.dtype, vals[order].tobytes()) == (want_vals.dtype, want_vals.tobytes())
 
     def test_build_holds_one_resource(self):
         # the scattered vector is normalized in place and wrapped, not copied

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 import teleportnet as tn
 from teleportnet import BellOutcome, DensityMatrix, PauliOp, StateVector
+from teleportnet.states import _pick
 
-from _oracles import born_z_probability, partial_trace_dense, project_dense
+from _oracles import born_z_probability, choice_pick, partial_trace_dense, project_dense
 from conftest import random_state, random_unitary2
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -124,6 +125,44 @@ class TestMeasureZ:
         sv = random_state(n, gen)
         p0, p1 = tn.z_probabilities(sv, int(gen.integers(n)))
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
+
+
+# any float, with zeros of both signs and subnormals drawn often
+_WEIGHT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_WEIGHT, min_size=2, max_size=2) | st.lists(_WEIGHT, min_size=4, max_size=4),
+                min_size=1, max_size=6), st.integers(0, 2**64 - 1))
+def test_pick_draws_what_generator_choice_draws(draws, seed):
+    """Draw after draw from one seed, ``_pick`` and ``Generator.choice`` on
+    the same weights pick the same outcome and leave the generator in the
+    same state, or both refuse the weights with a ValueError."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        for weights in draws:
+            outcomes = tuple(f"outcome{k}" for k in range(len(weights)))
+            try:
+                want = choice_pick(theirs, outcomes, np.array(weights))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _pick(ours, outcomes, np.array(weights))
+            else:
+                assert _pick(ours, outcomes, np.array(weights)) == want
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_pick_draws_what_generator_choice_draws_over_a_long_run(d):
+    """Ten thousand draws by the Born weights of random amplitudes pick what
+    choice picks: enough draws land near the cumulative weights' bounds
+    that a bound moved by a thousandth shows."""
+    amps = np.random.default_rng(d).standard_normal((10_000, d, 2)) @ [1, 1j]
+    weights = (amps * amps.conj()).real
+    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+    got = [_pick(ours, range(d), w) for w in weights]
+    assert got == [choice_pick(theirs, range(d), w) for w in weights]
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestMeasureX:
