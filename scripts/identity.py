@@ -28,7 +28,9 @@ matrices by ``tobytes()``.  The groups cover:
   at (6,6) for the same messages; ``max_recovery_fidelity`` on 200 single operators
   with the default grid and with grids of 1, 2 and 3 unitaries
 - the report bytes and exit code of every stored-report CLI command and of
-  ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``
+  ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``, and
+  the report as printed to stdout of a sampled, a multi-receiver enumerate
+  and a defection run
 - sampled transcripts of 280 random messages, 10 at each of the shapes
   (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
   permuted event order; of the benchmark's three 21-qubit sampled shapes at
@@ -82,6 +84,8 @@ CLI_COMMANDS = [
 # the largest defection report the benchmark ladder writes, 5 MiB, and one of
 # 4,096 branches whose 2x2 marginals take few distinct values (6 MiB)
 LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2", "run --m 5 --n 2 --defector 1"]
+# commands whose reports are hashed as written to stdout, without --out
+STDOUT_COMMANDS = ["run --m 2 --n 2 --seed 5", "run --ml 1 2 --n 2 --enumerate", "run --ml 1 2 --n 3 --defector 3"]
 # (message counts, agents, 1-based defector) of the benchmark's defection runs
 BENCH_DEFECTIONS = [((3,), 3, 2), ((2,), 4, 1), ((1, 2), 3, 3)]
 # message counts of the sampled random-message group, each with 1 to 4 agents
@@ -290,6 +294,12 @@ def hash_tree(tree: Path) -> dict[str, str]:
             groups[f"cli[{command}]"] = group = Group()
             group.add(code, printed.getvalue(), out.read_bytes() if out.exists() else b"")
             out.unlink(missing_ok=True)
+    for command in STDOUT_COMMANDS:
+        printed, errors = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
+            code = cli_main(command.split())
+        groups[f"cli.stdout[{command}]"] = group = Group()
+        group.add(code, printed.getvalue(), errors.getvalue())
     return {name: g.hexdigest() for name, g in groups.items()}
 
 

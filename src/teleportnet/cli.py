@@ -33,6 +33,7 @@ from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_QUBITS = 26
+MAX_M_RANGE = 10_000  # rows of a compare --m table
 DEFAULT_MESSAGE_SEED = 2718  # fixed so enumerate-mode reports never depend on --seed
 
 PRESETS = {
@@ -63,10 +64,12 @@ def _round_floats(obj: Any) -> Any:
 
 
 # The stdlib encoder skips its C encoder when it indents, so records are not
-# dumped one by one: each record shape is laid out once (a "frame", with %s at
-# each leaf that varies) and every row fills it with its leaves' JSON texts,
-# which come from the columns through lookup arrays. The bytes are those of
-# one json.dumps(_round_floats(report), indent=2, sort_keys=True).
+# dumped one by one. The report is dumped once, with the records' skeletons
+# (record shapes whose leaves that vary are columns) in place of its records:
+# each column dumps as a hole. The skeleton list's text is a frame, %s at each
+# hole, that every row fills with its leaves' JSON texts, which come from the
+# columns through lookup arrays. The bytes are those of one
+# json.dumps(_round_floats(report), indent=2, sort_keys=True).
 _HOLE = "\x00"  # a column's place in a skeleton record
 _HOLE_TEXT = json.dumps(_HOLE)
 _CHUNK = 512  # rows per written piece: the report is streamed, never held whole
@@ -98,54 +101,42 @@ _FORM_TEXT = [json.dumps(_form_for(o).value) for o in BellOutcome]
 _PRESERVED = np.array([_form_for(o) is DiagonalForm.PRESERVED for o in BellOutcome])
 
 
-def _frame(skeleton: dict) -> tuple[str, list[np.ndarray]]:
-    """A record whose leaves are columns or constants, as an item of a
-    top-level key's list: its text with ``%s`` at each column, and the columns
-    in that order. No key or constant may hold the character ``_HOLE``."""
+def _report_pieces(report: dict, key: str | None = None) -> Iterator[str]:
+    """``json.dumps(_round_floats(report), indent=2, sort_keys=True)`` and a
+    newline, in pieces; ``report[key]`` lists skeletons, and stands for one
+    record per skeleton for each row of their columns. No key or constant of
+    a skeleton may hold the character ``_HOLE``."""
     columns = []
 
     def hole(column: np.ndarray) -> str:
         columns.append(column)  # the encoder meets the leaves in the order it writes them
         return _HOLE
 
-    text = json.dumps(_round_floats(skeleton), indent=2, sort_keys=True, default=hole)
-    if text.count(_HOLE_TEXT) != len(columns):
+    text = json.dumps(_round_floats(report), indent=2, sort_keys=True, default=hole) + "\n"
+    if key is None:
+        yield text
+        return
+    # only top-level lines start with exactly two spaces, and no string holds a raw newline
+    head = f'\n  "{key}": [\n'
+    start = text.index(head) + len(head)
+    end = text.index("\n  ]", start)
+    frame = text[start:end]
+    if frame.count(_HOLE_TEXT) != len(columns):
         raise ValueError("a key or a constant of the record spells a hole")
-    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s").replace("\n", "\n    "), columns
+    frame = frame.replace("%", "%%").replace(_HOLE_TEXT, "%s")
+    yield text[:start]
+    for first in range(0, len(columns[0]), _CHUNK):
+        cells = [c[first:first + _CHUNK].tolist() for c in columns]
+        yield (",\n" if first else "") + ",\n".join(map(frame.__mod__, zip(*cells)))
+    yield text[end:]
 
 
-def _records(skeletons: list[dict]) -> Iterator[str]:
-    """The text of a top-level list holding, for each row of the columns, one
-    record per skeleton, in pieces of ``_CHUNK`` rows."""
-    frames, columns = zip(*map(_frame, skeletons))
-    frame = ",\n    ".join(frames)
-    columns = [c for cs in columns for c in cs]
-    yield "[\n    "
-    for start in range(0, len(columns[0]), _CHUNK):
-        cells = [c[start:start + _CHUNK].tolist() for c in columns]
-        yield (",\n    " if start else "") + ",\n    ".join(map(frame.__mod__, zip(*cells)))
-    yield "\n  ]"
-
-
-def _report_pieces(report: dict) -> Iterator[str]:
-    """``json.dumps(_round_floats(report), indent=2, sort_keys=True)`` and a
-    newline, in pieces; a value that is an iterator (``_records``) gives its
-    own text."""
-    sep = "{\n  "
-    for key in sorted(report):
-        value = report[key]
-        yield sep + json.dumps(key) + ": "
-        if isinstance(value, Iterator):
-            yield from value
-        else:
-            yield json.dumps(_round_floats(value), indent=2, sort_keys=True).replace("\n", "\n  ")
-        sep = ",\n  "
-    yield "\n}\n"
-
-
-def _emit_report(report: dict, out_path: str | None) -> None:
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(_report_pieces(report))
+def _emit_report(report: dict, out_path: str | None, key: str | None = None) -> None:
+    try:
+        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(_report_pieces(report, key))
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}")
 
 
 def _load_spec_file(path: str) -> dict:
@@ -257,8 +248,8 @@ def _build_specs(config: dict, shape: NetworkShape) -> tuple[list[MessageSpec], 
     return specs, source
 
 
-def _transcript_records(t: _TranscriptTable) -> Iterator[str]:
-    """One record per branch and receiver, interleaved by branch."""
+def _transcript_records(t: _TranscriptTable) -> list[dict]:
+    """One skeleton per receiver: a record per branch and receiver, interleaved by branch."""
     total = sum(t.counts)
     bells = [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T]
     corrections = [_lookup(_PAULI_TEXT, c) for c in t.ops.T]
@@ -270,17 +261,17 @@ def _transcript_records(t: _TranscriptTable) -> Iterator[str]:
         "branch_probability": _float_column(t.probs),
     }
     ends = np.cumsum(t.counts).tolist()
-    return _records([
+    return [
         {**shared, "receiver": r, "bell_outcomes": bells[end - m:end], "corrections": corrections[end - m:end],
          "fidelity": _float_column(t.fids[r])}
         for r, (m, end) in enumerate(zip(t.counts, ends))
-    ])
+    ]
 
 
-def _defection_records(t: _DefectionTable, defector: int) -> Iterator[str]:
-    """One record per cooperating branch; ``defector`` is 1-based."""
+def _defection_records(t: _DefectionTable, defector: int) -> list[dict]:
+    """The skeleton of a record per cooperating branch; ``defector`` is 1-based."""
     total = len(t.marginals)
-    return _records([{
+    return [{
         "defector": defector,
         "bell_outcomes": [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T],
         "cooperator_bits": [_lookup(_BITS, c) for c in t.outcomes[:, total:].T],
@@ -295,7 +286,7 @@ def _defection_records(t: _DefectionTable, defector: int) -> Iterator[str]:
             for i, m in enumerate(t.marginals)
         ],
         "off_diagonal_norm": _float_column(t.off.max(axis=1)),
-    }])
+    }]
 
 
 def _diagonal_ok(t: _DefectionTable, qubits: Sequence[tuple[complex, complex]]) -> np.ndarray:
@@ -346,8 +337,9 @@ def cmd_run(args) -> int:
     if defector is not None:
         table = _network_defection(specs, shape, defector - 1)[0]
         ok = bool(_diagonal_ok(table, [q for s in specs for q in s.qubits]).all())
+        key = "branches"
         report["kind"] = "defection_analysis"
-        report["branches"] = _defection_records(table, defector)
+        report[key] = _defection_records(table, defector)
         report["summary"] = {
             "num_branches": len(table.probs),
             "max_off_diagonal": max(table.off.max(axis=1).tolist()),
@@ -360,22 +352,25 @@ def cmd_run(args) -> int:
         min_fid = min(np.stack(table.fids, axis=1).ravel().tolist())
         ok = min_fid >= 1.0 - FIDELITY_ATOL
         prob_sum = sum(np.repeat(table.probs, k).tolist()) / max(k, 1)
+        key = "transcripts"
         report["kind"] = "protocol_run"
-        report["transcripts"] = _transcript_records(table)
+        report[key] = _transcript_records(table)
         report["summary"] = {
             "num_transcripts": len(table.probs) * k,
             "min_fidelity": min_fid,
             "branch_probability_sum": prob_sum if mode == "enumerate" else None,
             "all_fidelities_pass": ok,
         }
-    _emit_report(report, args.out)
+    _emit_report(report, args.out, key)
     return 0 if ok else 1
 
 
 def _parse_m_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(_as_int(lo, "--m"), _as_int(hi, "--m") + 1))
+        lo, hi = (_as_int(x, "--m") for x in text.split("..", 1))
+        if hi - lo >= MAX_M_RANGE:
+            raise ConfigError(f"--m range {lo}..{hi} holds more than {MAX_M_RANGE} values")
+        return list(range(lo, hi + 1))
     return [_as_int(text, "--m")]
 
 

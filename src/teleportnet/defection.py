@@ -179,6 +179,7 @@ class _DefectionTable(NamedTuple):
     outcomes: np.ndarray  # measure_all's outcomes: Bell outcomes, then the cooperators' bits
     probs: np.ndarray
     marginals: list[np.ndarray]  # per received qubit, its 2x2 operators, validated
+    keys: list[tuple[np.ndarray, np.ndarray]]  # per received qubit, _distinct of its marginals
     best: np.ndarray  # best[b, i]: received qubit i's best recovery fidelity
     off: np.ndarray  # off[b, i]: received qubit i's largest off-diagonal magnitude
 
@@ -206,7 +207,7 @@ def _defection_table(
     best = np.stack([_best_recovery(m[first], pair, unitaries)[inverse]
                      for m, pair, (first, inverse) in zip(marginals, qubits, keys)], axis=1)
     off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals], axis=1)
-    return _DefectionTable(outcomes, probs, marginals, best, off)
+    return _DefectionTable(outcomes, probs, marginals, keys, best, off)
 
 
 def _marginal(halves: np.ndarray, total: int, qubit: int) -> np.ndarray:
@@ -265,10 +266,8 @@ def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
     diagonal forms, and each bytewise-distinct marginal is built once and
     shared by the rows; with one received qubit the joint is the marginal."""
     total = len(t.marginals)
-    per_qubit = []
-    for m in t.marginals:
-        first, inverse = _distinct(m)
-        per_qubit.append(list(map(DensityMatrix._wrap_all(m[first]).__getitem__, inverse.tolist())))
+    per_qubit = [list(map(DensityMatrix._wrap_all(m[first]).__getitem__, inverse.tolist()))
+                 for m, (first, inverse) in zip(t.marginals, t.keys)]
     if total == 1:
         joints = per_qubit[0]
     else:

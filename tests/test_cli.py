@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from teleportnet import MessageSpec, NetworkShape
-from teleportnet.cli import _diagonal_ok, main
-from teleportnet.defection import _network_defection, _reports
+from teleportnet.cli import MAX_M_RANGE, _diagonal_ok, main
+from teleportnet.defection import _distinct, _network_defection, _reports
 
 from _oracles import diag_matches
 
@@ -123,6 +123,13 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: shape exceeds simulator capacity: 3000002 qubits > 26\n"
         assert peak < 1 << 20
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_defection_at_six_message_qubits_runs(self, tmp_path):
         # (6,2): 2^14 branches whose 64x64 joint operators would take 1 GiB; none is built
@@ -248,6 +255,7 @@ class TestRunCommand:
         table.marginals[1][9, 1, 1] -= 3e-12
         table.marginals[1][20, 0, 0] += 5e-13
         table.off[12, 1] = 2e-12
+        table = table._replace(keys=[_distinct(m) for m in table.marginals])  # the nudged operators' own keys
         want = [r.off_diagonal_norm < 1e-12 and all(diag_matches(r, q, spec) for q in range(2))
                 for r in _reports(table, kept, 1)]
         assert _diagonal_ok(table, spec.qubits).tolist() == want
@@ -291,6 +299,29 @@ class TestCompareCommand:
         run_cli("compare", "--n", "2", "--m", "1..6", "--out", str(a))
         run_cli("compare", "--n", "2", "--m", "1..6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run_cli("compare", "--n", "1", "--m", "1..3", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_huge_m_range_is_refused_before_any_list_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run_cli("compare", "--n", "1", "--m", "1..10000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --m range 1..10000000000 holds more than {MAX_M_RANGE} values\n"
+        assert peak < 1 << 20
+
+    def test_m_range_at_the_limit_runs(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run_cli("compare", "--n", "1", "--m", f"1..{MAX_M_RANGE}", "--out", str(out)) == 0
+        assert len(json.loads(out.read_text())["rows"]) == MAX_M_RANGE
 
     def test_compare_needs_m_or_ml(self):
         assert run_cli("compare", "--n", "1") == 2

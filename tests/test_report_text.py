@@ -1,6 +1,7 @@
-"""The CLI's report writer, which lays out each record shape once and fills it
-from columns, against one stdlib dump of the whole report; and the report of
-``run`` against the same report built from the library's objects."""
+"""The CLI's report writer, which dumps the report once with each record shape
+in place of its records and fills that shape's text from columns, against one
+stdlib dump of the whole report; and the report of ``run`` against the same
+report built from the library's objects."""
 
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teleportnet import NetworkShape, cli
-from teleportnet.cli import _BITS, _float_column, _frame, _lookup, _records, _report_pieces
+from teleportnet.cli import _BITS, _float_column, _lookup, _report_pieces
 
 from _oracles import _round_floats, report_text, run_report
 
@@ -107,7 +108,7 @@ def test_report_text_matches_one_stdlib_dump(recs, envelope, key, chunk):
     skeletons, records = recs
     scenario = {"note": "\x00", "%s": "%", key: "\x00"}
     with mock.patch.object(cli, "_CHUNK", chunk):
-        got = "".join(_report_pieces({**envelope, "scenario": scenario, key: _records(skeletons)}))
+        got = "".join(_report_pieces({**envelope, "scenario": scenario, key: skeletons}, key))
     assert got == report_text({**envelope, "scenario": scenario, key: records}) + "\n"
 
 
@@ -118,12 +119,12 @@ def test_zero_signs_and_bool_int_float_stay_apart():
     skeleton = {"x": _float_column(np.array(xs)), "y": _lookup([json.dumps(c) for c in choices], np.array(codes)),
                 "z": -0.0}
     records = [{"x": x, "y": choices[c], "z": -0.0} for x, c in zip(xs, codes)]
-    assert "".join(_report_pieces({"branches": _records([skeleton])})) == report_text({"branches": records}) + "\n"
+    assert "".join(_report_pieces({"branches": [skeleton]}, "branches")) == report_text({"branches": records}) + "\n"
 
 
 def test_a_key_that_spells_a_hole_is_refused():
     with pytest.raises(ValueError, match="hole"):
-        _frame({'"\x00': _lookup(_BITS, np.array([0]))})
+        "".join(_report_pieces({"branches": [{'"\x00': _lookup(_BITS, np.array([0]))}]}, "branches"))
 
 
 def test_float_column_texts_match_the_stdlib():
@@ -183,3 +184,38 @@ def test_run_report_matches_library_objects(tmp_path_factory, scenario):
     report, want_code = run_report(specs, shape, want)
     assert code == want_code
     assert (work / "report.json").read_text() == report_text(report) + "\n"
+
+
+# nested record keys and a string that spells the end of the records, were a
+# string's newline not escaped
+HOSTILE_SOURCE = {
+    "kind": "preset", "name": "plus", "end": "\n  ]",
+    "transcripts": [["\n  ]", {"branches": ["\n  ]\n", "  ]"]}]], "branches": [{"transcripts": [[]]}, "]"],
+}
+
+
+@pytest.mark.parametrize("defector", [None, 2], ids=["enumerate", "defection"])
+def test_nested_record_keys_in_the_spec_stay_in_the_scenario(tmp_path, defector):
+    # a defection report's "branches" sorts before the scenario, a run's "transcripts" after it
+    spec = {"ml": [1, 1], "n": 2, "messages": HOSTILE_SOURCE, "mode": "enumerate", "defector": defector}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code = cli.main(["run", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "report.json")])
+    shape = NetworkShape((1, 1), 2)
+    specs, _ = cli._build_specs(spec, shape)
+    report, want_code = run_report(specs, shape, {
+        "message_counts": [1, 1], "num_agents": 2, "mode": "enumerate", "seed": None, "defector": defector,
+        "message_source": HOSTILE_SOURCE,
+    })
+    assert code == want_code == 0
+    assert (tmp_path / "report.json").read_text() == report_text(report) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--m", "2", "--n", "2", "--seed", "5"], ["run", "--ml", "1", "2", "--n", "2", "--enumerate"],
+    ["run", "--m", "2", "--n", "1", "--defector", "1"], ["compare", "--n", "2", "--m", "1..6"],
+    ["compare", "--k", "2", "--ml", "1", "--n", "2"],
+], ids=["sampled", "enumerate-two-receivers", "defection", "compare-sweep", "compare-shape"])
+def test_each_report_is_one_indented_dump(tmp_path, capsys, argv):
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    assert sum(c.kwargs.get("indent") == 2 for c in dumps.call_args_list) == 1
