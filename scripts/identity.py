@@ -30,7 +30,7 @@ matrices by ``tobytes()``.  The groups cover:
 - the report bytes and exit code of every stored-report CLI command and of
   ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``, and
   the report as printed to stdout of a sampled, a multi-receiver enumerate
-  and a defection run
+  and a defection run, and the stdout and exit code of ``selftest``
 - sampled transcripts of 280 random messages, 10 at each of the shapes
   (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
   permuted event order; of the benchmark's three 21-qubit sampled shapes at
@@ -84,8 +84,9 @@ CLI_COMMANDS = [
 # the largest defection report the benchmark ladder writes, 5 MiB, and one of
 # 4,096 branches whose 2x2 marginals take few distinct values (6 MiB)
 LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2", "run --m 5 --n 2 --defector 1"]
-# commands whose reports are hashed as written to stdout, without --out
-STDOUT_COMMANDS = ["run --m 2 --n 2 --seed 5", "run --ml 1 2 --n 2 --enumerate", "run --ml 1 2 --n 3 --defector 3"]
+# commands whose output is hashed as written to stdout, without --out: three reports and the self-test's lines
+STDOUT_COMMANDS = ["run --m 2 --n 2 --seed 5", "run --ml 1 2 --n 2 --enumerate", "run --ml 1 2 --n 3 --defector 3",
+                   "selftest"]
 # (message counts, agents, 1-based defector) of the benchmark's defection runs
 BENCH_DEFECTIONS = [((3,), 3, 2), ((2,), 4, 1), ((1, 2), 3, 3)]
 # message counts of the sampled random-message group, each with 1 to 4 agents

@@ -2,6 +2,8 @@
 dense state-vector simulation, protocol runs, defection analysis, and
 resource accounting."""
 
+from types import ModuleType as _Module
+
 from .accounting import CrossoverRow, CrossoverTable, Method, ResourceReport, account, crossover_table
 from .defection import (
     ConditionalStateReport,
@@ -59,5 +61,6 @@ from .states import (
     z_probabilities,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds here
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _Module)]
 __version__ = "0.1.0"

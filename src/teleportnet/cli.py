@@ -1,5 +1,5 @@
 """Command-line front end: protocol runs, resource comparisons, and a
-self-test of the package invariants.
+self-test of the package invariants, judged on branch tables as ``run`` judges.
 
 Exit codes: 0 success, 1 property violation, 2 configuration error.
 """
@@ -23,10 +23,10 @@ from .protocol import (
     CORRECTIONS,
     FIDELITY_ATOL,
     Branch,
+    _baseline_branches,
     _network_table,
+    _transcript_table,
     _TranscriptTable,
-    run_baseline_ghz,
-    run_controlled_teleport,
 )
 from .resources import MessageSpec, NetworkShape, ParityClass, parity_decompose, prepare_ghz
 from .states import BellOutcome, PauliOp, apply_hadamard
@@ -170,8 +170,8 @@ def _as_seed(value: Any, name: str) -> int:
 
 
 def _resolve_shape(args, config: dict) -> NetworkShape:
-    ml = args.ml if args.ml is not None else config.get("ml")
-    m = args.m if args.m is not None else config.get("m")
+    # a given --m or --ml replaces both of the file's message counts
+    m, ml = (args.m, args.ml) if (args.m, args.ml) != (None, None) else (config.get("m"), config.get("ml"))
     k = args.k if args.k is not None else config.get("k")
     n = args.n if args.n is not None else config.get("n", 1)
     if ml is not None and m is not None:
@@ -302,6 +302,28 @@ def _diagonal_ok(t: _DefectionTable, qubits: Sequence[tuple[complex, complex]]) 
     return ok
 
 
+# The summary of each table kind, whose last field is its verdict. The columns are reduced in
+# record order, as a loop over the records would: the bytes of the report do not change.
+def _transcript_summary(t: _TranscriptTable, mode: str = "enumerate") -> dict:
+    k = len(t.counts)
+    min_fid = min(np.stack(t.fids, axis=1).ravel().tolist())
+    return {
+        "num_transcripts": len(t.probs) * k,
+        "min_fidelity": min_fid,
+        "branch_probability_sum": sum(np.repeat(t.probs, k).tolist()) / k if mode == "enumerate" else None,
+        "all_fidelities_pass": min_fid >= 1.0 - FIDELITY_ATOL,
+    }
+
+
+def _defection_summary(t: _DefectionTable, qubits: Sequence[tuple[complex, complex]]) -> dict:
+    return {
+        "num_branches": len(t.probs),
+        "max_off_diagonal": max(t.off.max(axis=1).tolist()),
+        "probability_sum": sum(t.probs.tolist()),
+        "all_diagonal": bool(_diagonal_ok(t, qubits).all()),
+    }
+
+
 def cmd_run(args) -> int:
     config = _load_spec_file(args.spec) if args.spec else {}
     shape = _resolve_shape(args, config)
@@ -332,37 +354,20 @@ def cmd_run(args) -> int:
     }
     report: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "command": "run", "scenario": scenario}
 
-    # The summaries reduce the columns in record order, as a loop over the
-    # records would: the bytes of the report do not change.
     if defector is not None:
         table = _network_defection(specs, shape, defector - 1)[0]
-        ok = bool(_diagonal_ok(table, [q for s in specs for q in s.qubits]).all())
-        key = "branches"
+        key, verdict = "branches", "all_diagonal"
         report["kind"] = "defection_analysis"
         report[key] = _defection_records(table, defector)
-        report["summary"] = {
-            "num_branches": len(table.probs),
-            "max_off_diagonal": max(table.off.max(axis=1).tolist()),
-            "probability_sum": sum(table.probs.tolist()),
-            "all_diagonal": ok,
-        }
+        report["summary"] = _defection_summary(table, [q for s in specs for q in s.qubits])
     else:
         table = _network_table(specs, shape, mode, seed)
-        k = shape.num_receivers
-        min_fid = min(np.stack(table.fids, axis=1).ravel().tolist())
-        ok = min_fid >= 1.0 - FIDELITY_ATOL
-        prob_sum = sum(np.repeat(table.probs, k).tolist()) / max(k, 1)
-        key = "transcripts"
+        key, verdict = "transcripts", "all_fidelities_pass"
         report["kind"] = "protocol_run"
         report[key] = _transcript_records(table)
-        report["summary"] = {
-            "num_transcripts": len(table.probs) * k,
-            "min_fidelity": min_fid,
-            "branch_probability_sum": prob_sum if mode == "enumerate" else None,
-            "all_fidelities_pass": ok,
-        }
+        report["summary"] = _transcript_summary(table, mode)
     _emit_report(report, args.out, key)
-    return 0 if ok else 1
+    return 0 if report["summary"][verdict] else 1
 
 
 def _parse_m_range(text: str) -> list[int]:
@@ -443,19 +448,18 @@ def _selftest_checks():
                 shape = NetworkShape.single(m, n)
                 for _ in range(3):
                     spec = MessageSpec.random(m, rng)
-                    trs = run_controlled_teleport(spec, shape)
-                    if len(trs) != 4 ** m * 2 ** (n + 1):
-                        return f"branch count {len(trs)} wrong for m={m} n={n}"
-                    worst = min(t.fidelity for t in trs)
-                    if worst < 1.0 - FIDELITY_ATOL:
-                        return f"fidelity {worst} below bar at m={m} n={n}"
-                    if abs(sum(t.branch_probability for t in trs) - 1.0) > 1e-9:
+                    summary = _transcript_summary(_network_table([spec], shape, "enumerate", None))
+                    if summary["num_transcripts"] != 4 ** m * 2 ** (n + 1):
+                        return f"branch count {summary['num_transcripts']} wrong for m={m} n={n}"
+                    if not summary["all_fidelities_pass"]:
+                        return f"fidelity {summary['min_fidelity']} below bar at m={m} n={n}"
+                    if abs(summary["branch_probability_sum"] - 1.0) > 1e-9:
                         return f"branch probabilities do not sum to 1 at m={m} n={n}"
         return None
 
     def parity_structure():
         for size in range(2, 8):
-            for sign, expect_even_marker in ((+1, 0), (-1, 1)):
+            for sign in (+1, -1):
                 state = prepare_ghz(size, sign)
                 for q in range(size):
                     state = apply_hadamard(state, q)
@@ -471,7 +475,7 @@ def _selftest_checks():
                 spec = MessageSpec.random(m, rng)
                 for defector in range(n):
                     table = _network_defection([spec], NetworkShape.single(m, n), defector)[0]
-                    if not _diagonal_ok(table, spec.qubits).all():
+                    if not _defection_summary(table, spec.qubits)["all_diagonal"]:
                         return f"defection leaves a non-diagonal or wrong diagonal at m={m} n={n}"
         return None
 
@@ -479,10 +483,11 @@ def _selftest_checks():
         for m in (1, 2):
             for n in (1, 2):
                 spec = MessageSpec.random(m, rng)
-                trs = run_baseline_ghz(spec, NetworkShape.single(m, n))
-                worst = min(t.fidelity for t in trs)
-                if worst < 1.0 - FIDELITY_ATOL:
-                    return f"baseline fidelity {worst} below bar at m={m} n={n}"
+                copies = _baseline_branches(spec, NetworkShape.single(m, n))
+                summaries = [_transcript_summary(_transcript_table(*copy, [MessageSpec((pair,))], sender=False))
+                             for pair, copy in zip(spec.qubits, copies)]
+                if not all(s["all_fidelities_pass"] for s in summaries):
+                    return f"baseline fidelity {min(s['min_fidelity'] for s in summaries)} below bar at m={m} n={n}"
         return None
 
     def corrupted_table_detected():
@@ -490,25 +495,18 @@ def _selftest_checks():
         swapped[BellOutcome.PHI_PLUS] = (PauliOp.Z, PauliOp.I)
         swapped[BellOutcome.PHI_MINUS] = (PauliOp.I, PauliOp.Z)
         spec = MessageSpec.random(1, rng)
-        trs = run_controlled_teleport(spec, NetworkShape.single(1, 1), correction_table=swapped)
-        worst = min(t.fidelity for t in trs)
-        if worst >= 1.0 - 1e-6:
+        table = _network_table([spec], NetworkShape.single(1, 1), "enumerate", None, table=swapped)
+        if _transcript_summary(table)["min_fidelity"] >= 1.0 - 1e-6:
             return "reconstruction did not fail under a corrupted correction table"
         return None
 
     def enumerate_determinism():
         spec = MessageSpec.random(2, rng)
-        shape = NetworkShape.single(2, 1)
-        a = run_controlled_teleport(spec, shape)
-        b = run_controlled_teleport(spec, shape)
-        same = all(
-            x.bell_outcomes == y.bell_outcomes
-            and x.agent_bits == y.agent_bits
-            and x.fidelity == y.fidelity
-            and x.branch_probability == y.branch_probability
-            for x, y in zip(a, b)
-        )
-        return None if same and len(a) == len(b) else "enumerate mode is not deterministic"
+        a, b = ([t.outcomes, t.parity, t.ops, t.probs, *t.fids]
+                for t in (_network_table([spec], NetworkShape.single(2, 1), "enumerate", None) for _ in range(2)))
+        same = len(a) == len(b) and all(
+            (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()) for x, y in zip(a, b))
+        return None if same else "enumerate mode is not deterministic"
 
     return [
         ("reconstruction", reconstruction),

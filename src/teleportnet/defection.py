@@ -19,6 +19,7 @@ import numpy as np
 from .protocol import _BELL_ORDER, _baseline_branches, _network_branches, _parts, _record
 from .resources import MessageSpec, NetworkShape, QubitRegistry, prepare_control_resource, prepare_message_state
 from .states import (
+    UNITARY_ATOL,
     BellOutcome,
     DensityMatrix,
     StateVector,
@@ -134,7 +135,6 @@ def max_recovery_fidelity(
 ) -> float:
     """Best fidelity <t|U rho U^dag|t> over the recovery grid."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    us = recovery_unitaries() if unitaries is None else unitaries
     t = np.asarray(target, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValueError(f"recovery acts on one qubit: the operator must be 2x2, not {mat.shape}")
@@ -144,7 +144,28 @@ def max_recovery_fidelity(
         raise ValueError("the recovery target must be finite")
     if not np.any(t):
         raise ValueError("the recovery target is the zero vector")
-    return float(_best_recovery(mat[None], t, us)[0])
+    return float(_best_recovery(mat[None], t, _recovery_grid(unitaries))[0])
+
+
+def _recovery_grid(unitaries: np.ndarray | None, shape: NetworkShape | None = None,
+                   defector: int | None = None) -> np.ndarray:
+    """The grid to search: the default one, built unitary and taken unchecked,
+    or the caller's (k, 2, 2) stack, refused unless every U^dag U is within
+    ``UNITARY_ATOL`` of I.  Given a shape, first refuses a ``defector``
+    (0-based) outside its agents."""
+    if shape is not None and not 0 <= defector < shape.num_agents:
+        raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
+    if unitaries is None:
+        return recovery_unitaries()
+    us = np.asarray(unitaries)
+    if us.ndim != 3 or us.shape[1:] != (2, 2):
+        raise ValueError(f"the recovery grid must be a (k, 2, 2) stack of unitaries, not {us.shape}")
+    if len(us) == 0:
+        raise ValueError("the recovery grid has no unitaries")
+    # written so that NaN, which fails every comparison, is refused too
+    if not np.abs(us.conj().transpose(0, 2, 1) @ us - np.eye(2)).max() <= UNITARY_ATOL:
+        raise ValueError("the recovery grid holds a matrix that is not unitary")
+    return us
 
 
 # Operators per grid contraction: bounds the (block, grid) temporaries whatever
@@ -157,10 +178,6 @@ _DUAL_BLOCK = 512
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
     """Best fidelity over the grid for each operator of a (count, 2, 2) stack: one einsum
     over the whole grid per block, on the stack in C order, since the einsum rounds by layout."""
-    if np.ndim(unitaries) != 3 or np.shape(unitaries)[1:] != (2, 2):
-        raise ValueError(f"the recovery grid must be a (k, 2, 2) stack of unitaries, not {np.shape(unitaries)}")
-    if len(unitaries) == 0:
-        raise ValueError("the recovery grid has no unitaries")
     t = np.asarray(target, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
@@ -235,9 +252,7 @@ def _network_defection(
 ) -> tuple[_DefectionTable, np.ndarray]:
     """The defection table of a network whose agent ``defector`` (0-based)
     withholds its Hadamard, measurement and bit, and the kept states it reduces."""
-    if not 0 <= defector < shape.num_agents:
-        raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
-    us = recovery_unitaries() if unitaries is None else unitaries
+    us = _recovery_grid(unitaries, shape, defector)
     outcomes, probs, kept = _network_branches(specs, shape, defector=defector)
     return _defection_table(outcomes, probs, kept, [q for s in specs for q in s.qubits], us), kept
 
@@ -300,9 +315,7 @@ def analyze_baseline_defection(
 ) -> list[DefectionReport]:
     """Defection in the per-qubit GHZ baseline: the defector withholds all of
     its per-copy bits; reports are per copy and per cooperating branch."""
-    if not 0 <= defector < shape.num_agents:
-        raise IndexError(f"defector {defector} out of range for {shape.num_agents} agents")
-    us = recovery_unitaries() if unitaries is None else unitaries
+    us = _recovery_grid(unitaries, shape, defector)
     reports = []
     copies = _baseline_branches(spec, shape, defector=defector)
     for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):

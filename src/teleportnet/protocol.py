@@ -27,7 +27,7 @@ from .resources import (
     NetworkShape,
     QubitRegistry,
     _control_support,
-    prepare_ghz,
+    _ghz_support,
     prepare_message_state,
 )
 from .states import (
@@ -245,11 +245,6 @@ def measure_all(
         b = low[0]
         raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
     return outcomes, probs, kept / np.sqrt(probs)[:, None]
-
-
-def _nonzeros(state: StateVector) -> tuple[int, np.ndarray, np.ndarray]:
-    """``state``'s support as ``measure_all`` takes a resource."""
-    return state.num_qubits, (at := np.flatnonzero(state.amplitudes)), state.amplitudes[at]
 
 
 def _support(resource: tuple[int, np.ndarray, np.ndarray], message: StateVector, layout: Sequence[int] | None = None):
@@ -496,7 +491,7 @@ def run_multi_receiver(
 
 def baseline_resource_sizes(shape: NetworkShape) -> list[int]:
     """Resource qubits actually allocated per baseline copy."""
-    return [prepare_ghz(shape.num_agents + 2).num_qubits] * shape.total_messages
+    return [_ghz_support(shape.num_agents + 2)[0]] * shape.total_messages
 
 
 def _baseline_branches(
@@ -517,7 +512,8 @@ def _baseline_branches(
     n = shape.num_agents
     groups = [(0, 1)] + [(3 + j,) for j in range(n) if j != defector]
     keep = [2] if defector is None else [2, 3 + defector]
-    return [measure_all(_nonzeros(prepare_ghz(n + 2)), StateVector(pair), groups, keep, rng) for pair in spec.qubits]
+    ghz = _ghz_support(n + 2)
+    return [measure_all(ghz, StateVector(pair), groups, keep, rng) for pair in spec.qubits]
 
 
 def run_baseline_ghz(

@@ -202,16 +202,25 @@ def prepare_message_state(spec: MessageSpec) -> StateVector:
     return StateVector(amps)
 
 
-def prepare_ghz(num_qubits: int, sign: int = +1) -> StateVector:
-    """(|0...0> + sign |1...1>)/sqrt(2) over ``num_qubits`` qubits."""
+def _ghz_support(num_qubits: int, sign: int = +1) -> tuple[int, np.ndarray, np.ndarray]:
+    """The GHZ state's qubit count, and the indices and amplitudes of its two
+    nonzeros: 0 and 2^q - 1, with +-1/sqrt(2) normalized among themselves,
+    which rounds as the whole vector's norm."""
     if num_qubits < 2:
         raise ValueError("GHZ state needs at least 2 qubits")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    vals = np.array([_SQRT_HALF, sign * _SQRT_HALF], dtype=np.complex128)
+    vals /= np.linalg.norm(vals)
+    return num_qubits, np.array([0, (1 << num_qubits) - 1]), vals
+
+
+def prepare_ghz(num_qubits: int, sign: int = +1) -> StateVector:
+    """(|0...0> + sign |1...1>)/sqrt(2) over ``num_qubits`` qubits: ``_ghz_support``, scattered."""
+    num_qubits, indices, vals = _ghz_support(num_qubits, sign)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = _SQRT_HALF
-    amps[-1] = sign * _SQRT_HALF
-    return StateVector(amps)
+    amps[indices] = vals
+    return StateVector._wrap(amps)
 
 
 def _bit_parity(indices: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ built from the library's objects.  ``dense_sampled`` and
 were when they rotated the full state vector, and ``choice_pick`` the draw
 as it was when it called ``Generator.choice``.  ``control_resource_two_terms``
 is the control resource as it was built before it was written down from its
-closed form, and ``kron_message_state`` the message state as it was built
-by one ``np.kron`` per qubit. ``joint_stack_marginals``
+closed form, ``ghz_dense`` the GHZ state likewise, and ``kron_message_state``
+the message state as it was built by one ``np.kron`` per qubit.  ``_nonzeros``
+is a dense state's support as the executor takes a resource.  ``joint_stack_marginals``
 is the defection table's reduction as it was when it built every branch's
 joint operator and traced the stack.  ``row_transcripts`` and ``row_reports``
 are the library's record builders as they were when they built every field
@@ -561,6 +562,19 @@ def kron_message_state(spec) -> StateVector:
     amps = np.array([1.0], dtype=np.complex128)
     for a, b in spec.qubits:
         amps = np.kron(np.array([a, b], dtype=np.complex128), amps)
+    return StateVector(amps)
+
+
+def _nonzeros(state: StateVector) -> tuple[int, np.ndarray, np.ndarray]:
+    """``state``'s support as ``measure_all`` takes a resource."""
+    return state.num_qubits, (at := np.flatnonzero(state.amplitudes)), state.amplitudes[at]
+
+
+def ghz_dense(num_qubits: int, sign: int) -> StateVector:
+    """``prepare_ghz`` as it was before it was written down from its closed
+    form: both corners set in a vector of zeros, normalized by the constructor."""
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[0], amps[-1] = SQRT_HALF, sign * SQRT_HALF
     return StateVector(amps)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teleportnet import MessageSpec, NetworkShape
+from teleportnet import CORRECTIONS, MessageSpec, NetworkShape, defection, protocol
 from teleportnet.cli import MAX_M_RANGE, _diagonal_ok, main
 from teleportnet.defection import _distinct, _network_defection, _reports
 
@@ -204,6 +204,24 @@ class TestRunCommand:
         path.write_text(json.dumps({"m": 2, "n": 1, "messages": {"kind": "preset", "name": "phase"}}))
         assert run_cli("run", "--spec", str(path), "--enumerate", "--out", str(tmp_path / "r.json")) == 0
 
+    @pytest.mark.parametrize("scenario, flags, counts", [
+        ({"ml": [1, 2], "n": 2, "mode": "enumerate"}, ["--m", "1"], [1]),
+        ({"m": 2, "n": 1, "defector": 1}, ["--ml", "1", "1", "--n", "2"], [1, 1]),
+    ], ids=["m-over-ml", "ml-over-m"])
+    def test_flag_replaces_both_of_the_files_message_counts(self, tmp_path, scenario, flags, counts):
+        path, out = tmp_path / "scenario.json", tmp_path / "r.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli("run", "--spec", str(path), *flags, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["scenario"]["message_counts"] == counts
+
+    def test_m_and_ml_together_are_refused(self, tmp_path, capsys):
+        assert run_cli("run", "--m", "1", "--ml", "1", "1", "--n", "1", "--enumerate") == 2
+        assert capsys.readouterr().err == "error: give either --m or --ml, not both\n"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"m": 1, "ml": [1, 1], "n": 1, "mode": "enumerate"}))
+        assert run_cli("run", "--spec", str(path)) == 2
+        assert capsys.readouterr().err == "error: give either --m or --ml, not both\n"
+
     def test_bad_spec_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -348,3 +366,24 @@ class TestSelftest:
             "enumerate_determinism",
         ):
             assert f"[selftest] {name}: ok" in out
+
+    def test_wrong_correction_table_fails_with_its_lines(self, capsys, monkeypatch):
+        # each outcome's EVEN and ODD corrections swapped: every odd-parity branch is corrected wrong
+        monkeypatch.setattr(protocol, "CORRECTIONS", {o: (odd, even) for o, (even, odd) in CORRECTIONS.items()})
+        assert run_cli("selftest") == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if ": FAIL (" in line]
+        assert [line.split(":")[0] for line in failed] == ["[selftest] reconstruction",
+                                                           "[selftest] baseline_equivalence"]
+        assert all(line.endswith("below bar at m=1 n=1)") for line in failed)
+        assert lines[-1] == "[selftest] failed: reconstruction, baseline_equivalence"
+
+    def test_builds_no_library_record(self, capsys, monkeypatch):
+        # selftest judges on branch tables: no transcript or defection report is built
+        def refuse(*args):
+            raise AssertionError("selftest built a library record")
+
+        monkeypatch.setattr(protocol, "_record", refuse)
+        monkeypatch.setattr(defection, "_record", refuse)
+        assert run_cli("selftest") == 0
+        assert capsys.readouterr().out.endswith("[selftest] all checks passed\n")

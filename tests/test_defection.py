@@ -364,6 +364,30 @@ class TestRecoverySearch:
             with pytest.raises(ValueError, match="target must be finite"):
                 tn.max_recovery_fidelity(np.eye(2) / 2, [bad, 0], GRID)
 
+    @pytest.mark.parametrize("grid", [5 * np.stack([np.eye(2)] * 2), np.zeros((2, 2, 2)),
+                                      np.full((1, 2, 2), np.nan), np.array([[[1, 0], [0, 1 + 1e-11]]])],
+                             ids=["scaled", "zeros", "nan", "off-by-1e-11"])
+    def test_grid_that_is_not_unitary_is_refused(self, rng, grid):
+        # a scaled identity once returned a "fidelity" of 12.5, and a grid of zeros 0.0
+        with pytest.raises(ValueError, match="grid holds a matrix that is not unitary"):
+            tn.max_recovery_fidelity(np.eye(2) / 2, [1, 0], grid)
+        with pytest.raises(ValueError, match="grid holds a matrix that is not unitary"):
+            tn.analyze_defection(MessageSpec.random(1, rng), NetworkShape.single(1, 1), 0, unitaries=grid)
+        with pytest.raises(ValueError, match="grid holds a matrix that is not unitary"):
+            tn.analyze_baseline_defection(MessageSpec.random(1, rng), NetworkShape.single(1, 1), 0, unitaries=grid)
+
+    def test_every_grid_of_the_tests_is_unitary(self):
+        for grid in RECOVERY_GRIDS.values():
+            assert tn.defection._recovery_grid(grid) is grid
+
+    @pytest.mark.parametrize("defector", [-1, 2])
+    def test_defector_out_of_range_is_refused_before_the_grid(self, rng, defector):
+        spec, shape = MessageSpec.random(1, rng), NetworkShape.single(1, 2)
+        with pytest.raises(IndexError, match=f"defector {defector} out of range for 2 agents"):
+            tn.analyze_defection(spec, shape, defector, unitaries=np.zeros((1, 2, 2)))
+        with pytest.raises(IndexError, match=f"defector {defector} out of range for 2 agents"):
+            tn.analyze_baseline_defection(spec, shape, defector, unitaries=np.zeros((1, 2, 2)))
+
     def test_empty_grid_is_refused(self, rng):
         empty = np.empty((0, 2, 2), dtype=complex)
         with pytest.raises(ValueError, match="grid has no unitaries"):

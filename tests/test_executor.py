@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, QubitRegistry, StateVector, protocol
 from teleportnet.defection import _defection_table, _reports
-from teleportnet.protocol import _event_qubits, _nonzeros, measure_all
+from teleportnet.protocol import _event_qubits, measure_all
 from teleportnet.resources import _control_support
 
 from _oracles import (
+    _nonzeros,
     best_grid_fidelity,
     dense_enumerate,
     dense_sampled,

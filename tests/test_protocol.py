@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,10 +19,10 @@ from teleportnet import (
     QubitRegistry,
     StateVector,
 )
-from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _nonzeros, _plan
-from teleportnet.resources import _control_support
+from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _plan
+from teleportnet.resources import _control_support, _ghz_support
 
-from _oracles import conditional_kets, scattered_support
+from _oracles import _nonzeros, conditional_kets, scattered_support
 
 
 class TestCorrectionRule:
@@ -347,6 +348,24 @@ class TestBaseline:
     def test_resource_sizes(self):
         sizes = tn.protocol.baseline_resource_sizes(NetworkShape.single(3, 2))
         assert sizes == [4, 4, 4]
+
+    def test_ghz_support_is_written_once_per_call(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tn.protocol, "_ghz_support", lambda *a: calls.append(a) or _ghz_support(*a))
+        tn.run_baseline_ghz(MessageSpec.random(3, rng), NetworkShape.single(3, 2))
+        assert calls == [(4,)]
+
+    def test_wide_copy_builds_no_dense_ghz(self, rng):
+        # 24 GHZ qubits: a dense copy would hold 256 MiB
+        spec = MessageSpec.random(1, rng)
+        tracemalloc.start()
+        try:
+            (t,) = tn.run_baseline_ghz(spec, NetworkShape.single(1, 22), "sampled", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.fidelity == pytest.approx(1.0, abs=1e-10)
+        assert peak < 1 << 20
 
 
 class TestReconstructionSweep:

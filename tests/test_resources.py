@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import teleportnet as tn
 from teleportnet import MessageSpec, NetworkShape, ParityClass, QubitRegistry, StateVector
 from teleportnet.cli import MAX_TOTAL_QUBITS
-from teleportnet.protocol import _nonzeros
-from teleportnet.resources import _control_support
+from teleportnet.resources import _control_support, _ghz_support
 
 from _oracles import (
+    _nonzeros,
     control_resource_dense,
     control_resource_two_terms,
+    ghz_dense,
     kron_message_state,
     partial_trace_dense,
     product_state_dense,
@@ -179,6 +180,18 @@ class TestPrepareGhz:
     def test_too_small(self):
         with pytest.raises(ValueError):
             tn.prepare_ghz(1)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("size", range(2, 17))
+    def test_closed_form_support_is_the_dense_build(self, size, sign):
+        # the support and the scattered state keep the bits of the vector built dense and normalized
+        dense = ghz_dense(size, sign)
+        qubits, idx, vals = _ghz_support(size, sign)
+        want_qubits, want_idx, want_vals = _nonzeros(dense)
+        assert qubits == want_qubits
+        assert (idx.dtype, idx.tobytes()) == (want_idx.dtype, want_idx.tobytes())
+        assert (vals.dtype, vals.tobytes()) == (want_vals.dtype, want_vals.tobytes())
+        assert tn.prepare_ghz(size, sign).amplitudes.tobytes() == dense.amplitudes.tobytes()
 
 
 class TestControlResource:
