@@ -33,7 +33,7 @@ from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
 MAX_TOTAL_QUBITS = 26
-MAX_M_RANGE = 10_000  # rows of a compare --m table
+MAX_M_RANGE = 10_000  # rows of a compare --m table, and receivers of a compare --ml shape
 DEFAULT_MESSAGE_SEED = 2718  # fixed so enumerate-mode reports never depend on --seed
 
 PRESETS = {
@@ -169,7 +169,7 @@ def _as_seed(value: Any, name: str) -> int:
     return seed
 
 
-def _resolve_shape(args, config: dict) -> NetworkShape:
+def _resolve_shape(args, config: dict, simulate: bool = True) -> NetworkShape:
     # a given --m or --ml replaces both of the file's message counts
     m, ml = (args.m, args.ml) if (args.m, args.ml) != (None, None) else (config.get("m"), config.get("ml"))
     k = args.k if args.k is not None else config.get("k")
@@ -177,7 +177,7 @@ def _resolve_shape(args, config: dict) -> NetworkShape:
     if ml is not None and m is not None:
         raise ConfigError("give either --m or --ml, not both")
     k = None if k is None else _as_int(k, "k")
-    copies = 1  # receivers are counts repeated this often; a huge k builds no list before the cap refuses it
+    copies = 1  # receivers are counts repeated this often; a huge k builds no list before it is refused
     if ml is not None:
         if not isinstance(ml, list):
             raise ConfigError(f"ml must be a list of message counts, got {ml!r}")
@@ -196,8 +196,10 @@ def _resolve_shape(args, config: dict) -> NetworkShape:
     except ValueError as exc:
         raise ConfigError(str(exc))
     qubits = 3 * shape.total_messages * copies + shape.num_agents + 1
-    if qubits > MAX_TOTAL_QUBITS:
+    if simulate and qubits > MAX_TOTAL_QUBITS:
         raise ConfigError(f"shape exceeds simulator capacity: {qubits} qubits > {MAX_TOTAL_QUBITS}")
+    if len(counts) * copies > MAX_M_RANGE:
+        raise ConfigError(f"shape has {len(counts) * copies} receivers, more than {MAX_M_RANGE}")
     return NetworkShape(shape.message_counts * copies, shape.num_agents)
 
 
@@ -419,7 +421,7 @@ def cmd_compare(args) -> int:
 
     if args.ml is None:
         raise ConfigError("compare needs --m RANGE or --ml COUNTS")
-    shape = _resolve_shape(args, {})
+    shape = _resolve_shape(args, {}, simulate=False)
     new = account(Method.ENTANGLING, shape)
     old = account(Method.GHZ_BASELINE, shape)
     report = {

@@ -171,8 +171,6 @@ def _recovery_grid(unitaries: np.ndarray | None, shape: NetworkShape | None = No
 # Operators per grid contraction: bounds the (block, grid) temporaries whatever
 # the branch count.
 _BLOCK = 64
-# Branches per block of the joint check's 2x2 duals: bounds the conjugate copy it takes.
-_DUAL_BLOCK = 512
 
 
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
@@ -212,10 +210,6 @@ def _defection_table(
     received ones with the defector's qubit on top."""
     total = len(qubits)
     halves = kept.reshape(len(kept), 2, 1 << total)
-    if total > 1:  # each branch's joint H^T conj(H) has the trace and nonzero eigenvalues of this dual,
-        # formed a block of branches at a time, so that no conjugate copy of kept is made
-        blocks = np.split(halves, range(_DUAL_BLOCK, len(halves), _DUAL_BLOCK))
-        DensityMatrix._check_stack(np.concatenate([np.einsum("bdi,bei->bde", h.conj(), h) for h in blocks]))
     marginals = [_marginal(halves, total, i) for i in range(total)]
     # a handful of distinct 2x2 operators stand for all the branches: check and search those
     keys = [_distinct(m) for m in marginals]
@@ -279,7 +273,8 @@ def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
     """One report per row of the table, with its joint operator from the kept
     states the table reduced.  Each distinct tuple of Bell outcomes, with its
     diagonal forms, and each bytewise-distinct marginal is built once and
-    shared by the rows; with one received qubit the joint is the marginal."""
+    shared by the rows; with one received qubit the joint is the marginal.
+    A joint is wrapped unchecked: it is a Gram matrix, and its marginals were checked."""
     total = len(t.marginals)
     per_qubit = [list(map(DensityMatrix._wrap_all(m[first]).__getitem__, inverse.tolist()))
                  for m, (first, inverse) in zip(t.marginals, t.keys)]

@@ -160,6 +160,7 @@ def _event_qubits(event: Event, registry: QubitRegistry) -> tuple[int, ...]:
 # amplitudes, so the agent basis needs no rotation of its own.
 _ROTATIONS = {4: np.conj(_BELL_MATRIX), 2: HADAMARD}
 _WHOLE_ROW_BITS = 10  # a block of at most 2^10 rows x branches is laid out whole
+_MAX_QUBITS = 63  # the widest product whose basis indices an int64 holds
 
 
 def _plan(
@@ -197,11 +198,16 @@ def measure_all(
     group outcomes (the first group most significant).  With ``rng`` one
     branch is drawn group by group in ``draw_order`` (default: group order),
     each by Born weights conditioned on the earlier ones, over the support.
+    A branch of next to no weight is refused: an enumerated one by its
+    probability, a drawn one by each draw's weight given the earlier ones.
     """
     order, layout = _plan(groups, keep, None if rng is None else draw_order)
+    width = resource[0] + message.num_qubits
+    if width > _MAX_QUBITS:
+        raise ValueError(f"at most {_MAX_QUBITS} qubits (int64 indices) can be measured, not {width}")
     if any(len(g) not in (1, 2) for g in groups):
         raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
-    if sorted(layout) != list(range(resource[0] + message.num_qubits)):
+    if sorted(layout) != list(range(width)):
         raise ValueError(f"groups and keep must hold each qubit exactly once, got {sorted(layout)}")
     n, cols, t = _support(resource, message, layout)
     # t[c, b] is branch b's amplitude where the unmeasured qubits read cols[c];
@@ -229,8 +235,11 @@ def measure_all(
         t = (t.reshape(d, -1).T @ _ROTATIONS[d].T).reshape(-1, t.shape[-1] * d)
         if rng is not None:
             w = np.ascontiguousarray(t.T)
-            outcomes[0, g] = _pick(rng, range(d), np.einsum("ij,ij->i", w, w.conj()).real)
-            t = w[outcomes[0, g], :, None]
+            weights = np.einsum("ij,ij->i", w, w.conj()).real
+            k = outcomes[0, g] = _pick(rng, range(d), weights)
+            if weights[k] < ZERO_BRANCH_ATOL * weights.sum():
+                raise ValueError(f"outcome {k} on qubits {groups[g]} has probability {weights[k] / weights.sum():.3e}")
+            t = w[k, :, None]
     if not whole:
         vals, t = t, np.zeros((1 << n, t.shape[1]), dtype=np.complex128)
         t[cols] = vals[:len(cols)]
@@ -240,8 +249,8 @@ def measure_all(
     probs = np.einsum("bj,bj->b", kept, kept.conj()).real
     if not np.all(np.isfinite(probs)):
         raise ValueError("amplitudes must be finite")
-    low = np.flatnonzero(probs < ZERO_BRANCH_ATOL)
-    if low.size:
+    low = np.flatnonzero(probs < ZERO_BRANCH_ATOL) if rng is None else ()  # a draw is guarded as it is made
+    if len(low):
         b = low[0]
         raise ValueError(f"branch with outcomes {outcomes[b].tolist()} has probability {probs[b]:.3e}")
     return outcomes, probs, kept / np.sqrt(probs)[:, None]

@@ -215,7 +215,7 @@ def apply_single_qubit_gate(state: StateVector, qubit: int, gate: np.ndarray) ->
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    if np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > UNITARY_ATOL:
+    if not np.max(np.abs(gate.conj().T @ gate - np.eye(2))) <= UNITARY_ATOL:  # NaN is refused too
         raise ValueError("gate matrix is not unitary")
     return StateVector._wrap(_apply_1q(state.amplitudes, qubit, gate))
 

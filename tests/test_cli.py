@@ -336,6 +336,22 @@ class TestCompareCommand:
         assert capsys.readouterr().err == f"error: --m range 1..10000000000 holds more than {MAX_M_RANGE} values\n"
         assert peak < 1 << 20
 
+    def test_ml_shape_is_not_held_to_the_simulator_capacity(self, capsys):
+        # 36 qubits to simulate, but compare only counts: the same ledger as --m 10
+        assert run_cli("compare", "--ml", "10", "--n", "5") == 0
+        assert "aux qubits:        26 vs 70\n" in capsys.readouterr().out
+
+    def test_huge_ml_receiver_count_is_refused_before_any_list_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run_cli("compare", "--ml", "1", "--k", "3000000", "--n", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"error: shape has 3000000 receivers, more than {MAX_M_RANGE}\n"
+        assert peak < 1 << 20
+
     def test_m_range_at_the_limit_runs(self, tmp_path):
         out = tmp_path / "t.json"
         assert run_cli("compare", "--n", "1", "--m", f"1..{MAX_M_RANGE}", "--out", str(out)) == 0

@@ -27,6 +27,10 @@ RECOVERY_GRIDS = {
     "GRID": GRID,
     "default": tn.recovery_unitaries(),
 }
+# faults put into normalized kept rows: non-finite entries, whole rows scaled
+# by 1 + s (s far from the 1e-12 trace tolerance, on either side), zeroed rows
+# and perturbed entries
+JOINT_FAULTS = ["nan", "inf", "-inf", 1e-3, -1e-3, 1e-10, -1e-10, 1e-14, "zero", "perturb"]
 STACK_KINDS = ["density", "near_diagonal", "maximally_mixed", "pure", "scaled_non_hermitian", "zero", "nan_row",
                "repeated"]
 
@@ -434,16 +438,52 @@ class TestDefectionTableChecks:
 
     @pytest.mark.parametrize("nan_first", [True, False])
     def test_first_failing_check_is_raised_across_dual_blocks(self, nan_first, rng):
-        # the joint check runs a block of branches at a time; a NaN fails its
-        # finite check and a scaled branch the trace check, which comes first,
-        # whichever block each falls in
-        block = tn.defection._DUAL_BLOCK
+        # a NaN fails the finite check and a scaled branch the trace check,
+        # which comes first, whichever block of 512 branches each falls in
+        block = 512
         kept = self._copies(2, rng, count=3 * block)
         nan, scaled = (10, 2 * block + 10) if nan_first else (2 * block + 10, 10)
         kept[nan, 0] = np.nan
         kept[scaled] *= 1.001
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^density matrix trace is not 1$"):
             self._table(kept)
+
+    @staticmethod
+    def _refusal(check, stack):
+        try:
+            check(stack)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(1, 1199),
+        st.lists(st.tuples(st.sampled_from(JOINT_FAULTS), st.integers(0, 2**20)), max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_refuses_exactly_as_the_joint_operators_check(self, total, count, faults, seed):
+        # every branch's joint operator is checked through its marginals: the table
+        # refuses, with the same message, exactly when the stack of joints is refused
+        rng = np.random.default_rng(seed)
+        kept = rng.standard_normal((count, 2 << total)) + 1j * rng.standard_normal((count, 2 << total))
+        kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            for fault, at in faults:
+                row, col = at % count, at % (2 << total)
+                if fault == "zero":
+                    kept[row] = 0
+                elif fault == "perturb":
+                    kept[row, col] += 1e-3j
+                elif isinstance(fault, str):
+                    kept[row, col] = float(fault)
+                else:
+                    kept[row] *= 1 + fault
+            halves = kept.reshape(count, 2, 1 << total)
+            want = self._refusal(tn.DensityMatrix._check_stack, np.einsum("bdi,bdj->bij", halves, halves.conj()))
+            got = self._refusal(self._table, kept)
+        assert got == want
 
     def test_joint_check_holds_no_copy_of_kept(self):
         spec = MessageSpec.random(5, np.random.default_rng(0))

@@ -172,6 +172,27 @@ def test_zero_probability_branch_is_refused():
         measure_all(_nonzeros(StateVector([1, 0])), StateVector([1, 0]), [(0, 1)], [])
 
 
+class _LastDraw(np.random.Generator):
+    """A generator whose every uniform draw is the largest below 1, so that
+    each measurement draws its last outcome of nonzero weight."""
+
+    def random(self, *args, **kwargs):
+        return 1.0 - 2.0**-53
+
+
+def test_drawn_outcome_is_guarded_by_its_conditional_weight():
+    # the psi-minus outcome of (|0> + b|1>) (x) |0> holds b^2 / 2 of the weight:
+    # refused under 1e-14 of it, drawn above
+    def draw(b):
+        return measure_all(_nonzeros(StateVector([1, 0])), StateVector([1, b]), [(0, 1)], [],
+                           _LastDraw(np.random.PCG64(0)))
+
+    with pytest.raises(ValueError, match=r"^outcome 3 on qubits \(0, 1\) has probability 5\.000e-15$"):
+        draw(1e-7)
+    outcomes, probs, _ = draw(1e-6)
+    assert outcomes.tolist() == [[3]] and probs[0] == pytest.approx(5e-13)
+
+
 def _assert_same_bits(got, want):
     """Outcomes, probabilities and kept states agree in every bit."""
     for g, w in zip(got, want):

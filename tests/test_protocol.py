@@ -498,3 +498,22 @@ def test_sampled_branches_take_the_closed_form_at_21_qubits(counts):
         for t in branch:
             assert abs(t.branch_probability - expect) <= 1e-12 * expect
             assert t.fidelity >= 1.0 - FIDELITY_ATOL
+
+
+@pytest.mark.parametrize("m,n", [(2, 50), (1, 59)])
+def test_sampled_library_runs_go_past_46_qubits(m, n):
+    """Each draw is guarded by its weight conditioned on the earlier draws, so
+    a wide branch whose joint probability is far under the zero-branch bound
+    still runs, and takes the closed form."""
+    shape = NetworkShape.single(m, n)
+    expect = 2.0 ** -(2 * m + n + 1)
+    t = tn.run_controlled_teleport(MessageSpec.random(m, np.random.default_rng(0)), shape, "sampled", seed=1)
+    assert abs(t.branch_probability - expect) <= 1e-13 * expect
+    assert t.fidelity >= 1.0 - FIDELITY_ATOL
+
+
+@pytest.mark.parametrize("n", [60, 61])
+def test_runs_wider_than_int64_indices_are_refused(n):
+    spec = MessageSpec.random(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=rf"^at most 63 qubits \(int64 indices\) can be measured, not {n + 4}$"):
+        tn.run_controlled_teleport(spec, NetworkShape.single(1, n), "sampled", seed=1)

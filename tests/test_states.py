@@ -64,6 +64,12 @@ class TestSingleQubitGates:
         with pytest.raises(ValueError):
             tn.apply_single_qubit_gate(StateVector.zero(1), 0, np.array([[1, 0], [0, 2]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.inf, 0.0)])
+    def test_non_finite_gate_rejected(self, bad):
+        # a NaN fails every comparison, and a complex inf makes U^dag U NaN
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^gate matrix is not unitary$"):
+            tn.apply_single_qubit_gate(StateVector([1, 0]), 0, np.full((2, 2), bad))
+
     def test_gate_touches_only_target_stride(self, rng):
         sv = random_state(3, rng)
         out = tn.apply_pauli(sv, 1, PauliOp.Z)
