@@ -28,7 +28,7 @@ from .protocol import (
     _transcript_table,
     _TranscriptTable,
 )
-from .resources import MessageSpec, NetworkShape, ParityClass, parity_decompose, prepare_ghz
+from .resources import MessageSpec, NetworkShape, ParityClass, _integral, parity_decompose, prepare_ghz
 from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
@@ -153,12 +153,10 @@ def _load_spec_file(path: str) -> dict:
 
 
 def _as_int(value: Any, name: str) -> int:
-    """``value`` as an int; bools and non-integral numbers are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """``value`` as an int: a string read by ``int()``, anything else by ``resources._integral``."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        return int(value) if isinstance(value, str) else _integral(value, name)
+    except ValueError:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
@@ -242,12 +240,8 @@ def _build_specs(config: dict, shape: NetworkShape) -> tuple[list[MessageSpec], 
             f"warning: message amplitudes renormalized (largest correction {correction:.3e})",
             file=sys.stderr,
         )
-    specs = []
-    start = 0
-    for m in shape.message_counts:
-        specs.append(MessageSpec(spec.qubits[start:start + m]))
-        start += m
-    return specs, source
+    ends = np.cumsum(shape.message_counts).tolist()
+    return [MessageSpec(spec.qubits[end - m:end]) for m, end in zip(shape.message_counts, ends)], source
 
 
 def _transcript_records(t: _TranscriptTable) -> list[dict]:
@@ -272,7 +266,7 @@ def _transcript_records(t: _TranscriptTable) -> list[dict]:
 
 def _defection_records(t: _DefectionTable, defector: int) -> list[dict]:
     """The skeleton of a record per cooperating branch; ``defector`` is 1-based."""
-    total = len(t.marginals)
+    total = len(t.operators)
     return [{
         "defector": defector,
         "bell_outcomes": [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T],
@@ -280,12 +274,12 @@ def _defection_records(t: _DefectionTable, defector: int) -> list[dict]:
         "probability": _float_column(t.probs),
         "per_qubit": [
             {
-                "diag": [_float_column(m[:, 0, 0].real), _float_column(m[:, 1, 1].real)],
+                "diag": [_float_column(ops[:, 0, 0].real)[inverse], _float_column(ops[:, 1, 1].real)[inverse]],
                 "max_off_diagonal": _float_column(t.off[:, i]),
                 "conforms_to": _lookup(_FORM_TEXT, t.outcomes[:, i]),
                 "max_recovery_fidelity": _float_column(t.best[:, i]),
             }
-            for i, m in enumerate(t.marginals)
+            for i, (ops, inverse) in enumerate(t.operators)
         ],
         "off_diagonal_norm": _float_column(t.off.max(axis=1)),
     }]
@@ -296,11 +290,11 @@ def _diagonal_ok(t: _DefectionTable, qubits: Sequence[tuple[complex, complex]]) 
     qubit's diagonal is its message's, preserved or swapped as its Bell
     outcome says."""
     ok = t.off.max(axis=1) < 1e-12
-    for i, (m, (alpha, beta)) in enumerate(zip(t.marginals, qubits)):
+    for i, ((ops, inverse), (alpha, beta)) in enumerate(zip(t.operators, qubits)):
         preserved = _PRESERVED[t.outcomes[:, i]]
         a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-        ok &= np.abs(m[:, 0, 0].real - np.where(preserved, a2, b2)) < 1e-12
-        ok &= np.abs(m[:, 1, 1].real - np.where(preserved, b2, a2)) < 1e-12
+        ok &= np.abs(ops[inverse, 0, 0].real - np.where(preserved, a2, b2)) < 1e-12
+        ok &= np.abs(ops[inverse, 1, 1].real - np.where(preserved, b2, a2)) < 1e-12
     return ok
 
 
@@ -404,13 +398,8 @@ def cmd_compare(args) -> int:
         }
         print(f"{'m':>3} {'aux(new)':>9} {'aux(base)':>10} {'ops/agent':>10} {'flags':>14}")
         for row in table.rows:
-            flags = []
-            if row.aux_equal:
-                flags.append("aux=")
-            if row.aux_advantage:
-                flags.append("aux+")
-            if row.ops_advantage:
-                flags.append("ops+")
+            marks = (("aux=", row.aux_equal), ("aux+", row.aux_advantage), ("ops+", row.ops_advantage))
+            flags = [mark for mark, on in marks if on]
             print(
                 f"{row.m:>3} {row.aux_entangling:>9} {row.aux_baseline:>10} "
                 f"{row.ops_per_agent_entangling:>4} vs {row.ops_per_agent_baseline:<3} {','.join(flags):>14}"

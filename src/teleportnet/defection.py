@@ -17,7 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .protocol import _BELL_ORDER, _baseline_branches, _network_branches, _parts, _record
-from .resources import MessageSpec, NetworkShape, QubitRegistry, prepare_control_resource, prepare_message_state
+from .resources import (MessageSpec, NetworkShape, QubitRegistry, _integral, prepare_control_resource,
+                        prepare_message_state)
 from .states import (
     UNITARY_ATOL,
     BellOutcome,
@@ -193,8 +194,8 @@ class _DefectionTable(NamedTuple):
 
     outcomes: np.ndarray  # measure_all's outcomes: Bell outcomes, then the cooperators' bits
     probs: np.ndarray
-    marginals: list[np.ndarray]  # per received qubit, its 2x2 operators, validated
-    keys: list[tuple[np.ndarray, np.ndarray]]  # per received qubit, _distinct of its marginals
+    operators: list[tuple[np.ndarray, np.ndarray]]  # per received qubit, its distinct 2x2 operators and each
+    # branch's index among them: branch b's is ops[inverse[b]]; the operators are bytewise distinct and validated
     best: np.ndarray  # best[b, i]: received qubit i's best recovery fidelity
     off: np.ndarray  # off[b, i]: received qubit i's largest off-diagonal magnitude
 
@@ -210,15 +211,19 @@ def _defection_table(
     received ones with the defector's qubit on top."""
     total = len(qubits)
     halves = kept.reshape(len(kept), 2, 1 << total)
-    marginals = [_marginal(halves, total, i) for i in range(total)]
-    # a handful of distinct 2x2 operators stand for all the branches: check and search those
-    keys = [_distinct(m) for m in marginals]
-    for m, (first, _) in zip(marginals, keys):
-        DensityMatrix._check_stack(m[first])
-    best = np.stack([_best_recovery(m[first], pair, unitaries)[inverse]
-                     for m, pair, (first, inverse) in zip(marginals, qubits, keys)], axis=1)
-    off = np.stack([np.abs(m[:, [0, 1], [1, 0]]).max(axis=1) for m in marginals], axis=1)
-    return _DefectionTable(outcomes, probs, marginals, keys, best, off)
+    operators, best, off = [], [], []
+    for i, pair in enumerate(qubits):
+        # a handful of distinct 2x2 operators stand for all the branches: check and search those
+        stack = _marginal(halves, total, i)
+        first, inverse = _distinct(stack)
+        ops = stack[first]
+        DensityMatrix._check_stack(ops)
+        # a grid of one unitary rounds a lone operator in a last block unlike two or more: repeat it
+        lone = len(ops) % _BLOCK == 1
+        best.append(_best_recovery(np.concatenate([ops, ops[-1:]]) if lone else ops, pair, unitaries)[inverse])
+        off.append(np.abs(ops[:, [0, 1], [1, 0]]).max(axis=1)[inverse])
+        operators.append((ops, inverse))
+    return _DefectionTable(outcomes, probs, operators, np.stack(best, axis=1), np.stack(off, axis=1))
 
 
 def _marginal(halves: np.ndarray, total: int, qubit: int) -> np.ndarray:
@@ -228,17 +233,16 @@ def _marginal(halves: np.ndarray, total: int, qubit: int) -> np.ndarray:
     others = [q for q in range(total) if q != qubit]
     bases = (sum(b << q for b, q in zip(bits, others)) for bits in itertools.product((0, 1), repeat=len(others)))
     blocks = (np.einsum("bda,bdc->bac", h, h.conj()) for h in (halves[:, :, [a, a | 1 << qubit]] for a in bases))
-    return np.ascontiguousarray(next(blocks) if total == 1 else sum(blocks))  # the layout the search rounds in
+    return next(blocks) if total == 1 else sum(blocks)
 
 
 def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first index of each bytewise-distinct operator of a (count, d, d) stack, and each
-    operator's row among those; a lone index in a last ``_BLOCK`` is repeated, since a grid of
-    one unitary rounds a lone operator unlike two or more, and no branch stack leaves one alone."""
+    operator's row among those."""
     rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.append(first, first[-1:]) if len(first) % _BLOCK == 1 else first, inverse
+    return first, inverse
 
 
 def _network_defection(
@@ -265,6 +269,7 @@ def analyze_defection(
     network); per-qubit entries are flattened over receivers in block order.
     """
     specs = [spec] if isinstance(spec, MessageSpec) else list(spec)
+    defector = _integral(defector, "defector")
     return _reports(*_network_defection(specs, shape, defector, unitaries), defector)
 
 
@@ -275,9 +280,8 @@ def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
     diagonal forms, and each bytewise-distinct marginal is built once and
     shared by the rows; with one received qubit the joint is the marginal.
     A joint is wrapped unchecked: it is a Gram matrix, and its marginals were checked."""
-    total = len(t.marginals)
-    per_qubit = [list(map(DensityMatrix._wrap_all(m[first]).__getitem__, inverse.tolist()))
-                 for m, (first, inverse) in zip(t.marginals, t.keys)]
+    total = len(t.operators)
+    per_qubit = [list(map(DensityMatrix._wrap_all(ops).__getitem__, inverse.tolist())) for ops, inverse in t.operators]
     if total == 1:
         joints = per_qubit[0]
     else:
@@ -310,6 +314,7 @@ def analyze_baseline_defection(
 ) -> list[DefectionReport]:
     """Defection in the per-qubit GHZ baseline: the defector withholds all of
     its per-copy bits; reports are per copy and per cooperating branch."""
+    defector = _integral(defector, "defector")
     us = _recovery_grid(unitaries, shape, defector)
     reports = []
     copies = _baseline_branches(spec, shape, defector=defector)

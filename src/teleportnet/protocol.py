@@ -174,6 +174,13 @@ def _plan(
     return order, [q for g in order for q in groups[g]] + list(reversed(keep))
 
 
+def _measurable(width: int) -> int:
+    """``width``, refused when it is wider than int64 basis indices hold."""
+    if width > _MAX_QUBITS:
+        raise ValueError(f"at most {_MAX_QUBITS} qubits (int64 indices) can be measured, not {width}")
+    return width
+
+
 def measure_all(
     resource: tuple[int, np.ndarray, np.ndarray],
     message: StateVector,
@@ -202,9 +209,7 @@ def measure_all(
     probability, a drawn one by each draw's weight given the earlier ones.
     """
     order, layout = _plan(groups, keep, None if rng is None else draw_order)
-    width = resource[0] + message.num_qubits
-    if width > _MAX_QUBITS:
-        raise ValueError(f"at most {_MAX_QUBITS} qubits (int64 indices) can be measured, not {width}")
+    width = _measurable(resource[0] + message.num_qubits)
     if any(len(g) not in (1, 2) for g in groups):
         raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
     if sorted(layout) != list(range(width)):
@@ -430,6 +435,7 @@ def _network_branches(
     for spec, m in zip(specs, shape.message_counts):
         if len(spec) != m:
             raise ValueError(f"spec length {len(spec)} does not match shape count {m}")
+    _measurable(shape.total_qubits)  # before the support's indices overflow
     registry = QubitRegistry(shape)
     groups = [_event_qubits(e, registry) for e in protocol_events(shape) if e != ("ghz", defector)]
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]

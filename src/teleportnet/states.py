@@ -337,7 +337,7 @@ def project_onto_qubit_state(
     _check_qubit(state, qubit)
     v = np.asarray(ket, dtype=np.complex128).reshape(2)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm is refused too
         raise ValueError("projection target must be normalized")
     _, p, after = _project(state, (qubit,), (v / norm)[None], 0, (0,))
     return p, after

@@ -713,13 +713,13 @@ def _wrap(mat: np.ndarray) -> DensityMatrix:
 
 def row_reports(t, kept: np.ndarray, defector: int, message_index=None) -> list[DefectionReport]:
     """One report per row of the table, with its joint operator from the kept states the table reduced."""
-    total = len(t.marginals)
+    total = len(t.operators)
     halves = kept.reshape(len(kept), 2, 1 << total)
     joints = np.einsum("bdi,bdj->bij", halves, halves.conj())  # defector traced out
     norms = t.off.max(axis=1).tolist()
     reports = []
     for b, (row, prob, mat) in enumerate(zip(t.outcomes.tolist(), t.probs.tolist(), joints)):
-        per_qubit = tuple(_wrap(m[b]) for m in t.marginals)
+        per_qubit = tuple(_wrap(ops[inverse[b]]) for ops, inverse in t.operators)
         bells = tuple(_BELL_ORDER[o] for o in row[:total])
         reports.append(DefectionReport(
             defector=defector,

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from teleportnet import CORRECTIONS, MessageSpec, NetworkShape, defection, protocol
-from teleportnet.cli import MAX_M_RANGE, _diagonal_ok, main
+from teleportnet.cli import MAX_M_RANGE, ConfigError, _as_int, _diagonal_ok, main
 from teleportnet.defection import _distinct, _network_defection, _reports
 
 from _oracles import diag_matches
@@ -269,11 +270,13 @@ class TestRunCommand:
         reports of the same table, with entries nudged past the 1e-12 bar."""
         spec = MessageSpec.random(2, np.random.default_rng(3))
         table, kept = _network_defection([spec], NetworkShape.single(2, 2), 1)
-        table.marginals[0][5, 0, 0] += 3e-12
-        table.marginals[1][9, 1, 1] -= 3e-12
-        table.marginals[1][20, 0, 0] += 5e-13
+        stacks = [ops[inverse] for ops, inverse in table.operators]
+        stacks[0][5, 0, 0] += 3e-12
+        stacks[1][9, 1, 1] -= 3e-12
+        stacks[1][20, 0, 0] += 5e-13
         table.off[12, 1] = 2e-12
-        table = table._replace(keys=[_distinct(m) for m in table.marginals])  # the nudged operators' own keys
+        # the nudged operators' own distinct operators and indices
+        table = table._replace(operators=[(m[first], inverse) for m in stacks for first, inverse in [_distinct(m)]])
         want = [r.off_diagonal_norm < 1e-12 and all(diag_matches(r, q, spec) for q in range(2))
                 for r in _reports(table, kept, 1)]
         assert _diagonal_ok(table, spec.qubits).tolist() == want
@@ -285,6 +288,20 @@ class TestRunCommand:
         report = json.loads(out.read_text())
         for t in report["transcripts"]:
             assert t["fidelity"] == float(f"{t['fidelity']:.15g}")
+
+
+@pytest.mark.parametrize("value,want", [
+    (True, None), (2.0, 2), (1.7, None), (None, None), (10**20, 10**20), (float("inf"), None), (float("nan"), None),
+])
+def test_the_cli_and_the_shape_take_integers_by_one_rule(value, want):
+    if want is None:
+        with pytest.raises(ValueError, match="^num_agents takes integers"):
+            NetworkShape.single(1, value)
+        with pytest.raises(ConfigError, match=rf"^n must be an integer, got {re.escape(repr(value))}$"):
+            _as_int(value, "n")
+    else:
+        assert NetworkShape.single(1, value).num_agents == _as_int(value, "n") == want
+        assert type(_as_int(value, "n")) is int
 
 
 class TestCompareCommand:

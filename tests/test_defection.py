@@ -16,6 +16,9 @@ from teleportnet import (
     StateVector,
 )
 
+from teleportnet.cli import PRESETS
+from teleportnet.protocol import _baseline_branches
+
 from _oracles import defection_mixture, joint_stack_marginals, max_eigenvalue, whole_grid_recovery
 
 GRID = tn.recovery_unitaries(num_random=300, seed=3)
@@ -294,8 +297,8 @@ class TestRecoverySearch:
         t = tn.defection._defection_table(np.zeros((len(kept), 0), int), np.ones(len(kept)), kept, qubits,
                                           RECOVERY_GRIDS[grid])
         assert t.best.shape == (len(kept), total)
-        for m, pair, best in zip(t.marginals, qubits, t.best.T):
-            want = whole_grid_recovery(m, pair, RECOVERY_GRIDS[grid])
+        for (ops, inverse), pair, best in zip(t.operators, qubits, t.best.T):
+            want = whole_grid_recovery(ops[inverse], pair, RECOVERY_GRIDS[grid])
             np.testing.assert_array_equal(best.view(np.uint64), want.view(np.uint64))
 
     def test_bits_do_not_depend_on_the_memory_layout(self):
@@ -391,6 +394,19 @@ class TestRecoverySearch:
             tn.analyze_defection(spec, shape, defector, unitaries=np.zeros((1, 2, 2)))
         with pytest.raises(IndexError, match=f"defector {defector} out of range for 2 agents"):
             tn.analyze_baseline_defection(spec, shape, defector, unitaries=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("defector", [True, 1.5])
+    def test_a_defector_that_is_not_an_integer_is_refused_before_the_grid(self, rng, defector):
+        spec, shape = MessageSpec.random(1, rng), NetworkShape.single(1, 3)
+        for analyze in (tn.analyze_defection, tn.analyze_baseline_defection):
+            with pytest.raises(ValueError, match=f"^defector takes integers, got {defector!r}$"):
+                analyze(spec, shape, defector, unitaries=np.zeros((1, 2, 2)))
+
+    def test_an_integral_numpy_defector_is_reported_as_an_int(self, rng):
+        spec, shape = MessageSpec.random(1, rng), NetworkShape.single(1, 3)
+        for analyze in (tn.analyze_defection, tn.analyze_baseline_defection):
+            reports = analyze(spec, shape, np.int64(1), unitaries=GRID[:3])
+            assert {(type(r.defector), r.defector) for r in reports} == {(int, 1)}
 
     def test_empty_grid_is_refused(self, rng):
         empty = np.empty((0, 2, 2), dtype=complex)
@@ -514,10 +530,10 @@ class TestNonFiniteOperators:
 
 
 def _assert_same_marginals(table, kept):
-    want = joint_stack_marginals(kept, len(table.marginals))
-    for got, expected in zip(table.marginals, want, strict=True):
-        assert got.flags.c_contiguous  # the recovery search rounds by layout
-        np.testing.assert_array_equal(got.view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+    want = joint_stack_marginals(kept, len(table.operators))
+    for (ops, inverse), expected in zip(table.operators, want, strict=True):
+        assert ops.flags.c_contiguous  # the recovery search rounds by layout
+        np.testing.assert_array_equal(ops[inverse].view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
 
 
 class TestMarginalsMatchTheJointStack:
@@ -546,6 +562,44 @@ class TestMarginalsMatchTheJointStack:
         specs = [MessageSpec.random(m, rng) for m in counts]
         table, kept = tn.defection._network_defection(specs, NetworkShape(counts, n), defector % n, GRID[:3])
         _assert_same_marginals(table, kept)
+
+
+class TestDistinctOperators:
+    """Each received qubit's table entry is its bytewise-distinct operators and every branch's
+    index among them, at the benchmark's defection shapes. A plus message leaves every qubit one
+    operator, so the search takes the path that repeats a lone operator."""
+
+    @staticmethod
+    def _assert_distinct_operators(table, kept, qubits, unitaries):
+        want = joint_stack_marginals(kept, len(qubits))
+        for (ops, inverse), expected, pair, best in zip(table.operators, want, qubits, table.best.T, strict=True):
+            assert len({op.tobytes() for op in ops}) == len(ops)
+            np.testing.assert_array_equal(ops[inverse].view(np.uint64), np.ascontiguousarray(expected).view(np.uint64))
+            grid = whole_grid_recovery(ops[inverse], pair, unitaries)
+            np.testing.assert_array_equal(best.view(np.uint64), grid.view(np.uint64))
+
+    @staticmethod
+    def _message(kind, m):
+        rng = np.random.default_rng(m)
+        return MessageSpec((PRESETS["plus"],) * m) if kind == "plus" else MessageSpec.random(m, rng)
+
+    @pytest.mark.parametrize("grid", ["1", "default"])
+    @pytest.mark.parametrize("kind", ["random", "plus"])
+    @pytest.mark.parametrize("counts,agents,defector", [((3,), 3, 1), ((2,), 4, 0), ((2,), 3, 1), ((1, 2), 3, 2)])
+    def test_network_defection(self, grid, kind, counts, agents, defector):
+        specs, us = [self._message(kind, m) for m in counts], RECOVERY_GRIDS[grid]
+        table, kept = tn.defection._network_defection(specs, NetworkShape(counts, agents), defector, us)
+        self._assert_distinct_operators(table, kept, [q for s in specs for q in s.qubits], us)
+        if kind == "plus":
+            assert [len(ops) for ops, _ in table.operators] == [1] * sum(counts)
+
+    @pytest.mark.parametrize("grid", ["1", "default"])
+    @pytest.mark.parametrize("kind", ["random", "plus"])
+    def test_baseline_defection(self, grid, kind):
+        spec, shape, us = self._message(kind, 6), NetworkShape.single(6, 6), RECOVERY_GRIDS[grid]
+        for pair, (outcomes, probs, kept) in zip(spec.qubits, _baseline_branches(spec, shape, defector=2)):
+            table = tn.defection._defection_table(outcomes, probs, kept, [pair], us)
+            self._assert_distinct_operators(table, kept, [pair], us)
 
 
 class TestBaselineDefection:

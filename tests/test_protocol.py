@@ -517,3 +517,16 @@ def test_runs_wider_than_int64_indices_are_refused(n):
     spec = MessageSpec.random(1, np.random.default_rng(0))
     with pytest.raises(ValueError, match=rf"^at most 63 qubits \(int64 indices\) can be measured, not {n + 4}$"):
         tn.run_controlled_teleport(spec, NetworkShape.single(1, n), "sampled", seed=1)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_networks_too_wide_for_int64_indices_are_refused_before_their_support_is_built(n):
+    # the support's indices would overflow int64 first
+    spec = MessageSpec.random(1, np.random.default_rng(0))
+    widest = rf"^at most 63 qubits \(int64 indices\) can be measured, not "
+    with pytest.raises(ValueError, match=rf"{widest}{n + 4}$"):
+        tn.run_controlled_teleport(spec, NetworkShape.single(1, n), "sampled", seed=1)
+    with pytest.raises(ValueError, match=rf"{widest}{n + 7}$"):
+        tn.run_multi_receiver([spec, spec], NetworkShape((1, 1), n), "sampled", seed=1)
+    with pytest.raises(ValueError, match=rf"{widest}{n + 4}$"):
+        tn.analyze_defection(spec, NetworkShape.single(1, n), 0)

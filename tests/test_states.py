@@ -336,6 +336,12 @@ class TestProjection:
         with pytest.raises(ValueError):
             tn.project_onto_qubit_state(StateVector.zero(1), 0, [1.0, 1.0])
 
+    @pytest.mark.parametrize("ket", [[np.nan, 0.0], [complex(np.nan, np.inf), 1.0]])
+    def test_nan_target_rejected(self, ket):
+        # its norm is NaN, which passes every comparison
+        with pytest.raises(ValueError, match="^projection target must be normalized$"):
+            tn.project_onto_qubit_state(StateVector([SQ2, 0, 0, SQ2]), 0, ket)
+
 
 class TestProjectionKernel:
     """Every per-branch measurement against an index-loop projection, on
