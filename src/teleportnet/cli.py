@@ -35,6 +35,7 @@ SCHEMA_VERSION = 1
 MAX_TOTAL_QUBITS = 26
 MAX_M_RANGE = 10_000  # rows of a compare --m table, and receivers of a compare --ml shape
 DEFAULT_MESSAGE_SEED = 2718  # fixed so enumerate-mode reports never depend on --seed
+_SPEC_KEYS = ("m", "ml", "n", "k", "mode", "seed", "defector", "messages")  # a scenario file's top-level keys
 
 PRESETS = {
     "zero": (1.0, 0.0),
@@ -145,10 +146,13 @@ def _load_spec_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read spec file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"spec file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("spec file must hold a JSON object")
+    unknown = [key for key in data if key not in _SPEC_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown spec file key {unknown[0]!r}; choose from {list(_SPEC_KEYS)}")
     return data
 
 

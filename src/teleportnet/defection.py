@@ -326,7 +326,8 @@ def analyze_baseline_defection(
 def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -> ConditionalStateReport:
     """Pin both Bell outcomes to the plus pair, skip all agent measurements,
     project the first received qubit onto alpha1|0> +/- beta1|1>, and report
-    the second received qubit's fidelity against alpha2|0> +/- beta2|1>."""
+    the second received qubit's fidelity against alpha2|0> +/- beta2|1>.  The
+    kets are orthogonal, and p+ + p- = 1, only when |alpha1| = |beta1|."""
     if len(spec) != 2:
         raise ValueError("the entangled-information check needs exactly two message qubits")
     shape = shape or NetworkShape.single(2, 1)

@@ -163,17 +163,6 @@ _WHOLE_ROW_BITS = 10  # a block of at most 2^10 rows x branches is laid out whol
 _MAX_QUBITS = 63  # the widest product whose basis indices an int64 holds
 
 
-def _plan(
-    groups: Sequence[tuple[int, ...]], keep: Sequence[int], draw_order: Sequence[int] | None = None
-) -> tuple[list[int], list[int]]:
-    """The order in which ``groups`` are processed (default: group order), and
-    the executor's layout: their qubits in that order, then ``keep`` from last
-    to first, the first qubit on the most significant index bit.  Bit 2a + b
-    of a pair's axis holds (value of a, value of b)."""
-    order = list(range(len(groups))) if draw_order is None else list(draw_order)
-    return order, [q for g in order for q in groups[g]] + list(reversed(keep))
-
-
 def _measurable(width: int) -> int:
     """``width``, refused when it is wider than int64 basis indices hold."""
     if width > _MAX_QUBITS:
@@ -187,7 +176,6 @@ def measure_all(
     groups: Sequence[tuple[int, ...]],
     keep: Sequence[int],
     rng: np.random.Generator | None = None,
-    draw_order: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure every group of ``groups`` of ``tensor(message, resource)`` in
     one pass and keep ``keep``.  ``resource`` is given by its support: its
@@ -201,14 +189,16 @@ def measure_all(
     is the normalized state of the kept qubits in that branch, bit t holding
     qubit ``keep[t]``.
 
-    Without ``rng`` every branch is returned, in mixed-radix order of the
-    group outcomes (the first group most significant).  With ``rng`` one
-    branch is drawn group by group in ``draw_order`` (default: group order),
-    each by Born weights conditioned on the earlier ones, over the support.
-    A branch of next to no weight is refused: an enumerated one by its
-    probability, a drawn one by each draw's weight given the earlier ones.
+    The groups are measured in the order given, laid out in it from the most
+    significant index bit down, then ``keep`` from last to first; bit 2a + b
+    of a pair's axis holds (value of a, value of b).  Without ``rng`` every
+    branch is returned, in mixed-radix order of the group outcomes (the
+    first group most significant).  With ``rng`` one branch is drawn group
+    by group, each by Born weights conditioned on the earlier ones, over the
+    support.  A branch of next to no weight is refused: an enumerated one by
+    its probability, a drawn one by each draw's weight given the earlier ones.
     """
-    order, layout = _plan(groups, keep, None if rng is None else draw_order)
+    layout = [q for g in groups for q in g] + list(reversed(keep))
     width = _measurable(resource[0] + message.num_qubits)
     if any(len(g) not in (1, 2) for g in groups):
         raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
@@ -219,8 +209,8 @@ def measure_all(
     # once cols is every value in order (whole), t is laid out densely
     t, whole = t[:, None], False
     outcomes = np.zeros((1, len(groups)), dtype=np.int64)
-    for g in order:
-        d, n = 1 << len(groups[g]), n - len(groups[g])
+    for g, group in enumerate(groups):
+        d, n = 1 << len(group), n - len(group)
         if not whole:
             if t.shape[1] << n <= 1 << _WHOLE_ROW_BITS:
                 # a short block takes every value of the later qubits as a row,
@@ -243,7 +233,7 @@ def measure_all(
             weights = np.einsum("ij,ij->i", w, w.conj()).real
             k = outcomes[0, g] = _pick(rng, range(d), weights)
             if weights[k] < ZERO_BRANCH_ATOL * weights.sum():
-                raise ValueError(f"outcome {k} on qubits {groups[g]} has probability {weights[k] / weights.sum():.3e}")
+                raise ValueError(f"outcome {k} on qubits {group} has probability {weights[k] / weights.sum():.3e}")
             t = w[k, :, None]
     if not whole:
         vals, t = t, np.zeros((1 << n, t.shape[1]), dtype=np.complex128)
@@ -399,14 +389,13 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
     return list(zip(*columns))
 
 
-def _draw_order(event_order: Sequence[Event] | None, canonical: tuple[Event, ...]) -> list[int] | None:
-    """``event_order`` as indices into the canonical events; None for their own order."""
-    if event_order is None:
-        return None
-    order = [tuple(e) for e in event_order]
-    if sorted(order) != sorted(canonical):
+def _draw_order(event_order: Sequence[Event] | None, events: Sequence[Event]) -> list[int]:
+    """``event_order`` as indices into ``events``; their own order when None."""
+    order = events if event_order is None else [tuple(e) for e in event_order]
+    if sorted(order) != sorted(events):
         raise ValueError("event_order must be a permutation of protocol_events(shape)")
-    return [canonical.index(e) for e in order]
+    index = {e: i for i, e in enumerate(events)}
+    return [index[e] for e in order]
 
 
 def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
@@ -424,25 +413,31 @@ def _network_branches(
     specs: Sequence[MessageSpec],
     shape: NetworkShape,
     rng: np.random.Generator | None = None,
-    draw_order: Sequence[int] | None = None,
+    event_order: Sequence[Event] | None = None,
     defector: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``measure_all`` over the network's message and control resource: every
     protocol event but agent ``defector``'s, keeping the received qubits and,
-    above them, the defector's qubit."""
+    above them, the defector's qubit.  A drawn branch is drawn in
+    ``event_order`` (default: canonical order); enumerating ignores it.  The
+    outcome columns are in canonical order either way."""
     if len(specs) != shape.num_receivers:
         raise ValueError(f"got {len(specs)} message specs for {shape.num_receivers} receivers")
     for spec, m in zip(specs, shape.message_counts):
         if len(spec) != m:
             raise ValueError(f"spec length {len(spec)} does not match shape count {m}")
-    _measurable(shape.total_qubits)  # before the support's indices overflow
+    _measurable(shape.total_qubits)  # before the events are listed or the support's indices overflow
+    events = [e for e in protocol_events(shape) if e != ("ghz", defector)]
+    order = _draw_order(event_order, events)  # a malformed order is refused in both modes
+    if rng is None:
+        order.sort()
     registry = QubitRegistry(shape)
-    groups = [_event_qubits(e, registry) for e in protocol_events(shape) if e != ("ghz", defector)]
+    groups = [_event_qubits(events[g], registry) for g in order]
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    if defector is not None:
-        keep.append(registry.agent(defector))
+    keep += [] if defector is None else [registry.agent(defector)]
     message = prepare_message_state(MessageSpec(tuple(q for spec in specs for q in spec.qubits)))
-    return measure_all(_control_support(shape), message, groups, keep, rng, draw_order)
+    outcomes, probs, kept = measure_all(_control_support(shape), message, groups, keep, rng)
+    return outcomes[:, np.argsort(order)], probs, kept
 
 
 def _network_table(
@@ -457,8 +452,7 @@ def _network_table(
     """The transcript table of a network run: every branch, or one drawn branch."""
     if agent_basis not in ("hadamard_z", "plus_minus"):
         raise ValueError(f"unknown agent basis {agent_basis!r}")
-    draw_order = _draw_order(event_order, protocol_events(shape))
-    outcomes, probs, kept = _network_branches(specs, shape, _sampling_rng(mode, seed), draw_order)
+    outcomes, probs, kept = _network_branches(specs, shape, _sampling_rng(mode, seed), event_order)
     return _transcript_table(outcomes, probs, kept, specs, table)
 
 

@@ -55,7 +55,7 @@ from teleportnet import (
     tensor,
 )
 from teleportnet.defection import _form_for
-from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, FIDELITY_ATOL, _plan, _support
+from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, FIDELITY_ATOL, _support
 from teleportnet.states import ZERO_BRANCH_ATOL, _num_qubits_for, _read_only
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -587,18 +587,24 @@ def resource_state(resource) -> StateVector:
     return StateVector._wrap(amps)
 
 
-def dense_sampled(resource, message, groups, keep, rng, draw_order=None):
+def executor_layout(groups, keep):
+    """``measure_all``'s layout: the groups' qubits in order, then ``keep``
+    from last to first, the first qubit on the most significant index bit."""
+    return [q for g in groups for q in g] + list(reversed(keep))
+
+
+def dense_sampled(resource, message, groups, keep, rng):
     """``measure_all``'s sampled mode over the full 2^N vector: the laid-out
-    ``tensor(message, resource)`` is rotated one group at a time in
-    ``draw_order`` and each outcome drawn by the Born weights of every row.
-    Its bits are the reference for the loop over the state's support."""
-    order, layout = _plan(groups, keep, draw_order)
+    ``tensor(message, resource)`` is rotated one group at a time in group
+    order and each outcome drawn by the Born weights of every row.  Its bits
+    are the reference for the loop over the state's support."""
     full = tensor(message, resource_state(resource))
     n = full.num_qubits
+    layout = executor_layout(groups, keep)
     t = np.transpose(full.amplitudes.reshape((2,) * n), [n - 1 - q for q in layout]).reshape(-1)
-    dims = [1 << len(groups[g]) for g in order]
     outcomes = np.zeros((1, len(groups)), dtype=np.int64)
-    for g, d in zip(order, dims):
+    for g, group in enumerate(groups):
+        d = 1 << len(group)
         t = _ROTATIONS[d] @ t.reshape(d, -1)
         weights = np.einsum("ij,ij->i", t, t.conj()).real
         outcomes[0, g] = choice_pick(rng, range(d), weights)
@@ -621,9 +627,8 @@ def dense_enumerate(resource, message, groups, keep):
     group's axis rotated in group order and moved behind the others, and
     every row kept.  Its bits are the reference for the loop over the
     state's support."""
-    order, layout = _plan(groups, keep, None)
-    dims = [1 << len(groups[g]) for g in order]
-    t = scattered_support(resource, message, layout)
+    dims = [1 << len(g) for g in groups]
+    t = scattered_support(resource, message, executor_layout(groups, keep))
     for d in dims:
         # rotate the leading axis and move it behind the others, so that
         # after the last group the layout is (kept, groups...)

@@ -229,6 +229,23 @@ class TestRunCommand:
         assert run_cli("run", "--spec", str(path), "--m", "1", "--enumerate") == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00{}", b"[" * 200_000 + b"]" * 200_000],
+                             ids=["not-utf-8", "nested-too-deep"])
+    def test_unreadable_spec_file_is_a_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert run_cli("run", "--spec", str(path), "--m", "1", "--enumerate") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spec file is not valid JSON: ") and err.count("\n") == 1
+
+    def test_unknown_spec_file_key_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "mode": "enumerate", "defectr": 1}))
+        assert run_cli("run", "--spec", str(path), "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err == ("error: unknown spec file key 'defectr'; choose from "
+                                           "['m', 'ml', 'n', 'k', 'mode', 'seed', 'defector', 'messages']\n")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("scenario", [
         {"m": "abc", "n": 1, "mode": "enumerate"},
         {"m": 1, "n": 1, "defector": "x"},

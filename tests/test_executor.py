@@ -248,6 +248,13 @@ def _random_sparse_args(size, m, seed, data):
     return resource, message, groups, qubits[start:]
 
 
+def _drawn_in(args, order):
+    """``measure_all``'s arguments with the groups taken in ``order``, so
+    they are drawn in it (as given when ``order`` is None)."""
+    resource, message, groups, keep = args
+    return resource, message, groups if order is None else [groups[g] for g in order], keep
+
+
 def _result(f, *args):
     """``f(*args)``, or the message of the ``ValueError`` it raises."""
     try:
@@ -283,8 +290,9 @@ def test_sampled_support_loop_matches_the_full_size_loop(counts, agents, preset,
     cases.append((*copy, data.draw(st.permutations(range(len(copy[2]))))))
     with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
         for *args, order in cases:
-            got = measure_all(*args, np.random.default_rng(seed), order)
-            _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed), order))
+            args = _drawn_in(args, order)
+            got = measure_all(*args, np.random.default_rng(seed))
+            _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,10 +301,10 @@ def test_sampled_support_loop_matches_the_full_size_loop_on_random_states(size, 
     """Random sparse resources, not only the protocol's stabilizer states,
     measured in random pairs and single qubits, with the rest kept."""
     args = _random_sparse_args(size, m, seed, data)
-    order = data.draw(st.permutations(range(len(args[2]))))
+    args = _drawn_in(args, data.draw(st.permutations(range(len(args[2])))))
     with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
-        got = measure_all(*args, np.random.default_rng(seed), order)
-    _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed), order))
+        got = measure_all(*args, np.random.default_rng(seed))
+    _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4])
@@ -316,9 +324,9 @@ def test_sampled_lone_column_is_rotated_like_the_full_row(seed):
 def test_sampled_support_loop_matches_the_full_size_loop_at_21_qubits(counts, agents):
     rng = np.random.default_rng(5)
     args = _network_args([MessageSpec.random(m, rng) for m in counts], NetworkShape(counts, agents))
-    order = rng.permutation(len(args[2]))
-    _assert_same_bits(measure_all(*args, np.random.default_rng(5), order),
-                      dense_sampled(*args, np.random.default_rng(5), order))
+    args = _drawn_in(args, rng.permutation(len(args[2])))
+    _assert_same_bits(measure_all(*args, np.random.default_rng(5)),
+                      dense_sampled(*args, np.random.default_rng(5)))
 
 
 def test_sampled_run_never_allocates_the_state_vector():

@@ -19,10 +19,10 @@ from teleportnet import (
     QubitRegistry,
     StateVector,
 )
-from teleportnet.protocol import FIDELITY_ATOL, _event_qubits, _plan
+from teleportnet.protocol import FIDELITY_ATOL, _event_qubits
 from teleportnet.resources import _control_support, _ghz_support
 
-from _oracles import _nonzeros, conditional_kets, scattered_support
+from _oracles import _nonzeros, conditional_kets, executor_layout, scattered_support
 
 
 class TestCorrectionRule:
@@ -466,10 +466,10 @@ def _assert_layouts_match(specs, shape, permutation, order):
     registry = QubitRegistry(shape)
     events = tn.protocol_events(shape)
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    layouts = [permutation, _plan([_event_qubits(e, registry) for e in events], keep, order)[1]]
+    layouts = [permutation, executor_layout([_event_qubits(events[g], registry) for g in order], keep)]
     for d in range(shape.num_agents):
         groups = [_event_qubits(e, registry) for e in events if e != ("ghz", d)]
-        layouts.append(_plan(groups, keep + [registry.agent(d)])[1])
+        layouts.append(executor_layout(groups, keep + [registry.agent(d)]))
     for layout in layouts:
         _assert_laid_out(scattered_support(resource, message, layout), full, layout)
 
@@ -530,3 +530,36 @@ def test_networks_too_wide_for_int64_indices_are_refused_before_their_support_is
         tn.run_multi_receiver([spec, spec], NetworkShape((1, 1), n), "sampled", seed=1)
     with pytest.raises(ValueError, match=rf"{widest}{n + 4}$"):
         tn.analyze_defection(spec, NetworkShape.single(1, n), 0)
+
+
+@pytest.mark.parametrize("event_order", [None, [("bell", 0, 0)]], ids=["canonical", "malformed"])
+def test_a_million_agents_are_refused_before_any_event_list_is_built(event_order):
+    """The width check comes before the events are listed, so a malformed
+    event order is refused by the width too."""
+    spec = MessageSpec.random(1, np.random.default_rng(0))
+    widest = r"^at most 63 qubits \(int64 indices\) can be measured, not "
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"{widest}{10**6 + 4}$"):
+            tn.run_controlled_teleport(spec, NetworkShape.single(1, 10**6), "sampled", seed=1,
+                                       event_order=event_order)
+        with pytest.raises(ValueError, match=rf"{widest}{10**6 + 7}$"):
+            tn.run_multi_receiver([spec, spec], NetworkShape((1, 1), 10**6), "sampled", seed=1,
+                                  event_order=event_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "sampled"])
+def test_each_network_run_lists_its_events_once(monkeypatch, mode):
+    calls = []
+    listed = tn.protocol.protocol_events
+    monkeypatch.setattr(tn.protocol, "protocol_events", lambda shape: calls.append(shape) or listed(shape))
+    spec = MessageSpec.random(2, np.random.default_rng(0))
+    shape = NetworkShape.single(2, 2)
+    tn.run_controlled_teleport(spec, shape, mode, seed=1, event_order=listed(shape)[::-1])
+    tn.run_multi_receiver([spec, spec], NetworkShape((2, 2), 1), mode, seed=1)
+    tn.analyze_defection(spec, shape, 1)
+    assert len(calls) == 3
