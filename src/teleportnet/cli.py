@@ -340,10 +340,10 @@ def cmd_run(args) -> int:
     enumerate_mode = args.enumerate or config.get("mode") == "enumerate" or defector is not None
     mode = "enumerate" if enumerate_mode else "sampled"
     seed = args.seed if args.seed is not None else config.get("seed")
-    if mode == "sampled":
-        if seed is None:
-            raise ConfigError("sampled mode needs --seed (or use --enumerate)")
+    if seed is not None:  # checked in both modes, though only a sampled run draws from it
         seed = _as_seed(seed, "seed")
+    elif mode == "sampled":
+        raise ConfigError("sampled mode needs --seed (or use --enumerate)")
     scenario = {
         "message_counts": list(shape.message_counts),
         "num_agents": shape.num_agents,

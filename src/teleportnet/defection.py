@@ -16,19 +16,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .protocol import _BELL_ORDER, _baseline_branches, _network_branches, _parts, _record
-from .resources import (MessageSpec, NetworkShape, QubitRegistry, _integral, prepare_control_resource,
-                        prepare_message_state)
+from .protocol import _BELL_ORDER, _baseline_branches, _measurable, _network_branches, _parts, _record, measure_all
+from .resources import MessageSpec, NetworkShape, QubitRegistry, _control_support, _integral, prepare_message_state
 from .states import (
     UNITARY_ATOL,
     BellOutcome,
     DensityMatrix,
     StateVector,
     fidelity,
-    measure_bell,
     partial_trace,
     project_onto_qubit_state,
-    tensor,
 )
 
 _PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
@@ -324,32 +321,28 @@ def analyze_baseline_defection(
 
 
 def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -> ConditionalStateReport:
-    """Pin both Bell outcomes to the plus pair, skip all agent measurements,
-    project the first received qubit onto alpha1|0> +/- beta1|1>, and report
-    the second received qubit's fidelity against alpha2|0> +/- beta2|1>.  The
+    """Measure both Bell pairs through ``measure_all``, skip all agent
+    measurements, and read the branch where both pairs read Phi+: project
+    the first received qubit onto alpha1|0> +/- beta1|1>, and report the
+    second received qubit's fidelity against alpha2|0> +/- beta2|1>.  The
     kets are orthogonal, and p+ + p- = 1, only when |alpha1| = |beta1|."""
     if len(spec) != 2:
         raise ValueError("the entangled-information check needs exactly two message qubits")
     shape = shape or NetworkShape.single(2, 1)
     if shape.num_receivers != 1 or shape.message_counts[0] != 2:
         raise ValueError("shape must carry two message qubits to one receiver")
-    state = tensor(prepare_message_state(spec), prepare_control_resource(shape)[0])
+    _measurable(shape.total_qubits)  # before the support's indices overflow
     registry = QubitRegistry(shape)
-    for i in range(2):
-        pair = (registry.message(0, i), registry.sender_epr(0, i))
-        _, _, state = measure_bell(state, pair, BellOutcome.PHI_PLUS)
+    pairs = [(registry.message(0, i), registry.sender_epr(0, i)) for i in range(2)]
+    keep = [registry.receiver_epr(0, i) for i in range(2)]
+    keep += [registry.agent(j) for j in range(shape.num_agents)] + [registry.sender_ghz]
+    _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep)
+    # branch 0 reads Phi+ on both pairs; its qubit 0 is the first received qubit, qubit 1 the second
+    state = StateVector._wrap(kept[0])
 
     (a1, b1), (a2, b2) = spec.qubits
-    first = registry.receiver_epr(0, 0)
-    second = registry.receiver_epr(0, 1)
-    results = []
+    results = []  # p+, F+, p-, F-
     for sign in (+1, -1):
-        p, projected = project_onto_qubit_state(state, first, [a1, sign * b1])
-        rho = partial_trace(projected, [second])
-        target = StateVector([a2, sign * b2])
-        results.append((p, fidelity(rho, target)))
-    (pp, fp), (pm, fm) = results
-    return ConditionalStateReport(
-        plus_probability=pp, plus_fidelity=fp,
-        minus_probability=pm, minus_fidelity=fm,
-    )
+        p, projected = project_onto_qubit_state(state, 0, [a1, sign * b1])
+        results += [p, fidelity(partial_trace(projected, [1]), StateVector([a2, sign * b2]))]
+    return ConditionalStateReport(*results)

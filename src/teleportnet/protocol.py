@@ -437,7 +437,9 @@ def _network_branches(
     keep += [] if defector is None else [registry.agent(defector)]
     message = prepare_message_state(MessageSpec(tuple(q for spec in specs for q in spec.qubits)))
     outcomes, probs, kept = measure_all(_control_support(shape), message, groups, keep, rng)
-    return outcomes[:, np.argsort(order)], probs, kept
+    if rng is not None:  # drawn in event order; an enumeration's order is already sorted
+        outcomes = outcomes[:, np.argsort(order)]
+    return outcomes, probs, kept
 
 
 def _network_table(

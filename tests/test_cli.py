@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teleportnet import CORRECTIONS, MessageSpec, NetworkShape, defection, protocol
+from teleportnet import CORRECTIONS, MessageSpec, NetworkShape, cli, defection, protocol
 from teleportnet.cli import MAX_M_RANGE, ConfigError, _as_int, _diagonal_ok, main
 from teleportnet.defection import _distinct, _network_defection, _reports
+from teleportnet.protocol import _TranscriptTable
 
 from _oracles import diag_matches
 
@@ -92,6 +93,14 @@ class TestRunCommand:
         run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--seed", "1", "--out", str(a))
         run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--seed", "999", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_enumerate_run_checks_its_seed(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--seed", "-5", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -5\n"
+        assert not out.exists()
+        assert run_cli("run", "--m", "1", "--n", "1", "--enumerate", "--seed", "5", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["scenario"]["seed"] is None
 
     def test_sampled_mode_roundtrip(self, tmp_path):
         out = tmp_path / "r.json"
@@ -261,8 +270,11 @@ class TestRunCommand:
         {"m": 1, "n": 1, "k": 0, "mode": "enumerate"},
         {"m": 1, "n": 1, "mode": "enumrate", "seed": 3},
         {"m": 1, "n": 1, "mode": 7},
+        {"m": 1, "n": 1, "mode": "enumerate", "seed": "abc"},
+        {"m": 1, "n": 1, "defector": 1, "seed": -5},
     ], ids=["m", "defector", "seed", "ml", "negative-seed", "messages", "messages-seed", "preset-name",
-            "m-fraction", "n-bool", "defector-fraction", "k-zero", "mode-misspelled", "mode-number"])
+            "m-fraction", "n-bool", "defector-fraction", "k-zero", "mode-misspelled", "mode-number",
+            "enumerate-seed", "defector-negative-seed"])
     def test_malformed_spec_values_are_config_errors(self, tmp_path, capsys, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
@@ -281,6 +293,15 @@ class TestRunCommand:
         path.write_text(json.dumps({"m": 1, "n": 1, "defector": "x"}))
         assert run_cli("run", "--spec", str(path), "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: defector")
+
+    @pytest.mark.parametrize("gap, passes", [(1e-9, False), (1e-11, True)])
+    def test_fidelity_verdict_holds_its_bar(self, gap, passes):
+        """A fabricated table whose lowest fidelity is 1 - gap, against the
+        reconstruction bar of 1e-10."""
+        table = _TranscriptTable(outcomes=np.zeros((2, 3), dtype=np.int64), parity=np.zeros(2, dtype=np.int64),
+                                 ops=np.zeros((2, 1), dtype=np.int64), probs=np.full(2, 0.5),
+                                 fids=[np.array([1.0, 1.0 - gap])], counts=(1,), sender=True)
+        assert cli._transcript_summary(table)["all_fidelities_pass"] is passes
 
     def test_diagonal_check_matches_the_per_report_check(self):
         """The run summary's column check against ``diag_matches`` on the
@@ -427,6 +448,36 @@ class TestSelftest:
                                                            "[selftest] baseline_equivalence"]
         assert all(line.endswith("below bar at m=1 n=1)") for line in failed)
         assert lines[-1] == "[selftest] failed: reconstruction, baseline_equivalence"
+
+    @staticmethod
+    def _verdict(capsys, name):
+        code = run_cli("selftest")
+        line, = [line for line in capsys.readouterr().out.splitlines() if line.startswith(f"[selftest] {name}: ")]
+        return code, line.split(": ", 1)[1].split(" ")[0]
+
+    @pytest.mark.parametrize("offset, want", [(2e-9, (1, "FAIL")), (5e-10, (0, "ok"))])
+    def test_reconstruction_holds_the_probability_sum_bar(self, capsys, monkeypatch, offset, want):
+        summary = cli._transcript_summary
+
+        def shifted(*args):
+            out = summary(*args)
+            out["branch_probability_sum"] += offset
+            return out
+
+        monkeypatch.setattr(cli, "_transcript_summary", shifted)
+        assert self._verdict(capsys, "reconstruction") == want
+
+    @pytest.mark.parametrize("weight, want", [(1 - 2e-12, (1, "FAIL")), (1 - 5e-13, (0, "ok"))])
+    def test_parity_decomposition_holds_its_bar(self, capsys, monkeypatch, weight, want):
+        decompose = cli.parity_decompose
+
+        def moved(*args):
+            weights = decompose(*args)
+            weights[max(weights, key=weights.get)] = weight  # the expected class holds all the mass
+            return weights
+
+        monkeypatch.setattr(cli, "parity_decompose", moved)
+        assert self._verdict(capsys, "ghz_parity_decomposition") == want
 
     def test_builds_no_library_record(self, capsys, monkeypatch):
         # selftest judges on branch tables: no transcript or defection report is built

@@ -19,7 +19,8 @@ from teleportnet import (
 from teleportnet.cli import PRESETS
 from teleportnet.protocol import _baseline_branches
 
-from _oracles import defection_mixture, joint_stack_marginals, max_eigenvalue, whole_grid_recovery
+from _oracles import (defection_mixture, entangled_info_walk, joint_stack_marginals, max_eigenvalue,
+                      whole_grid_recovery)
 
 GRID = tn.recovery_unitaries(num_random=300, seed=3)
 RECOVERY_GRIDS = {
@@ -680,3 +681,41 @@ class TestEntangledInfoCheck:
     def test_wrong_length_rejected(self, rng):
         with pytest.raises(ValueError):
             tn.entangled_info_check(MessageSpec.random(3, rng))
+
+
+class TestEntangledInfoCheckThroughTheExecutor:
+    """The check measures both Bell pairs through the one executor, and
+    agrees with the dense walk it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_dense_walk_on_unbalanced_messages(self, n):
+        rng = np.random.default_rng(40 + n)
+        shape = NetworkShape.single(2, n)
+        for _ in range(10):
+            spec = MessageSpec.random(2, rng)
+            got, want = tn.entangled_info_check(spec, shape), entangled_info_walk(spec, shape)
+            for field in ("plus_probability", "plus_fidelity", "minus_probability", "minus_fidelity"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), field
+
+    @pytest.mark.parametrize("n", [57, 63, 100])
+    def test_too_wide_a_network_is_refused_before_any_allocation(self, n):
+        spec = MessageSpec.random(2, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most 63 qubits .* not {n + 7}$"):
+                tn.entangled_info_check(spec, NetworkShape.single(2, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_measures_through_the_executor_once(self, monkeypatch):
+        calls, measure_all = [], tn.defection.measure_all
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return measure_all(*args, **kwargs)
+
+        monkeypatch.setattr(tn.defection, "measure_all", counted)
+        tn.entangled_info_check(MessageSpec.random(2, np.random.default_rng(1)), NetworkShape.single(2, 3))
+        assert len(calls) == 1

@@ -412,6 +412,25 @@ def test_enumerate_peak_stays_near_the_output():
     assert peak <= 2.5 * kept.nbytes, f"peak {peak / kept.nbytes:.2f} times the kept states"
 
 
+def test_network_outcome_columns_are_permuted_only_when_drawn(monkeypatch):
+    """Enumerating, the executor measures the events in canonical order, so
+    its outcome array is returned as it is; a branch drawn in another event
+    order still has its columns put back in canonical order."""
+    returned = []
+
+    def recorded(*args):
+        returned.append(measure_all(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(protocol, "measure_all", recorded)
+    spec, shape = MessageSpec.random(2, np.random.default_rng(2)), NetworkShape.single(2, 2)
+    outcomes = protocol._network_branches([spec], shape)[0]
+    assert outcomes is returned[-1][0]
+    order = list(reversed(tn.protocol_events(shape)))
+    outcomes = protocol._network_branches([spec], shape, np.random.default_rng(3), order)[0]
+    assert outcomes.tolist() == returned[-1][0][:, ::-1].tolist() != returned[-1][0].tolist()
+
+
 def test_defection_table_peak_stays_near_the_kept_states():
     """The defection table of (5,3), defector 1, builds no joint operator
     (that stack alone would be 16 times the kept states): its traced peak
