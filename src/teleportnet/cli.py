@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 from collections.abc import Iterator
@@ -66,19 +67,24 @@ def _round_floats(obj: Any) -> Any:
 
 # The stdlib encoder skips its C encoder when it indents, so records are not
 # dumped one by one. The report is dumped once, with the records' skeletons
-# (record shapes whose leaves that vary are columns) in place of its records:
-# each column dumps as a hole. The skeleton list's text is a frame, %s at each
-# hole, that every row fills with its leaves' JSON texts, which come from the
-# columns through lookup arrays. The bytes are those of one
-# json.dumps(_round_floats(report), indent=2, sort_keys=True).
+# (record shapes whose leaves that vary are columns of codes into their JSON
+# texts) in place of its records: each column dumps as a hole. The skeleton
+# list's text, cut at its holes, prefixes each column's texts in one table; a
+# chunk of rows is one block of codes into it, gathered and joined once. The
+# bytes are those of one json.dumps(_round_floats(report), indent=2, sort_keys=True).
 _HOLE = "\x00"  # a column's place in a skeleton record
 _HOLE_TEXT = json.dumps(_HOLE)
 _CHUNK = 512  # rows per written piece: the report is streamed, never held whole
 
 
-def _lookup(texts: Sequence[str], codes: np.ndarray) -> np.ndarray:
+class _Column:
     """A column of JSON texts: row i holds ``texts[codes[i]]``."""
-    return np.array(texts, dtype=object)[codes]
+
+    def __init__(self, texts: Sequence[str], codes: np.ndarray):
+        self.texts, self.codes = texts, codes
+
+    def __getitem__(self, rows) -> _Column:
+        return _Column(self.texts, self.codes[rows])
 
 
 def _float_text(x: float) -> str:
@@ -87,11 +93,11 @@ def _float_text(x: float) -> str:
     return float.__repr__(x) if x - x == 0 else json.dumps(x)  # NaN and +-Infinity
 
 
-def _float_column(x: np.ndarray) -> np.ndarray:
+def _float_column(x: np.ndarray) -> _Column:
     """A column of the floats' texts, each made by ``_float_text`` once per
     distinct bit pattern, so that 0.0 and -0.0, and NaNs, never merge."""
     bits, codes = np.unique(np.ascontiguousarray(x, dtype=np.float64).view(np.uint64), return_inverse=True)
-    return _lookup([_float_text(v) for v in bits.view(np.float64).tolist()], codes)
+    return _Column([_float_text(v) for v in bits.view(np.float64).tolist()], codes)
 
 
 _BITS = ("0", "1")
@@ -109,7 +115,7 @@ def _report_pieces(report: dict, key: str | None = None) -> Iterator[str]:
     a skeleton may hold the character ``_HOLE``."""
     columns = []
 
-    def hole(column: np.ndarray) -> str:
+    def hole(column: _Column) -> str:
         columns.append(column)  # the encoder meets the leaves in the order it writes them
         return _HOLE
 
@@ -121,14 +127,18 @@ def _report_pieces(report: dict, key: str | None = None) -> Iterator[str]:
     head = f'\n  "{key}": [\n'
     start = text.index(head) + len(head)
     end = text.index("\n  ]", start)
-    frame = text[start:end]
-    if frame.count(_HOLE_TEXT) != len(columns):
+    parts = text[start:end].split(_HOLE_TEXT)
+    if len(parts) != len(columns) + 1:
         raise ValueError("a key or a constant of the record spells a hole")
-    frame = frame.replace("%", "%%").replace(_HOLE_TEXT, "%s")
+    rows = len(columns[0].codes)
+    columns.append(_Column([",\n", ""], np.arange(rows) == rows - 1))  # each record ends with a comma but the last
+    table = np.array([part + t for part, c in zip(parts, columns) for t in c.texts], dtype=object)
+    offsets = np.array([0, *itertools.accumulate(len(c.texts) for c in columns[:-1])])[:, None]
     yield text[:start]
-    for first in range(0, len(columns[0]), _CHUNK):
-        cells = [c[first:first + _CHUNK].tolist() for c in columns]
-        yield (",\n" if first else "") + ",\n".join(map(frame.__mod__, zip(*cells)))
+    for first in range(0, rows, _CHUNK):  # one chunk takes the codes whole, sparing a one-row report a slice each
+        codes = [c.codes if rows <= _CHUNK else c.codes[first:first + _CHUNK] for c in columns]
+        block = (np.array(codes, order="F") + offsets).T  # a row per branch, in C order: ravel copies nothing
+        yield "".join(table[block].ravel().tolist())
     yield text[end:]
 
 
@@ -251,13 +261,13 @@ def _build_specs(config: dict, shape: NetworkShape) -> tuple[list[MessageSpec], 
 def _transcript_records(t: _TranscriptTable) -> list[dict]:
     """One skeleton per receiver: a record per branch and receiver, interleaved by branch."""
     total = sum(t.counts)
-    bells = [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T]
-    corrections = [_lookup(_PAULI_TEXT, c) for c in t.ops.T]
+    bells = [_Column(_BELL_TEXT, c) for c in t.outcomes[:, :total].T]
+    corrections = [_Column(_PAULI_TEXT, c) for c in t.ops.T]
     shared = {
         "message_index": None,
-        "agent_bits": [_lookup(_BITS, c) for c in t.outcomes[:, total:-1].T],
-        "sender_ghz_bit": _lookup(_BITS, t.outcomes[:, -1]),
-        "branch": _lookup(_BRANCH_TEXT, t.parity),
+        "agent_bits": [_Column(_BITS, c) for c in t.outcomes[:, total:-1].T],
+        "sender_ghz_bit": _Column(_BITS, t.outcomes[:, -1]),
+        "branch": _Column(_BRANCH_TEXT, t.parity),
         "branch_probability": _float_column(t.probs),
     }
     ends = np.cumsum(t.counts).tolist()
@@ -273,14 +283,14 @@ def _defection_records(t: _DefectionTable, defector: int) -> list[dict]:
     total = len(t.operators)
     return [{
         "defector": defector,
-        "bell_outcomes": [_lookup(_BELL_TEXT, c) for c in t.outcomes[:, :total].T],
-        "cooperator_bits": [_lookup(_BITS, c) for c in t.outcomes[:, total:].T],
+        "bell_outcomes": [_Column(_BELL_TEXT, c) for c in t.outcomes[:, :total].T],
+        "cooperator_bits": [_Column(_BITS, c) for c in t.outcomes[:, total:].T],
         "probability": _float_column(t.probs),
         "per_qubit": [
             {
                 "diag": [_float_column(ops[:, 0, 0].real)[inverse], _float_column(ops[:, 1, 1].real)[inverse]],
                 "max_off_diagonal": _float_column(t.off[:, i]),
-                "conforms_to": _lookup(_FORM_TEXT, t.outcomes[:, i]),
+                "conforms_to": _Column(_FORM_TEXT, t.outcomes[:, i]),
                 "max_recovery_fidelity": _float_column(t.best[:, i]),
             }
             for i, (ops, inverse) in enumerate(t.operators)

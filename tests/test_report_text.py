@@ -1,10 +1,11 @@
 """The CLI's report writer, which dumps the report once with each record shape
-in place of its records and fills that shape's text from columns, against one
-stdlib dump of the whole report; and the report of ``run`` against the same
-report built from the library's objects."""
+in place of its records and writes that shape's records from code columns,
+against one stdlib dump of the whole report; and the report of ``run`` against
+the same report built from the library's objects."""
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teleportnet import NetworkShape, cli
-from teleportnet.cli import _BITS, _float_column, _lookup, _report_pieces
+from teleportnet.cli import _BITS, _Column, _float_column, _report_pieces
+from teleportnet.protocol import _network_table
 
 from _oracles import _round_floats, report_text, run_report
 
@@ -72,11 +74,11 @@ def record_lists(draw):
             return _float_column(np.array(xs, dtype=float)), xs
         if kind == "bits":
             bits = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
-            return _lookup(_BITS, np.array(bits)), bits
+            return _Column(_BITS, np.array(bits)), bits
         choices = draw(st.lists(st.one_of(texts, st.integers(-2**70, 2**70), st.booleans(), st.none()),
                                 min_size=1, max_size=4))
         codes = draw(st.lists(st.integers(0, len(choices) - 1), min_size=rows, max_size=rows))
-        return _lookup([json.dumps(c) for c in choices], np.array(codes)), [choices[c] for c in codes]
+        return _Column([json.dumps(c) for c in choices], np.array(codes)), [choices[c] for c in codes]
 
     def fill(node):
         if isinstance(node, dict):
@@ -94,7 +96,7 @@ def record_lists(draw):
             return {k: row(v, i) for k, v in node.items()}
         if isinstance(node, list):
             return [row(v, i) for v in node]
-        return column_values[id(node)][i] if isinstance(node, np.ndarray) else node
+        return column_values[id(node)][i] if isinstance(node, _Column) else node
 
     skeletons = [fill(s) for s in shapes]
     assume(column_values)
@@ -116,7 +118,7 @@ def test_zero_signs_and_bool_int_float_stay_apart():
     xs = [0.0, -0.0, 0.0, 1.0, -0.0, 1.0]
     choices = [1, True, False, 0, 1.0]
     codes = [0, 1, 0, 2, 3, 4]
-    skeleton = {"x": _float_column(np.array(xs)), "y": _lookup([json.dumps(c) for c in choices], np.array(codes)),
+    skeleton = {"x": _float_column(np.array(xs)), "y": _Column([json.dumps(c) for c in choices], np.array(codes)),
                 "z": -0.0}
     records = [{"x": x, "y": choices[c], "z": -0.0} for x, c in zip(xs, codes)]
     assert "".join(_report_pieces({"branches": [skeleton]}, "branches")) == report_text({"branches": records}) + "\n"
@@ -124,7 +126,41 @@ def test_zero_signs_and_bool_int_float_stay_apart():
 
 def test_a_key_that_spells_a_hole_is_refused():
     with pytest.raises(ValueError, match="hole"):
-        "".join(_report_pieces({"branches": [{'"\x00': _lookup(_BITS, np.array([0]))}]}, "branches"))
+        "".join(_report_pieces({"branches": [{'"\x00': _Column(_BITS, np.array([0]))}]}, "branches"))
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 6, 7])
+def test_each_chunk_holds_whole_records_and_only_the_last_lacks_the_comma(rows):
+    # two records a row, as a run with two receivers writes them, in chunks of three rows
+    xs, bits, names = [i / 4 for i in range(rows)], [i % 2 for i in range(rows)], ["a", "%s", "\n"]
+    shared = _Column(_BITS, np.array(bits))
+    skeletons = [{"x": _float_column(np.array(xs)), "bit": shared, "k": 0},
+                 {"bit": shared, "name": _Column([json.dumps(s) for s in names], np.arange(rows) % 3)}]
+    records = [r for i in range(rows) for r in ({"x": xs[i], "bit": bits[i], "k": 0},
+                                                 {"bit": bits[i], "name": names[i % 3]})]
+    with mock.patch.object(cli, "_CHUNK", 3):
+        pieces = list(_report_pieces({"scenario": {}, "transcripts": skeletons, "summary": {}}, "transcripts"))
+    assert "".join(pieces) == report_text({"scenario": {}, "transcripts": records, "summary": {}}) + "\n"
+    chunks = pieces[1:-1]
+    assert [c.count('"bit"') for c in chunks] == [2 * min(3, rows - first) for first in range(0, rows, 3)]
+    assert [c.endswith(",\n") for c in chunks] == [True] * (len(chunks) - 1) + [False]
+
+
+def test_the_writer_holds_a_fraction_of_the_report():
+    # the table is built first: what is traced is what the records, the summary and the writer hold
+    shape = NetworkShape.single(5, 3)
+    specs, _ = cli._build_specs({}, shape)
+    table = _network_table(specs, shape, "enumerate", None)
+    tracemalloc.start()
+    try:
+        report = {"schema_version": 1, "command": "run", "kind": "protocol_run",
+                  "transcripts": cli._transcript_records(table), "summary": cli._transcript_summary(table)}
+        size = sum(map(len, _report_pieces(report, "transcripts")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 7_000_000
+    assert peak < 0.2 * size
 
 
 def test_float_column_texts_match_the_stdlib():
@@ -138,7 +174,7 @@ def test_float_column_texts_match_the_stdlib():
     ])
     with mock.patch.object(cli, "_float_text", wraps=cli._float_text) as float_text:
         col = _float_column(xs)
-    assert col.tolist() == [json.dumps(_round_floats(x)) for x in xs.tolist()]
+    assert [col.texts[c] for c in col.codes.tolist()] == [json.dumps(_round_floats(x)) for x in xs.tolist()]
     assert float_text.call_count == len(set(xs.view(np.uint64).tolist()))  # once per bit pattern
 
 
