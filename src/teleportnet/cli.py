@@ -14,6 +14,7 @@ import json
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 import numpy as np
@@ -51,29 +52,10 @@ class ConfigError(Exception):
     pass
 
 
-def _sig15(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return _sig15(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
-# The stdlib encoder skips its C encoder when it indents, so records are not
-# dumped one by one. The report is dumped once, with the records' skeletons
-# (record shapes whose leaves that vary are columns of codes into their JSON
-# texts) in place of its records: each column dumps as a hole. The skeleton
-# list's text, cut at its holes, prefixes each column's texts in one table; a
-# chunk of rows is one block of codes into it, gathered and joined once. The
-# bytes are those of one json.dumps(_round_floats(report), indent=2, sort_keys=True).
-_HOLE = "\x00"  # a column's place in a skeleton record
-_HOLE_TEXT = json.dumps(_HOLE)
+# The stdlib encoder skips its C encoder when it indents, so one walk writes the
+# report. Records stand as skeletons, whose varying leaves are columns of codes
+# into their texts, each a hole by position among the walk's pieces; those pieces,
+# cut at the holes, prefix each column's texts in one table, gathered by chunks.
 _CHUNK = 512  # rows per written piece: the report is streamed, never held whole
 
 
@@ -88,14 +70,16 @@ class _Column:
 
 
 def _float_text(x: float) -> str:
-    """``json.dumps(_sig15(x))``."""
-    x = _sig15(x)
+    """``json.dumps(x)``, ``x`` cut to 15 significant digits."""
+    x = float(f"{x:.15g}")
     return float.__repr__(x) if x - x == 0 else json.dumps(x)  # NaN and +-Infinity
 
 
 def _float_column(x: np.ndarray) -> _Column:
     """A column of the floats' texts, each made by ``_float_text`` once per
     distinct bit pattern, so that 0.0 and -0.0, and NaNs, never merge."""
+    if len(x) == 1:  # a one-row table's column, without np.unique's fixed cost
+        return _Column([_float_text(x[0])], np.zeros(1, dtype=np.intp))
     bits, codes = np.unique(np.ascontiguousarray(x, dtype=np.float64).view(np.uint64), return_inverse=True)
     return _Column([_float_text(v) for v in bits.view(np.float64).tolist()], codes)
 
@@ -108,38 +92,65 @@ _FORM_TEXT = [json.dumps(_form_for(o).value) for o in BellOutcome]
 _PRESERVED = np.array([_form_for(o) is DiagonalForm.PRESERVED for o in BellOutcome])
 
 
+def _walk(node: Any, out: list, holes: list[int], pad: str = "\n") -> None:
+    """Append ``node``'s text to ``out`` as the stdlib's indenting encoder writes it, in its type order, at
+    the depth that ``pad`` breaks lines to; a ``_Column`` stays a hole, its position going to ``holes``."""
+    if isinstance(node, str):
+        out.append(encode_basestring_ascii(node))
+    elif node is None or node is True or node is False:
+        out.append("null" if node is None else "true" if node else "false")
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, float):
+        out.append(_float_text(node))
+    elif isinstance(node, (list, tuple)):
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in node:
+            out.append(sep)
+            sep = "," + inner
+            _walk(v, out, holes, inner)
+        out.append(pad + "]" if node else "[]")
+    elif isinstance(node, dict):
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in sorted(node.items()):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            sep = "," + inner
+            _walk(v, out, holes, inner)
+        out.append(pad + "}" if node else "{}")
+    elif isinstance(node, _Column):
+        holes.append(len(out))
+        out.append(node)
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
 def _report_pieces(report: dict, key: str | None = None) -> Iterator[str]:
-    """``json.dumps(_round_floats(report), indent=2, sort_keys=True)`` and a
-    newline, in pieces; ``report[key]`` lists skeletons, and stands for one
-    record per skeleton for each row of their columns. No key or constant of
-    a skeleton may hold the character ``_HOLE``."""
-    columns = []
-
-    def hole(column: _Column) -> str:
-        columns.append(column)  # the encoder meets the leaves in the order it writes them
-        return _HOLE
-
-    text = json.dumps(_round_floats(report), indent=2, sort_keys=True, default=hole) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True)`` with floats cut to 15 significant
+    digits, and a newline, in pieces; ``report[key]`` lists skeletons, and stands
+    for one record per skeleton for each row of their columns."""
+    frame, marks = [], []  # the records' place in the frame is its one hole
+    _walk(report if key is None else {**report, key: _Column((), ())}, frame, marks)
     if key is None:
-        yield text
+        yield "".join(frame) + "\n"
         return
-    # only top-level lines start with exactly two spaces, and no string holds a raw newline
-    head = f'\n  "{key}": [\n'
-    start = text.index(head) + len(head)
-    end = text.index("\n  ]", start)
-    parts = text[start:end].split(_HOLE_TEXT)
-    if len(parts) != len(columns) + 1:
-        raise ValueError("a key or a constant of the record spells a hole")
+    (at,) = marks
+    body, holes = [], []
+    _walk(report[key], body, holes, "\n  ")  # "[\n    ", the skeletons' pieces, "\n  ]"
+    body[0] = "    "  # each row starts a line: "[\n" ends the head
+    parts = ["".join(body[a + 1:b]) for a, b in itertools.pairwise([-1, *holes, len(body) - 1])]
+    columns = [body[h] for h in holes]
     rows = len(columns[0].codes)
     columns.append(_Column([",\n", ""], np.arange(rows) == rows - 1))  # each record ends with a comma but the last
     table = np.array([part + t for part, c in zip(parts, columns) for t in c.texts], dtype=object)
     offsets = np.array([0, *itertools.accumulate(len(c.texts) for c in columns[:-1])])[:, None]
-    yield text[:start]
+    yield "".join(frame[:at]) + "[\n"
     for first in range(0, rows, _CHUNK):  # one chunk takes the codes whole, sparing a one-row report a slice each
         codes = [c.codes if rows <= _CHUNK else c.codes[first:first + _CHUNK] for c in columns]
         block = (np.array(codes, order="F") + offsets).T  # a row per branch, in C order: ravel copies nothing
         yield "".join(table[block].ravel().tolist())
-    yield text[end:]
+    yield body[-1] + "".join(frame[at + 1:]) + "\n"
 
 
 def _emit_report(report: dict, out_path: str | None, key: str | None = None) -> None:

@@ -219,9 +219,14 @@ def measure_all(
             else:
                 # the values that hold a nonzero, in order; a lone row is
                 # padded, since gemv would round it unlike the full block's gemm
-                hi, (cols, at) = cols >> n, np.unique(cols & ((1 << n) - 1), return_inverse=True)
+                hi, low = cols >> n, cols & ((1 << n) - 1)
+                order = low.argsort()  # np.unique(low, return_inverse=True), without its fixed cost
+                low = low[order]
+                new = np.concatenate(([True], low[1:] != low[:-1]))
+                cols, at = low[new], np.empty(len(low), dtype=np.intp)
+                at[order] = new.cumsum() - 1
                 at += hi * max(len(cols), min(2, 1 << n))
-                del hi
+                del hi, low, order, new
             whole = len(cols) == 1 << n
             vals, t = t, np.zeros((d * max(len(cols), min(2, 1 << n)), t.shape[1]), dtype=np.complex128)
             t[at] = vals[:len(at)]
@@ -230,10 +235,10 @@ def measure_all(
         t = (t.reshape(d, -1).T @ _ROTATIONS[d].T).reshape(-1, t.shape[-1] * d)
         if rng is not None:
             w = np.ascontiguousarray(t.T)
-            weights = np.einsum("ij,ij->i", w, w.conj()).real
+            weights = np.einsum("ij,ij->i", w, w.conj()).real.tolist()
             k = outcomes[0, g] = _pick(rng, range(d), weights)
-            if weights[k] < ZERO_BRANCH_ATOL * weights.sum():
-                raise ValueError(f"outcome {k} on qubits {group} has probability {weights[k] / weights.sum():.3e}")
+            if weights[k] < ZERO_BRANCH_ATOL * sum(weights):
+                raise ValueError(f"outcome {k} on qubits {group} has probability {weights[k] / sum(weights):.3e}")
             t = w[k, :, None]
     if not whole:
         vals, t = t, np.zeros((1 << n, t.shape[1]), dtype=np.complex128)

@@ -3,6 +3,7 @@ decomposition that a Hadamard on every GHZ qubit induces."""
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,7 +26,7 @@ class MessageSpec:
         if not pairs:
             raise ValueError("message spec needs at least one qubit")
         for i, (a, b) in enumerate(pairs):
-            if not (np.isfinite(a) and np.isfinite(b)):
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
                 raise ValueError(f"qubit {i} amplitudes are not finite")
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > NORM_ATOL:
                 raise ValueError(f"qubit {i} amplitude pair is not normalized")

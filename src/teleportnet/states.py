@@ -8,7 +8,9 @@ constructors normalize and reject zero or non-finite input.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -237,15 +239,16 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
 
 def _pick(selector: Selector, outcomes: Sequence, probs: Sequence[float]):
     """The outcome ``selector`` names, or a generator's draw by the weights ``probs``
-    through ``Generator.choice``'s own arithmetic: the same outcome and generator state."""
+    through ``Generator.choice``'s own arithmetic, in Python floats and in numpy's
+    order (it adds under 8 values one by one): the same outcome and generator state."""
     if isinstance(selector, np.random.Generator):
-        p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-        cdf = (p / p.sum()).cumsum()
-        # choice refuses NaN, negative weights (none survive the clip) and a sum off 1
-        if not abs(cdf[-1] - 1.0) <= _CHOICE_ATOL:
+        p = [max(x, 0.0) for x in probs]  # np.clip: NaN stays
+        total = list(itertools.accumulate(p))[-1]
+        cdf = list(itertools.accumulate(x / total for x in p)) if total else []
+        # choice refuses NaN, negative weights (none survive the clip), a zero sum (0/0 in numpy) and a sum off 1
+        if not (cdf and abs(cdf[-1] - 1.0) <= _CHOICE_ATOL):
             raise ValueError(f"weights {list(probs)} are not probabilities")
-        cdf /= cdf[-1]
-        return outcomes[cdf.searchsorted(selector.random(), side="right")]
+        return outcomes[bisect.bisect_right([c / cdf[-1] for c in cdf], selector.random())]
     if selector not in outcomes:
         raise ValueError(f"invalid branch selector {selector!r}")
     return selector

@@ -1,4 +1,4 @@
-"""The CLI's report writer, which dumps the report once with each record shape
+"""The CLI's report writer, which walks the report once with each record shape
 in place of its records and writes that shape's records from code columns,
 against one stdlib dump of the whole report; and the report of ``run`` against
 the same report built from the library's objects."""
@@ -47,15 +47,13 @@ class Col:
         self.kind = kind
 
 
-# the frame's own strings: anything without the hole's character
-frame_texts = texts.filter(lambda s: "\x00" not in s)
 shape_leaves = st.one_of(
     st.sampled_from(["float", "bits", "lookup"]).map(Col),
-    st.one_of(st.sampled_from([1, True, False, None, 0]), st.integers(-2**70, 2**70), floats, frame_texts),
+    st.one_of(st.sampled_from([1, True, False, None, 0]), st.integers(-2**70, 2**70), floats, texts),
 )
-record_shapes = st.dictionaries(frame_texts, st.recursive(
+record_shapes = st.dictionaries(texts, st.recursive(
     shape_leaves,
-    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(frame_texts, inner, max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(texts, inner, max_size=3)),
     max_leaves=8,
 ), max_size=5)
 
@@ -124,9 +122,14 @@ def test_zero_signs_and_bool_int_float_stay_apart():
     assert "".join(_report_pieces({"branches": [skeleton]}, "branches")) == report_text({"branches": records}) + "\n"
 
 
-def test_a_key_that_spells_a_hole_is_refused():
-    with pytest.raises(ValueError, match="hole"):
-        "".join(_report_pieces({"branches": [{'"\x00': _Column(_BITS, np.array([0]))}]}, "branches"))
+def test_a_nul_in_a_key_or_constant_is_written_as_the_stdlib_writes_it():
+    # columns are holes by position among the walk's pieces, so no character of the text is reserved
+    bits = [0, 1, 1]
+    skeleton = {'"\x00': _Column(_BITS, np.array(bits)), "\x00": ["\x00", {"k": '\x00"'}]}
+    records = [{'"\x00': b, "\x00": ["\x00", {"k": '\x00"'}]} for b in bits]
+    report = {"scenario": {"\x00": "\x00"}, "branches": [skeleton]}
+    got = "".join(_report_pieces(report, "branches"))
+    assert got == report_text({**report, "branches": records}) + "\n"
 
 
 @pytest.mark.parametrize("rows", [2, 3, 4, 6, 7])
@@ -176,6 +179,11 @@ def test_float_column_texts_match_the_stdlib():
         col = _float_column(xs)
     assert [col.texts[c] for c in col.codes.tolist()] == [json.dumps(_round_floats(x)) for x in xs.tolist()]
     assert float_text.call_count == len(set(xs.view(np.uint64).tolist()))  # once per bit pattern
+    for x in [0.0, -0.0, math.nan, other_nan, math.inf, -math.inf, 5e-324]:  # a one-row table's columns
+        with mock.patch.object(cli, "_float_text", wraps=cli._float_text) as float_text:
+            col = _float_column(np.array([x]))
+        assert [col.texts[c] for c in col.codes.tolist()] == [json.dumps(_round_floats(x))]
+        assert float_text.call_count == 1
 
 
 @st.composite
@@ -252,6 +260,9 @@ def test_nested_record_keys_in_the_spec_stay_in_the_scenario(tmp_path, defector)
     ["compare", "--k", "2", "--ml", "1", "--n", "2"],
 ], ids=["sampled", "enumerate-two-receivers", "defection", "compare-sweep", "compare-shape"])
 def test_each_report_is_one_indented_dump(tmp_path, capsys, argv):
-    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+    # one walk writes the report, indented; no json.dumps call indents
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps, \
+            mock.patch.object(cli, "_report_pieces", wraps=cli._report_pieces) as pieces:
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 0
-    assert sum(c.kwargs.get("indent") == 2 for c in dumps.call_args_list) == 1
+    assert pieces.call_count == 1
+    assert not [c for c in dumps.call_args_list if c.kwargs.get("indent") is not None]

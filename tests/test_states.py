@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import teleportnet as tn
@@ -137,9 +137,17 @@ class TestMeasureZ:
 _WEIGHT = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
 
 
+# weights that both refuse (a zero total, NaN, an infinity, a total that
+# overflows), each followed by a draw that both make
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(_WEIGHT, min_size=2, max_size=2) | st.lists(_WEIGHT, min_size=4, max_size=4),
                 min_size=1, max_size=6), st.integers(0, 2**64 - 1))
+@example([[0.0, 0.0], [0.25, 0.75]], 0)
+@example([[-0.0, -0.0, 0.0, 0.0], [0.25, 0.75]], 0)
+@example([[np.nan, 1.0], [0.25, 0.75]], 0)
+@example([[np.inf, 1.0], [0.25, 0.75]], 0)
+@example([[1.0, 0.0, -np.inf, np.inf], [0.25, 0.75]], 0)
+@example([[1.7e308, 1.7e308], [0.25, 0.75]], 0)
 def test_pick_draws_what_generator_choice_draws(draws, seed):
     """Draw after draw from one seed, ``_pick`` and ``Generator.choice`` on
     the same weights pick the same outcome and leave the generator in the
