@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Time ``teleportnet`` end to end over a fixed ladder: ``run`` at a range of
 shapes, ``selftest``, one ``compare`` sweep and two library calls of the GHZ
-baseline.
+baseline, on one or more source trees.
 
-    python3 scripts/ladder.py TREE --label NAME [--max-qubits Q] [--skip COMMAND ...]
+    python3 scripts/ladder.py TREE [TREE ...] --label NAME [NAME ...] [--max-qubits Q] [--skip COMMAND ...]
 
 Every repeat of every command is its own process, with ``TREE/src`` first
 on ``PYTHONPATH`` and one BLAS thread (``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1).  For each
-command the script records the median wall time and max RSS of 5 repeats,
-every repeat, and the size of the report in bytes (0 for ``selftest`` and the
-library entries, which write none).  A library entry, ``lib CALL``, is a
-child ``python -c`` that imports ``teleportnet`` and makes CALL 20 times at
-(6,6) with a fixed message.  It writes them, with ``nproc`` and the package, Python, numpy
-and BLAS versions, to ``BENCH_<NAME>.json`` in the current directory.
+command and tree the script records the median wall time and max RSS of 5
+repeats, every repeat, and the size of the report in bytes (0 for
+``selftest`` and the library entries, which write none).  A library entry,
+``lib CALL``, is a child ``python -c`` that imports ``teleportnet`` and makes
+CALL 20 times at (6,6) with a fixed message.  It writes them, with ``nproc``
+and the package, Python, numpy and BLAS versions, to ``BENCH_<NAME>.json`` in
+the current directory, one file per tree, each labelled by the ``NAME`` in
+the same place as its tree.
 
 Wall time runs from the start of the process to its exit, so it includes the
 interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
@@ -25,8 +27,11 @@ and not run: ``run --m 8 --n 1 --enumerate`` peaks at about 3.2 GiB, while
 its stderr, so that trees which refuse different shapes run the same ladder;
 any other failing exit aborts.
 
-Compare two trees by running the script once on each, on the same host, for
-instance on ``git archive`` copies of a parent commit and of a change.
+Compare trees, for instance ``git archive`` copies of a parent commit and of
+a change, by passing them to one run on a quiet host.  Each repeat of a
+command runs on every tree in turn, and the tree that goes first rotates
+from one round to the next, so drift in the host's load falls on all trees
+alike rather than on whichever ran later.
 """
 
 from __future__ import annotations
@@ -120,56 +125,73 @@ def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
         return wall, usage.ru_maxrss / 1024, out.stat().st_size if writes else 0
 
 
-def ladder(tree: Path, max_qubits: int, skip: list[str]) -> dict:
-    env = _env(tree)
-    versions = json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
-                                         text=True, check=True).stdout)
-    shapes, skipped, refused = [], [], []
-    for command, qubits in LADDER:
-        if qubits > max_qubits or command in skip:
-            skipped.append({"command": command, "qubits": qubits})
-            continue
-        try:
-            walls, rss, sizes = zip(*(_run_once(command.split(), env) for _ in range(REPEATS)))
-        except Refused as exc:
-            refused.append({"command": command, "qubits": qubits, "stderr": str(exc)})
-            print(f"{command:34} refused: {exc}", file=sys.stderr)
-            continue
-        if len(set(sizes)) != 1:
-            raise SystemExit(f"{command} wrote reports of {sorted(set(sizes))} bytes")
-        shapes.append({
-            "command": command,
-            "qubits": qubits,
-            "wall_s": statistics.median(walls),
-            "max_rss_mib": statistics.median(rss),
-            "report_bytes": sizes[0],
-            "wall_s_runs": [round(w, 4) for w in walls],
-            "max_rss_mib_runs": list(rss),
-        })
-        print(f"{command:34} {shapes[-1]['wall_s']:8.3f} s {shapes[-1]['max_rss_mib']:8.1f} MiB", file=sys.stderr)
-    return {
+def ladders(trees: list[Path], labels: list[str], max_qubits: int, skip: list[str]) -> list[dict]:
+    """One ladder per tree, run round by round: a round runs one repeat of a command on every tree."""
+    envs = [_env(tree) for tree in trees]
+    results = [{
         "repeats": REPEATS,
         "nproc": os.cpu_count(),
         "threads": {var: "1" for var in THREAD_VARS},
-        "versions": versions,
-        "shapes": shapes,
-        "skipped": skipped,
-        "refused": refused,
-    }
+        "versions": json.loads(subprocess.run([sys.executable, "-c", VERSIONS], env=env, capture_output=True,
+                                              text=True, check=True).stdout),
+        "shapes": [],
+        "skipped": [],
+        "refused": [],
+    } for env in envs]
+    rounds = 0
+    for command, qubits in LADDER:
+        if qubits > max_qubits or command in skip:
+            for result in results:
+                result["skipped"].append({"command": command, "qubits": qubits})
+            continue
+        runs, refused = [[] for _ in trees], {}  # per tree, (wall, rss, bytes) of each repeat; why a tree refused
+        for _ in range(REPEATS):
+            for i in range(rounds, rounds + len(trees)):
+                i %= len(trees)
+                if i not in refused:
+                    try:
+                        runs[i].append(_run_once(command.split(), envs[i]))
+                    except Refused as exc:
+                        refused[i] = str(exc)
+            rounds += 1
+        for i, result in enumerate(results):
+            name = f"{command:34}" + (f" {labels[i]}" if len(trees) > 1 else "")
+            if i in refused:
+                result["refused"].append({"command": command, "qubits": qubits, "stderr": refused[i]})
+                print(f"{name} refused: {refused[i]}", file=sys.stderr)
+                continue
+            walls, rss, sizes = zip(*runs[i])
+            if len(set(sizes)) != 1:
+                raise SystemExit(f"{command} wrote reports of {sorted(set(sizes))} bytes")
+            result["shapes"].append({
+                "command": command,
+                "qubits": qubits,
+                "wall_s": statistics.median(walls),
+                "max_rss_mib": statistics.median(rss),
+                "report_bytes": sizes[0],
+                "wall_s_runs": [round(w, 4) for w in walls],
+                "max_rss_mib_runs": list(rss),
+            })
+            shape = result["shapes"][-1]
+            print(f"{name} {shape['wall_s']:8.3f} s {shape['max_rss_mib']:8.1f} MiB", file=sys.stderr)
+    return results
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("tree", type=Path, help="source tree whose src/ holds teleportnet")
-    parser.add_argument("--label", required=True, help="names the output file BENCH_<LABEL>.json")
+    parser.add_argument("trees", nargs="+", type=Path, metavar="TREE", help="source trees whose src/ holds teleportnet")
+    parser.add_argument("--label", nargs="+", required=True, help="per tree, names its output file BENCH_<LABEL>.json")
     parser.add_argument("--max-qubits", type=int, default=26, help="skip larger shapes (default: 26, none)")
     parser.add_argument("--skip", nargs="+", default=[], metavar="COMMAND", help="skip these ladder commands")
     args = parser.parse_args()
     unknown = sorted(set(args.skip) - {command for command, _ in LADDER})
     if unknown:
         parser.error(f"not ladder commands: {unknown}")
-    result = {"label": args.label, **ladder(args.tree.resolve(), args.max_qubits, args.skip)}
-    Path(f"BENCH_{args.label}.json").write_text(json.dumps(result, indent=1) + "\n")
+    if len(args.label) != len(args.trees) or len(set(args.label)) != len(args.label):
+        parser.error(f"give each of the {len(args.trees)} trees its own label, got {args.label}")
+    results = ladders([tree.resolve() for tree in args.trees], args.label, args.max_qubits, args.skip)
+    for label, result in zip(args.label, results):
+        Path(f"BENCH_{label}.json").write_text(json.dumps({"label": label, **result}, indent=1) + "\n")
     return 0
 
 

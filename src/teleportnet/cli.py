@@ -26,6 +26,7 @@ from .protocol import (
     FIDELITY_ATOL,
     Branch,
     _baseline_branches,
+    _distinct,
     _network_table,
     _transcript_table,
     _TranscriptTable,
@@ -78,10 +79,8 @@ def _float_text(x: float) -> str:
 def _float_column(x: np.ndarray) -> _Column:
     """A column of the floats' texts, each made by ``_float_text`` once per
     distinct bit pattern, so that 0.0 and -0.0, and NaNs, never merge."""
-    if len(x) == 1:  # a one-row table's column, without np.unique's fixed cost
-        return _Column([_float_text(x[0])], np.zeros(1, dtype=np.intp))
-    bits, codes = np.unique(np.ascontiguousarray(x, dtype=np.float64).view(np.uint64), return_inverse=True)
-    return _Column([_float_text(v) for v in bits.view(np.float64).tolist()], codes)
+    first, codes = _distinct(np.ascontiguousarray(x, dtype=np.float64).view(np.uint64))
+    return _Column([_float_text(v) for v in x[first].tolist()], codes)
 
 
 _BITS = ("0", "1")

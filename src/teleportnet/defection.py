@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .protocol import _BELL_ORDER, _baseline_branches, _measurable, _network_branches, _parts, _record, measure_all
+from .protocol import _BELL_ORDER, _baseline_branches, _distinct, _measurable, _network_branches, _record, measure_all
 from .resources import MessageSpec, NetworkShape, QubitRegistry, _control_support, _integral, prepare_message_state
 from .states import (
     UNITARY_ATOL,
@@ -212,7 +212,8 @@ def _defection_table(
     for i, pair in enumerate(qubits):
         # a handful of distinct 2x2 operators stand for all the branches: check and search those
         stack = _marginal(halves, total, i)
-        first, inverse = _distinct(stack)
+        rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+        first, inverse = _distinct(rows.view(f"V{rows[0].nbytes}")[:, 0])  # by bytes: 0.0 and -0.0, or NaNs, apart
         ops = stack[first]
         DensityMatrix._check_stack(ops)
         # a grid of one unitary rounds a lone operator in a last block unlike two or more: repeat it
@@ -231,15 +232,6 @@ def _marginal(halves: np.ndarray, total: int, qubit: int) -> np.ndarray:
     bases = (sum(b << q for b, q in zip(bits, others)) for bits in itertools.product((0, 1), repeat=len(others)))
     blocks = (np.einsum("bda,bdc->bac", h, h.conj()) for h in (halves[:, :, [a, a | 1 << qubit]] for a in bases))
     return next(blocks) if total == 1 else sum(blocks)
-
-
-def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first index of each bytewise-distinct operator of a (count, d, d) stack, and each
-    operator's row among those."""
-    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
 
 
 def _network_defection(
@@ -284,7 +276,7 @@ def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
     else:
         halves = kept.reshape(len(kept), 2, 1 << total)
         joints = DensityMatrix._wrap_all(np.einsum("bdi,bdj->bij", halves, halves.conj()))  # defector traced out
-    first, at = _parts(t.outcomes[:, :total], 4)
+    first, at = _distinct(t.outcomes[:, :total] @ 4 ** np.arange(total - 1, -1, -1))
     bells = [tuple(map(_BELL_ORDER.__getitem__, row)) for row in t.outcomes[first, :total].tolist()]
     parts = [(b, tuple(map(_form_for, b))) for b in bells]
     return [_record(DefectionReport, {
@@ -292,7 +284,7 @@ def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
         "joint_density": joint, "per_qubit_density": densities, "off_diagonal_norm": norm,
         "max_fidelity": tuple(best), "conforms_to": forms, "message_index": message_index,
     }) for (b, forms), bits, p, joint, densities, norm, best in zip(
-        map(parts.__getitem__, at), t.outcomes[:, total:].tolist(), t.probs.tolist(), joints,
+        map(parts.__getitem__, at.tolist()), t.outcomes[:, total:].tolist(), t.probs.tolist(), joints,
         zip(*per_qubit), t.off.max(axis=1).tolist(), t.best.tolist())]
 
 

@@ -170,6 +170,20 @@ def _measurable(width: int) -> int:
     return width
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An index of each distinct key of a 1-D array, in sorted key order, and each key's index among
+    them: ``np.unique``'s ``return_index`` and ``return_inverse`` without its fixed cost.  Equal keys
+    stand for equal rows, so any of them will do and the sort need not be stable; one key is not sorted."""
+    if len(keys) <= 1:
+        return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
+    order = keys.argsort()
+    ranked = keys[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
 def measure_all(
     resource: tuple[int, np.ndarray, np.ndarray],
     message: StateVector,
@@ -220,13 +234,10 @@ def measure_all(
                 # the values that hold a nonzero, in order; a lone row is
                 # padded, since gemv would round it unlike the full block's gemm
                 hi, low = cols >> n, cols & ((1 << n) - 1)
-                order = low.argsort()  # np.unique(low, return_inverse=True), without its fixed cost
-                low = low[order]
-                new = np.concatenate(([True], low[1:] != low[:-1]))
-                cols, at = low[new], np.empty(len(low), dtype=np.intp)
-                at[order] = new.cumsum() - 1
+                first, at = _distinct(low)
+                cols = low[first]
                 at += hi * max(len(cols), min(2, 1 << n))
-                del hi, low, order, new
+                del hi, low, first
             whole = len(cols) == 1 << n
             vals, t = t, np.zeros((d * max(len(cols), min(2, 1 << n)), t.shape[1]), dtype=np.complex128)
             t[at] = vals[:len(at)]
@@ -345,15 +356,6 @@ def _record(cls, fields: dict):
     return record
 
 
-def _parts(digits: np.ndarray, base: int) -> tuple[list[int], list[int]]:
-    """The first row of each distinct row of ``digits``, a (rows, k) array of
-    digits below ``base``, and each row's index among those first rows."""
-    keys = (digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)).tolist()
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # the last write is the first row
-    index = dict(zip(first, range(len(first))))
-    return list(first.values()), list(map(index.__getitem__, keys))
-
-
 def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[tuple[ProtocolTranscript, ...]]:
     """One tuple of transcripts (one per receiver) per row of the table.  The
     rows share the parts they have in common: each distinct agents' and
@@ -366,12 +368,13 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
     messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)] for j in range(num_agents)]
     if t.sender:
         messages.append([ClassicalMessage("sender", bit, "ghz_s") for bit in (0, 1)])
-    first, at = _parts(t.outcomes[:, total:], 2)
+    digits = t.outcomes[:, total:]
+    first, at = _distinct(digits @ (1 << np.arange(digits.shape[1] - 1, -1, -1)))  # each row's bits as one number
     sender, branches = t.sender, (Branch.EVEN, Branch.ODD)
     # (agent bits, sender bit, their messages, branch) of each distinct part
     shared = [(tuple(row[:num_agents]), row[-1] if sender else None, tuple(map(list.__getitem__, messages, row)),
                branches[odd]) for row, odd in zip(t.outcomes[first, total:].tolist(), t.parity[first].tolist())]
-    shared = [shared[i] for i in at]
+    shared = [shared[i] for i in at.tolist()]
     probs = t.probs.tolist()
 
     columns = []  # per receiver, its transcript of every row
@@ -380,7 +383,8 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
         cols = slice(start, start + m)
         bell_messages = [[ClassicalMessage("sender", o, f"pair{r}.{i if message_index is None else message_index}")
                           for o in _BELL_ORDER] for i in range(m)]
-        first, at = _parts(np.column_stack([t.parity, t.outcomes[:, cols]]), 4)
+        # each row's Bell outcomes as base-4 digits, the parity above them
+        first, at = _distinct(t.outcomes[:, cols] @ 4 ** np.arange(m - 1, -1, -1) + (t.parity << 2 * m))
         parts = [(tuple(map(_BELL_ORDER.__getitem__, row)), tuple(map(_PAULI_ORDER.__getitem__, ops)),
                   tuple(map(list.__getitem__, bell_messages, row)))
                  for row, ops in zip(t.outcomes[first, cols].tolist(), t.ops[first, cols].tolist())]
@@ -389,7 +393,7 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
             "branch": branch, "corrections": corrections, "fidelity": f, "branch_probability": p,
             "classical_messages": own + common, "message_index": message_index,
         }) for (bells, corrections, own), (bits, sender_bit, common, branch), f, p
-            in zip(map(parts.__getitem__, at), shared, t.fids[r].tolist(), probs)])
+            in zip(map(parts.__getitem__, at.tolist()), shared, t.fids[r].tolist(), probs)])
         start += m
     return list(zip(*columns))
 

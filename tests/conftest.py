@@ -15,6 +15,13 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def row_keys(stack: np.ndarray) -> np.ndarray:
+    """One key per row of a (k, ...) stack: the row's bytes as one ``np.void``, as the defection
+    table keys its operators."""
+    rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    return rows.view(f"V{rows[0].nbytes}")[:, 0]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

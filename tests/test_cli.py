@@ -8,10 +8,11 @@ import pytest
 
 from teleportnet import CORRECTIONS, MessageSpec, NetworkShape, cli, defection, protocol
 from teleportnet.cli import MAX_M_RANGE, ConfigError, _as_int, _diagonal_ok, main
-from teleportnet.defection import _distinct, _network_defection, _reports
-from teleportnet.protocol import _TranscriptTable
+from teleportnet.defection import _network_defection, _reports
+from teleportnet.protocol import _distinct, _TranscriptTable
 
 from _oracles import diag_matches
+from conftest import row_keys
 
 
 DATA = Path(__file__).parent / "data"
@@ -314,7 +315,8 @@ class TestRunCommand:
         stacks[1][20, 0, 0] += 5e-13
         table.off[12, 1] = 2e-12
         # the nudged operators' own distinct operators and indices
-        table = table._replace(operators=[(m[first], inverse) for m in stacks for first, inverse in [_distinct(m)]])
+        table = table._replace(operators=[(m[first], inverse)
+                                          for m in stacks for first, inverse in [_distinct(row_keys(m))]])
         want = [r.off_diagonal_norm < 1e-12 and all(diag_matches(r, q, spec) for q in range(2))
                 for r in _reports(table, kept, 1)]
         assert _diagonal_ok(table, spec.qubits).tolist() == want

@@ -330,22 +330,6 @@ class TestRecoverySearch:
             tracemalloc.stop()
         assert peak <= 4 << 20
 
-    def test_distinct_keys_operators_by_their_bytes(self):
-        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
-        signed = rho.copy()
-        signed[0, 1] = complex(-0.0, 0.0)
-        ulp = rho.copy()
-        ulp[0, 0] = np.nextafter(0.5, 1.0)
-        nan = rho.copy()
-        nan[1, 0] = np.nan
-        stack = np.stack([rho, signed, ulp, nan, rho, nan.copy(), signed])
-        first, inverse = tn.defection._distinct(stack)
-        # -0.0 and 0.0 and the one-ulp neighbour stay apart; a NaN matches its own bits
-        assert sorted(first.tolist()) == [0, 1, 2, 3]
-        np.testing.assert_array_equal(stack[first][inverse].view(np.uint64), stack.view(np.uint64))
-        assert len(set(inverse[[0, 1, 2, 3]].tolist())) == 4
-        assert inverse[4] == inverse[0] and inverse[5] == inverse[3] and inverse[6] == inverse[1]
-
     def test_zero_target_is_refused(self):
         with pytest.raises(ValueError, match="target is the zero vector"):
             tn.max_recovery_fidelity(np.eye(2) / 2, [0, 0], GRID)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import teleportnet as tn
@@ -19,10 +19,12 @@ from teleportnet import (
     QubitRegistry,
     StateVector,
 )
-from teleportnet.protocol import _event_qubits
+from teleportnet.cli import main
+from teleportnet.protocol import _distinct, _event_qubits
 from teleportnet.resources import _control_support, _ghz_support
 
 from _oracles import _nonzeros, conditional_kets, executor_layout, scattered_support
+from conftest import row_keys
 
 
 class TestCorrectionRule:
@@ -563,3 +565,73 @@ def test_each_network_run_lists_its_events_once(monkeypatch, mode):
     tn.run_multi_receiver([spec, spec], NetworkShape((2, 2), 1), mode, seed=1)
     tn.analyze_defection(spec, shape, 1)
     assert len(calls) == 3
+
+
+_OTHER_NAN = 0x7FF8000000000001  # a NaN with another payload than np.nan's
+_FLOAT_BITS = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.5]).view(np.uint64).tolist() + [_OTHER_NAN]
+
+
+@st.composite
+def distinct_keys(draw):
+    """Keys as ``_distinct``'s callers make them, at least one: int64 mixed-radix keys, float64 bits, or
+    one ``np.void`` of bytes per operator of a (k, 2, 2) complex stack; each drawn from a few values, so
+    that most repeat."""
+    kind = draw(st.sampled_from(["int64", "float bits", "operators"]))
+    if kind == "int64":
+        pool = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=5))
+    elif kind == "float bits":
+        pool = draw(st.lists(st.sampled_from(_FLOAT_BITS) | st.floats().map(
+            lambda x: int(np.array(x).view(np.uint64))), min_size=1, max_size=5))
+    else:
+        entries = st.sampled_from([0.0, -0.0, 0.5, math.nan, 1e-300]) | st.floats(-1, 1)
+        pool = draw(st.lists(st.lists(entries, min_size=8, max_size=8), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    if kind == "int64":
+        return np.array(pool, dtype=np.int64)[picks]
+    if kind == "float bits":
+        return np.array(pool, dtype=np.uint64).view(np.float64)[picks].view(np.uint64)
+    return row_keys(np.array(pool).view(np.complex128).reshape(-1, 2, 2)[picks])
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(distinct_keys())
+    @example(np.array([7], dtype=np.int64))  # one row
+    @example(np.full(9, -3, dtype=np.int64))  # all equal
+    @example(np.array(_FLOAT_BITS * 2, dtype=np.uint64))
+    @example(row_keys(np.zeros((5, 2, 2), dtype=complex)))
+    def test_distinct_finds_what_unique_finds(self, keys):
+        first, inverse = _distinct(keys)
+        _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
+        assert keys[first].tobytes() == keys[want_first].tobytes()  # the same distinct rows, in the same order
+        assert inverse.tolist() == want_inverse.tolist()
+
+    def test_distinct_keys_operators_by_their_bytes(self):
+        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        signed = rho.copy()
+        signed[0, 1] = complex(-0.0, 0.0)
+        ulp = rho.copy()
+        ulp[0, 0] = np.nextafter(0.5, 1.0)
+        nan = rho.copy()
+        nan[1, 0] = np.nan
+        stack = np.stack([rho, signed, ulp, nan, rho, nan.copy(), signed])
+        first, inverse = _distinct(row_keys(stack))
+        # -0.0 and 0.0 and the one-ulp neighbour stay apart; a NaN matches its own bits
+        assert sorted(first.tolist()) == [0, 1, 2, 3]
+        np.testing.assert_array_equal(stack[first][inverse].view(np.uint64), stack.view(np.uint64))
+        assert len(set(inverse[[0, 1, 2, 3]].tolist())) == 4
+        assert inverse[4] == inverse[0] and inverse[5] == inverse[3] and inverse[6] == inverse[1]
+
+    def test_no_run_or_library_call_finds_distinct_values_with_unique(self, monkeypatch, tmp_path):
+        """``_distinct`` is the one place that finds distinct values: the executor, the tables, the
+        library records and the report columns all go through it."""
+        def unique(*args, **kwargs):
+            raise AssertionError("np.unique was called")
+
+        monkeypatch.setattr(np, "unique", unique)
+        for argv in ["--m 2 --n 2 --enumerate", "--m 2 --n 2 --seed 3", "--m 2 --n 2 --defector 1"]:
+            assert main(["run", *argv.split(), "--out", str(tmp_path / "report.json")]) == 0
+        spec = MessageSpec.random(3, np.random.default_rng(0))
+        shape = NetworkShape.single(3, 3)
+        assert len(tn.run_baseline_ghz(spec, shape)) == 3 * 2**5
+        assert len(tn.analyze_baseline_defection(spec, shape, 1)) == 3 * 2**4

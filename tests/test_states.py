@@ -305,6 +305,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("past, within, message", [
+        ([[0.5, 1e-9], [0.0, 0.5]], [[0.5, 1e-14], [0.0, 0.5]], "not Hermitian"),
+        (np.diag([0.5, 0.5 + 1e-9]), np.diag([0.5, 0.5 + 1e-14]), "trace is not 1"),
+        (np.diag([1 + 1e-8, -1e-8]), np.diag([1 + 1e-14, -1e-14]), "negative eigenvalue"),
+    ], ids=["hermitian", "trace", "eigenvalue"])
+    def test_each_check_holds_its_tolerance(self, past, within, message):
+        """Just past a check's bar (1e-12 for the hermitian and trace checks, -1e-10 for the
+        eigenvalue floor) is refused with that check's message; 1e-14 off is accepted."""
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(past)
+        DensityMatrix(within)
+
 
 class TestFidelity:
     def test_self_fidelity(self, rng):
