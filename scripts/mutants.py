@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Check that the tests kill every mutant of the verdict bars and guards.
+
+    python3 scripts/mutants.py [--check]
+
+Each mutant replaces one text of one source file, which must occur there
+exactly once, by a loosened or removed version: a bar moved far past its
+value, a guard that can no longer fire, a ``conj`` dropped, a sign flipped.
+The working tree's ``src/`` and ``tests/`` (and ``pyproject.toml``) are
+copied to a temporary directory.  The named test files run there once
+unmutated, and must pass; then each mutant is applied in turn, its test files
+run with ``-x --hypothesis-seed=1``, and the file is restored.  A mutant is
+killed when a test fails and survives when they all pass.  Prints one line
+per mutant and exits 1 if any mutant survives or cannot be judged.
+
+``--check`` only verifies that each mutant's old text occurs exactly once in
+its file, so a refactor that moves a bar's text fails at once instead of
+dropping its mutant.  Uses the standard library only; the tests need
+numpy, pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PKG = "src/teleportnet"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    why: str
+    tests: tuple[str, ...]
+
+
+CLI, DEFECTION, PROTOCOL = f"{PKG}/cli.py", f"{PKG}/defection.py", f"{PKG}/protocol.py"
+RESOURCES, STATES = f"{PKG}/resources.py", f"{PKG}/states.py"
+
+MUTANTS = [
+    Mutant("fidelity_atol", PROTOCOL, "FIDELITY_ATOL = 1e-10", "FIDELITY_ATOL = 1e-2",
+           "the paper's 'exact' reconstruction bar, loosened 10^8-fold", ("tests/test_cli.py",)),
+    Mutant("zero_branch_sampled", PROTOCOL, "if weights[k] < ZERO_BRANCH_ATOL * sum(weights):",
+           "if weights[k] < 0:", "measure_all's per-draw zero-weight guard removed",
+           ("tests/test_executor.py", "tests/test_protocol.py")),
+    Mutant("zero_branch_enumerate", PROTOCOL, "np.flatnonzero(probs < ZERO_BRANCH_ATOL)",
+           "np.flatnonzero(probs < 0)", "measure_all's enumerate zero-branch guard removed",
+           ("tests/test_executor.py", "tests/test_protocol.py")),
+    Mutant("unitary_atol_gate", STATES, "gate - np.eye(2))) <= UNITARY_ATOL", "gate - np.eye(2))) <= 1e-2",
+           "a gate up to 1e-2 off unitary is applied", ("tests/test_states.py",)),
+    Mutant("unitary_atol_grid", DEFECTION, "@ us - np.eye(2)).max() <= UNITARY_ATOL", "@ us - np.eye(2)).max() <= 1e-2",
+           "a recovery grid up to 1e-2 off unitary is searched", ("tests/test_defection.py",)),
+    Mutant("diagonal_off", CLI, "ok = t.off.max(axis=1) < 1e-12", "ok = t.off.max(axis=1) < 1e-3",
+           "run's off-diagonal bar loosened", ("tests/test_cli.py",)),
+    Mutant("diagonal_00", CLI, "np.where(preserved, a2, b2)) < 1e-12", "np.where(preserved, a2, b2)) < 1",
+           "run's (0,0) diagonal bar loosened", ("tests/test_cli.py",)),
+    Mutant("diagonal_11", CLI, "np.where(preserved, b2, a2)) < 1e-12", "np.where(preserved, b2, a2)) < 1",
+           "run's (1,1) diagonal bar loosened", ("tests/test_cli.py",)),
+    Mutant("density_hermitian", STATES, "HERMITIAN_ATOL = 1e-12", "HERMITIAN_ATOL = 1e-2",
+           "DensityMatrix admits a non-Hermitian operator", ("tests/test_states.py",)),
+    Mutant("density_trace", STATES, "TRACE_ATOL = 1e-12", "TRACE_ATOL = 1e-2",
+           "DensityMatrix admits a trace off 1", ("tests/test_states.py",)),
+    Mutant("density_eigenvalue", STATES, "EIGENVALUE_FLOOR = -1e-10", "EIGENVALUE_FLOOR = -1e-2",
+           "DensityMatrix admits a negative eigenvalue", ("tests/test_states.py",)),
+    Mutant("selftest_probability_sum", CLI, 'summary["branch_probability_sum"] - 1.0) > 1e-9',
+           'summary["branch_probability_sum"] - 1.0) > 0.1', "selftest's probability-sum bar loosened",
+           ("tests/test_cli.py",)),
+    Mutant("selftest_parity", CLI, "abs(weights[total_parity] - 1.0) > 1e-12", "abs(weights[total_parity] - 1.0) > 0.6",
+           "selftest's parity-mass bar loosened", ("tests/test_cli.py",)),
+    Mutant("selftest_corrupted_table", CLI, '["min_fidelity"] >= 1.0 - 1e-6', '["min_fidelity"] >= 1.0 - 0.9',
+           "selftest takes a corrupted correction table for a working one", ("tests/test_cli.py",)),
+    Mutant("lone_operator_pad", DEFECTION, "lone = len(ops) % _BLOCK == 1", "lone = False",
+           "a lone operator in a last block is searched unpadded", ("tests/test_defection.py",)),
+    Mutant("lone_row_pad", PROTOCOL,
+           "at += hi * max(len(cols), min(2, 1 << n))\n"
+           "                del hi, low, first\n"
+           "            whole = len(cols) == 1 << n\n"
+           "            vals, t = t, np.zeros((d * max(len(cols), min(2, 1 << n)), t.shape[1]), dtype=np.complex128)",
+           "at += hi * len(cols)\n"
+           "                del hi, low, first\n"
+           "            whole = len(cols) == 1 << n\n"
+           "            vals, t = t, np.zeros((d * len(cols), t.shape[1]), dtype=np.complex128)",
+           "a lone row of the support is rotated unpadded", ("tests/test_executor.py",)),
+    Mutant("fidelities_conj", PROTOCOL, 'np.einsum("bhjl,bj->bhl", psi, target.conj())',
+           'np.einsum("bhjl,bj->bhl", psi, target)', "the fidelity overlap takes the target unconjugated",
+           ("tests/test_protocol.py",)),
+    Mutant("marginal_conj", DEFECTION, 'np.einsum("bda,bdc->bac", h, h.conj())', 'np.einsum("bda,bdc->bac", h, h)',
+           "the defection marginals lose their conjugate", ("tests/test_defection.py",)),
+    Mutant("control_ghz_sign", RESOURCES, "ghz = _bit_parity(s) *", "ghz = (1 - _bit_parity(s)) *",
+           "the resource pairs Phi+^M with GHZ- and Phi-^M with GHZ+", ("tests/test_resources.py",)),
+    Mutant("entangled_first_conj", DEFECTION, "v = rows @ np.conj([a1, sign * b1])", "v = rows @ np.array([a1, sign * b1])",
+           "the first received qubit is projected onto the unconjugated ket", ("tests/test_defection.py",)),
+    Mutant("entangled_second_conj", DEFECTION, "v @ np.conj([a2, sign * b2])", "v @ np.array([a2, sign * b2])",
+           "the second received qubit is compared with the unconjugated ket", ("tests/test_defection.py",)),
+    Mutant("state_rescale", STATES, "if not np.isfinite(norm):", "if False:",
+           "amplitudes whose norm overflows are zeroed", ("tests/test_states.py",)),
+    Mutant("target_rescale", DEFECTION, "if not np.finfo(np.float64).tiny <= np.vdot(t, t).real < np.inf:", "if False:",
+           "a recovery target whose squared norm is not a normal float is normalized as it is",
+           ("tests/test_defection.py",)),
+]
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "--hypothesis-seed=1", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="only check that each old text occurs exactly once")
+    args = parser.parse_args(argv)
+
+    misplaced = [(m, n) for m in MUTANTS if (n := (ROOT / m.file).read_text(encoding="utf-8").count(m.old)) != 1]
+    for m, n in misplaced:
+        print(f"{m.name}: its old text occurs {n} times in {m.file}, not once")
+    if misplaced:
+        return 1
+    if args.check:
+        print(f"all {len(MUTANTS)} mutants' texts occur once")
+        return 0
+
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        files = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+        if _pytest(tree, files) != 0:
+            print(f"the unmutated tree fails {' '.join(files)}: no mutant can be judged")
+            return 1
+        for m in MUTANTS:
+            path = tree / m.file
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = _pytest(tree, m.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            failed += verdict != "killed"
+            print(f"{verdict:>9}  {m.name:<26} {time.perf_counter() - start:5.1f} s  {m.why}", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

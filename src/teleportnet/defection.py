@@ -18,15 +18,7 @@ import numpy as np
 
 from .protocol import _BELL_ORDER, _baseline_branches, _distinct, _measurable, _network_branches, _record, measure_all
 from .resources import MessageSpec, NetworkShape, QubitRegistry, _control_support, _integral, prepare_message_state
-from .states import (
-    UNITARY_ATOL,
-    BellOutcome,
-    DensityMatrix,
-    StateVector,
-    fidelity,
-    partial_trace,
-    project_onto_qubit_state,
-)
+from .states import UNITARY_ATOL, BellOutcome, DensityMatrix
 
 _PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
 
@@ -142,6 +134,9 @@ def max_recovery_fidelity(
         raise ValueError("the recovery target must be finite")
     if not np.any(t):
         raise ValueError("the recovery target is the zero vector")
+    with np.errstate(over="ignore"):
+        if not np.finfo(np.float64).tiny <= np.vdot(t, t).real < np.inf:  # |t|^2 is not a normal float: rescale
+            t = t / np.abs(t.view(np.float64)).max()
     return float(_best_recovery(mat[None], t, _recovery_grid(unitaries))[0])
 
 
@@ -329,12 +324,12 @@ def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -
     keep = [registry.receiver_epr(0, i) for i in range(2)]
     keep += [registry.agent(j) for j in range(shape.num_agents)] + [registry.sender_ghz]
     _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep)
-    # branch 0 reads Phi+ on both pairs; its qubit 0 is the first received qubit, qubit 1 the second
-    state = StateVector._wrap(kept[0])
-
+    # branch 0 reads Phi+ on both pairs: (GHZ values, second received qubit, first received qubit)
+    rows = kept[0].reshape(-1, 2, 2)
     (a1, b1), (a2, b2) = spec.qubits
-    results = []  # p+, F+, p-, F-
+    results = []  # p+, F+, p-, F-; p >= 1/2, since the GHZ qubits dephase the first received qubit
     for sign in (+1, -1):
-        p, projected = project_onto_qubit_state(state, 0, [a1, sign * b1])
-        results += [p, fidelity(partial_trace(projected, [1]), StateVector([a2, sign * b2]))]
+        v = rows @ np.conj([a1, sign * b1])  # the projected first qubit contracted out, unnormalized
+        p = float(np.vdot(v, v).real)
+        results += [p, min(max(float(np.sum(np.abs(v @ np.conj([a2, sign * b2])) ** 2)) / p, 0.0), 1.0)]
     return ConditionalStateReport(*results)

@@ -96,7 +96,11 @@ class StateVector:
         n = _num_qubits_for(amps.size)
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if not np.isfinite(norm):  # the squares overflow: scale by the largest component first
+            amps /= np.abs(amps.view(np.float64)).max()
+            norm = np.linalg.norm(amps)
         if norm < NORM_ATOL:
             raise ValueError("cannot normalize a zero amplitude vector")
         amps /= norm

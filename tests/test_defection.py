@@ -334,6 +334,16 @@ class TestRecoverySearch:
         with pytest.raises(ValueError, match="target is the zero vector"):
             tn.max_recovery_fidelity(np.eye(2) / 2, [0, 0], GRID)
 
+    @pytest.mark.parametrize("extreme, plain", [([1e200, 0], [1, 0]), ([1e-170, 0], [1, 0]),
+                                                ([1e-160, 1e-160], [1, 1])])
+    def test_target_whose_squared_norm_is_not_a_normal_float_is_rescaled(self, extreme, plain):
+        # unscaled, these gave 0.0, NaN with divide-by-zero warnings, and 1.0000111329412578
+        rho = np.diag([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tn.max_recovery_fidelity(rho, extreme)
+        assert np.float64(got).tobytes() == np.float64(tn.max_recovery_fidelity(rho, plain)).tobytes()
+
     def test_two_qubit_operator_is_refused(self):
         with pytest.raises(ValueError, match=r"must be 2x2, not \(4, 4\)"):
             tn.max_recovery_fidelity(np.eye(4) / 4, [1, 0], GRID)
@@ -671,15 +681,40 @@ class TestEntangledInfoCheckThroughTheExecutor:
     """The check measures both Bell pairs through the one executor, and
     agrees with the dense walk it replaced."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_the_dense_walk_on_unbalanced_messages(self, n):
+        # balanced messages too, where the two projections are orthogonal
         rng = np.random.default_rng(40 + n)
         shape = NetworkShape.single(2, n)
-        for _ in range(10):
-            spec = MessageSpec.random(2, rng)
+        specs = [MessageSpec.random(2, rng) for _ in range(10)]
+        specs += [MessageSpec.balanced_random_phases(2, rng) for _ in range(5)]
+        for spec in specs:
             got, want = tn.entangled_info_check(spec, shape), entangled_info_walk(spec, shape)
             for field in ("plus_probability", "plus_fidelity", "minus_probability", "minus_fidelity"):
+                assert type(getattr(got, field)) is float, field
                 assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), field
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_both_projections_have_the_closed_form_probability(self, n):
+        # the GHZ qubits dephase the first received qubit, so either sign projects onto it
+        # with weight |alpha1|^4 + |beta1|^4
+        rng = np.random.default_rng(70 + n)
+        for spec in [MessageSpec.random(2, rng) for _ in range(5)] + [MessageSpec.balanced_random_phases(2, rng)]:
+            report = tn.entangled_info_check(spec, NetworkShape.single(2, n))
+            (a1, b1), _ = spec.qubits
+            want = abs(a1) ** 4 + abs(b1) ** 4
+            assert report.plus_probability == pytest.approx(want, abs=1e-15)
+            assert report.minus_probability == pytest.approx(want, abs=1e-15)
+
+    def test_reads_the_branch_without_a_dense_kernel(self, monkeypatch):
+        # the kept row is contracted directly: no dense projection runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense projection ran")
+
+        spec, shape = MessageSpec.random(2, np.random.default_rng(2)), NetworkShape.single(2, 3)
+        want = entangled_info_walk(spec, shape)
+        monkeypatch.setattr(tn.states, "_project", refuse)
+        assert vars(tn.entangled_info_check(spec, shape)) == pytest.approx(vars(want), abs=1e-12)
 
     @pytest.mark.parametrize("n", [57, 63, 100])
     def test_too_wide_a_network_is_refused_before_any_allocation(self, n):

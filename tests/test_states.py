@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,21 @@ class TestStateVector:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             StateVector([np.nan, 1.0])
+
+    @pytest.mark.parametrize("huge, unit", [([1e200, 0], [1, 0]), ([1e155, 1e155], [1, 1]),
+                                            ([1e300j, -1e300], [1j, -1])])
+    def test_amplitudes_whose_norm_overflows_are_rescaled_not_zeroed(self, huge, unit):
+        # the squared norm overflows to inf, which once passed the zero check and divided every amplitude to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sv = StateVector(huge)
+        assert sv.amplitudes.tobytes() == StateVector(unit).amplitudes.tobytes()
+        assert sv.norm_error() < 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e100, 1e150])
+    def test_amplitudes_whose_norm_is_finite_keep_their_bits(self, rng, scale):
+        amps = scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        assert StateVector(amps).amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
     def test_from_bits_is_little_endian(self):
         # qubit 1 set -> index 2
@@ -63,6 +80,16 @@ class TestSingleQubitGates:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             tn.apply_single_qubit_gate(StateVector.zero(1), 0, np.array([[1, 0], [0, 2]]))
+
+    @pytest.mark.parametrize("gap, refused", [(1e-11, True), (1e-13, False)])
+    def test_unitarity_bar_holds_its_tolerance(self, gap, refused):
+        # U^dag U is off I by about 2 * gap on the (1,1) entry, against the 1e-12 bar
+        gate = np.diag([1.0, 1.0 + gap])
+        if refused:
+            with pytest.raises(ValueError, match="^gate matrix is not unitary$"):
+                tn.apply_single_qubit_gate(StateVector.zero(1), 0, gate)
+        else:
+            tn.apply_single_qubit_gate(StateVector.zero(1), 0, gate)
 
     @pytest.mark.parametrize("bad", [np.nan, complex(np.inf, 0.0)])
     def test_non_finite_gate_rejected(self, bad):
