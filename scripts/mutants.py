@@ -5,7 +5,8 @@
 
 Each mutant replaces one text of one source file, which must occur there
 exactly once, by a loosened or removed version: a bar moved far past its
-value, a guard that can no longer fire, a ``conj`` dropped, a sign flipped.
+value, a guard that can no longer fire, a ``conj`` dropped, a sign flipped, a
+cache key cut short, a verdict read over part of its columns.
 The working tree's ``src/`` and ``tests/`` (and ``pyproject.toml``) are
 copied to a temporary directory.  The named test files run there once
 unmutated, and must pass; then each mutant is applied in turn, its test files
@@ -47,6 +48,21 @@ class Mutant(NamedTuple):
 CLI, DEFECTION, PROTOCOL = f"{PKG}/cli.py", f"{PKG}/defection.py", f"{PKG}/protocol.py"
 RESOURCES, STATES = f"{PKG}/resources.py", f"{PKG}/states.py"
 
+
+# measure_all's plan cache, and a hand-written cache in its place keyed by ``key`` where the
+# real key is every argument: (qubits, indices, m, groups, keep)
+_PLAN_CACHE = "@functools.lru_cache(maxsize=_LAYOUTS_CACHED)\ndef _plan("
+
+
+def _plan_memo(key: str) -> str:
+    return (f"def _plan(qubits, indices, m, groups, keep, _memo={{}}):\n"
+            f"    key = ({key})\n"
+            f"    if key not in _memo:\n"
+            f"        _memo[key] = _plan_of(qubits, indices, m, groups, keep)\n"
+            f"    return _memo[key]\n\n\n"
+            f"def _plan_of(")
+
+
 MUTANTS = [
     Mutant("fidelity_atol", PROTOCOL, "FIDELITY_ATOL = 1e-10", "FIDELITY_ATOL = 1e-2",
            "the paper's 'exact' reconstruction bar, loosened 10^8-fold", ("tests/test_cli.py",)),
@@ -79,18 +95,16 @@ MUTANTS = [
            "selftest's parity-mass bar loosened", ("tests/test_cli.py",)),
     Mutant("selftest_corrupted_table", CLI, '["min_fidelity"] >= 1.0 - 1e-6', '["min_fidelity"] >= 1.0 - 0.9',
            "selftest takes a corrupted correction table for a working one", ("tests/test_cli.py",)),
+    Mutant("summary_min_fidelity_first_receiver", CLI, "min_fid = min(np.stack(t.fids, axis=1).ravel().tolist())",
+           "min_fid = min(t.fids[0].tolist())", "run's fidelity verdict reads receiver 0 only", ("tests/test_cli.py",)),
     Mutant("lone_operator_pad", DEFECTION, "lone = len(ops) % _BLOCK == 1", "lone = False",
            "a lone operator in a last block is searched unpadded", ("tests/test_defection.py",)),
-    Mutant("lone_row_pad", PROTOCOL,
-           "at += hi * max(len(cols), min(2, 1 << n))\n"
-           "                del hi, low, first\n"
-           "            whole = len(cols) == 1 << n\n"
-           "            vals, t = t, np.zeros((d * max(len(cols), min(2, 1 << n)), t.shape[1]), dtype=np.complex128)",
-           "at += hi * len(cols)\n"
-           "                del hi, low, first\n"
-           "            whole = len(cols) == 1 << n\n"
-           "            vals, t = t, np.zeros((d * len(cols), t.shape[1]), dtype=np.complex128)",
+    Mutant("lone_row_pad", PROTOCOL, "rows = max(len(cols), min(2, 1 << n))", "rows = len(cols)",
            "a lone row of the support is rotated unpadded", ("tests/test_executor.py",)),
+    Mutant("plan_key_keep", PROTOCOL, _PLAN_CACHE, _plan_memo("qubits, indices, m, groups, tuple(sorted(keep))"),
+           "measure_all's plans are cached by the kept qubits in sorted order", ("tests/test_executor.py",)),
+    Mutant("plan_key_width", PROTOCOL, _PLAN_CACHE, _plan_memo("qubits, indices, groups, keep"),
+           "measure_all's plans are cached without the message width", ("tests/test_executor.py",)),
     Mutant("fidelities_conj", PROTOCOL, 'np.einsum("bhjl,bj->bhl", psi, target.conj())',
            'np.einsum("bhjl,bj->bhl", psi, target)', "the fidelity overlap takes the target unconjugated",
            ("tests/test_protocol.py",)),
@@ -152,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
                 path.write_text(original, encoding="utf-8")
             verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
             failed += verdict != "killed"
-            print(f"{verdict:>9}  {m.name:<26} {time.perf_counter() - start:5.1f} s  {m.why}", flush=True)
+            print(f"{verdict:>9}  {m.name:<36} {time.perf_counter() - start:5.1f} s  {m.why}", flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 

@@ -17,12 +17,14 @@ the baseline's defection all measure through it.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .resources import (
+    _LAYOUTS_CACHED,
     MessageSpec,
     NetworkShape,
     QubitRegistry,
@@ -38,6 +40,7 @@ from .states import (
     PauliOp,
     StateVector,
     _pick,
+    _read_only,
 )
 
 AgentBasis = Literal["hadamard_z", "plus_minus"]
@@ -159,7 +162,6 @@ def _event_qubits(event: Event, registry: QubitRegistry) -> tuple[int, ...]:
 # a Hadamard and a Z measurement, or directly in the X basis, gets the same
 # amplitudes, so the agent basis needs no rotation of its own.
 _ROTATIONS = {4: np.conj(_BELL_MATRIX), 2: HADAMARD}
-_WHOLE_ROW_BITS = 10  # a block of at most 2^10 rows x branches is laid out whole
 _MAX_QUBITS = 63  # the widest product whose basis indices an int64 holds
 
 
@@ -212,36 +214,16 @@ def measure_all(
     support.  A branch of next to no weight is refused: an enumerated one by
     its probability, a drawn one by each draw's weight given the earlier ones.
     """
-    layout = [q for g in groups for q in g] + list(reversed(keep))
-    width = _measurable(resource[0] + message.num_qubits)
-    if any(len(g) not in (1, 2) for g in groups):
-        raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
-    if sorted(layout) != list(range(width)):
-        raise ValueError(f"groups and keep must hold each qubit exactly once, got {sorted(layout)}")
-    n, cols, t = _support(resource, message, layout)
-    # t[c, b] is branch b's amplitude where the unmeasured qubits read cols[c];
-    # once cols is every value in order (whole), t is laid out densely
-    t, whole = t[:, None], False
+    steps, final = _plan(resource[0], np.asarray(resource[1], dtype=np.int64).tobytes(), message.num_qubits,
+                         tuple(map(tuple, groups)), tuple(keep))
+    # t[c, b] is branch b's amplitude at the c-th laid-out value of the unmeasured qubits
+    t = _support_amplitudes(resource, message)[:, None]
     outcomes = np.zeros((1, len(groups)), dtype=np.int64)
-    for g, group in enumerate(groups):
-        d, n = 1 << len(group), n - len(group)
-        if not whole:
-            if t.shape[1] << n <= 1 << _WHOLE_ROW_BITS:
-                # a short block takes every value of the later qubits as a row,
-                # so an amplitude's row in the (d, rows) block is its old index
-                at, cols = cols, np.arange(1 << n)
-            else:
-                # the values that hold a nonzero, in order; a lone row is
-                # padded, since gemv would round it unlike the full block's gemm
-                hi, low = cols >> n, cols & ((1 << n) - 1)
-                first, at = _distinct(low)
-                cols = low[first]
-                at += hi * max(len(cols), min(2, 1 << n))
-                del hi, low, first
-            whole = len(cols) == 1 << n
-            vals, t = t, np.zeros((d * max(len(cols), min(2, 1 << n)), t.shape[1]), dtype=np.complex128)
+    for g, (d, rows, at) in enumerate(steps):
+        if at is not None:
+            vals, t = t, np.zeros((rows, t.shape[1]), dtype=np.complex128)
             t[at] = vals[:len(at)]
-            del vals, at  # only the block is held through the rotation
+            del vals  # only the block is held through the rotation
         # rotate the group's axis and move it behind the branches: the first group stays most significant
         t = (t.reshape(d, -1).T @ _ROTATIONS[d].T).reshape(-1, t.shape[-1] * d)
         if rng is not None:
@@ -249,11 +231,11 @@ def measure_all(
             weights = np.einsum("ij,ij->i", w, w.conj()).real.tolist()
             k = outcomes[0, g] = _pick(rng, range(d), weights)
             if weights[k] < ZERO_BRANCH_ATOL * sum(weights):
-                raise ValueError(f"outcome {k} on qubits {group} has probability {weights[k] / sum(weights):.3e}")
+                raise ValueError(f"outcome {k} on qubits {groups[g]} has probability {weights[k] / sum(weights):.3e}")
             t = w[k, :, None]
-    if not whole:
-        vals, t = t, np.zeros((1 << n, t.shape[1]), dtype=np.complex128)
-        t[cols] = vals[:len(cols)]
+    if final is not None:
+        vals, t = t, np.zeros((1 << len(keep), t.shape[1]), dtype=np.complex128)
+        t[final] = vals[:len(final)]
     kept = t.T
     if rng is None:
         outcomes = np.stack(np.unravel_index(np.arange(len(kept)), [1 << len(g) for g in groups]), axis=1)
@@ -267,21 +249,55 @@ def measure_all(
     return outcomes, probs, kept / np.sqrt(probs)[:, None]
 
 
-def _support(resource: tuple[int, np.ndarray, np.ndarray], message: StateVector, layout: Sequence[int] | None = None):
-    """``(N, indices, amplitudes)`` of ``tensor(message, resource)`` over the
-    resource's support, with qubit ``layout[j]`` on index bit N-1-j (default:
-    qubit q on bit q).  Each amplitude is the same single product as
-    ``tensor``'s, and none is renormalized (a sum of squares rounds apart with
-    and without the zeros), so the two agree bit for bit."""
-    m = message.num_qubits
-    n = m + resource[0]
+@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
+def _plan(qubits: int, indices: bytes, m: int, groups: tuple, keep: tuple):
+    """The half of ``measure_all`` that depends on where the support lies, not on its values, for a
+    resource of ``qubits`` qubits with nonzeros at ``indices`` (int64 bytes) and an m-qubit message: per
+    group, its outcome count, its block's rows and the rows its amplitudes go to (None once the block
+    holds every row), then the kept values' rows (None if every row).  Cached, so its arrays are read-only."""
+    layout = [q for g in groups for q in g] + list(reversed(keep))
+    width = _measurable(qubits + m)
+    if any(len(g) not in (1, 2) for g in groups):
+        raise ValueError(f"groups must be qubit pairs or single qubits, got {list(groups)}")
+    if sorted(layout) != list(range(width)):
+        raise ValueError(f"groups and keep must hold each qubit exactly once, got {sorted(layout)}")
+    n, cols = _support_indices(qubits, np.frombuffer(indices, dtype=np.int64), m, layout)
+    steps = []
+    for group in groups:
+        d, n = 1 << len(group), n - len(group)
+        if cols is None:  # the block holds every row, in order: it is rotated as it is
+            steps.append((d, None, None))
+            continue
+        # the rows are the values of the later qubits that hold a nonzero, in order; a lone
+        # row is padded, since gemv would round it unlike the full block's gemm
+        hi, low = cols >> n, cols & ((1 << n) - 1)
+        first, at = _distinct(low)
+        cols = low[first]
+        rows = max(len(cols), min(2, 1 << n))
+        steps.append((d, d * rows, _read_only(at + hi * rows)))
+        cols = None if len(cols) == 1 << n else cols
+    return tuple(steps), cols if cols is None else _read_only(cols)
+
+
+def _support_indices(size: int, indices: np.ndarray, m: int, layout: Sequence[int] | None = None):
+    """``(N, at)`` for an m-qubit message (x) a ``size``-qubit resource with nonzeros at ``indices``:
+    N = m + ``size``, and the index of each of ``_support_amplitudes``, with qubit ``layout[j]`` on
+    index bit N-1-j (default: qubit q on bit q)."""
+    n = m + size
     qubits = np.arange(n - 1, -1, -1) if layout is None else np.asarray(layout)
     bits = 1 << np.arange(n - 1, -1, -1)
     # product qubit q >= m is resource qubit q - m, q < m message qubit q: lay each out alone, then join
     res, msg = qubits >= m, qubits < m
-    at = ((resource[1][:, None] >> (qubits[res] - m)) & 1) @ bits[res]
+    at = ((indices[:, None] >> (qubits[res] - m)) & 1) @ bits[res]
     at = at[:, None] | ((np.arange(1 << m)[:, None] >> qubits[msg]) & 1) @ bits[msg]
-    return n, at.reshape(-1), (resource[2][:, None] * message.amplitudes).reshape(-1)
+    return n, at.reshape(-1)
+
+
+def _support_amplitudes(resource: tuple[int, np.ndarray, np.ndarray], message: StateVector) -> np.ndarray:
+    """The amplitudes of ``tensor(message, resource)`` over the resource's support.  Each is the same
+    single product as ``tensor``'s, and none is renormalized (a sum of squares rounds apart with and
+    without the zeros), so the two agree bit for bit."""
+    return (resource[2][:, None] * message.amplitudes).reshape(-1)
 
 
 def _fidelities(

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import NORM_ATOL, StateVector
+from .states import NORM_ATOL, StateVector, _read_only
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_LAYOUTS_CACHED = 32  # control supports and measure_all plans kept per process; a small sweep makes 16 plans
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,7 @@ def _bit_parity(indices: np.ndarray) -> np.ndarray:
     return (out & np.uint64(1)).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=_LAYOUTS_CACHED)
 def _control_support(shape: NetworkShape) -> tuple[int, np.ndarray, np.ndarray]:
     """The control resource's qubit count, and the indices and amplitudes of
     its nonzeros, one per M-bit string s in the order of s.  Both EPR products
@@ -239,13 +242,13 @@ def _control_support(shape: NetworkShape) -> tuple[int, np.ndarray, np.ndarray]:
     with |GHZ+-> = (|0...0> +- |1...1>)/sqrt(2) the resource is the sum over
     all s of 2^(-M/2) |s>|s>|p...p>, p = parity(s).  The 2^M values are
     normalized among themselves, which rounds as the whole vector's norm at
-    every shape under the 26-qubit cap."""
+    every shape under the 26-qubit cap.  Cached per shape, so both arrays are read-only."""
     total = shape.total_messages
     s = np.arange(1 << total)
     ghz = _bit_parity(s) * ((2 << shape.num_agents) - 1)
     vals = np.full(1 << total, np.sqrt(0.5 ** total), dtype=np.complex128)
     vals /= np.linalg.norm(vals)
-    return shape.resource_qubits, s | s << total | ghz << 2 * total, vals
+    return shape.resource_qubits, _read_only(s | s << total | ghz << 2 * total), _read_only(vals)
 
 
 def prepare_control_resource(shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:

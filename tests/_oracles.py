@@ -62,7 +62,7 @@ from teleportnet import (
     tensor,
 )
 from teleportnet.defection import _form_for
-from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, _support
+from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, _support_amplitudes, _support_indices
 from teleportnet.states import ZERO_BRANCH_ATOL, _num_qubits_for, _read_only
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -641,9 +641,9 @@ def dense_sampled(resource, message, groups, keep, rng):
 def scattered_support(resource, message, layout=None):
     """The laid-out state vector: the executor's support of ``tensor(message,
     resource)`` scattered into zeros."""
-    n, idx, vals = _support(resource, message, layout)
+    n, idx = _support_indices(resource[0], resource[1], message.num_qubits, layout)
     out = np.zeros(1 << n, dtype=np.complex128)
-    out[idx] = vals
+    out[idx] = _support_amplitudes(resource, message)
     return out
 
 

@@ -304,6 +304,21 @@ class TestRunCommand:
                                  fids=[np.array([1.0, 1.0 - gap])], counts=(1,), sender=True)
         assert cli._transcript_summary(table)["all_fidelities_pass"] is passes
 
+    def test_fidelity_verdict_reads_every_receiver(self, tmp_path, monkeypatch):
+        """A fabricated two-receiver table whose receiver 1 has fidelity 0.5
+        on one branch, while receiver 0 has 1 on every branch: the summary
+        and ``run``'s verdict both fail."""
+        table = _TranscriptTable(outcomes=np.zeros((2, 4), dtype=np.int64), parity=np.zeros(2, dtype=np.int64),
+                                 ops=np.zeros((2, 2), dtype=np.int64), probs=np.full(2, 0.5),
+                                 fids=[np.ones(2), np.array([1.0, 0.5])], counts=(1, 1), sender=True)
+        summary = cli._transcript_summary(table)
+        assert (summary["min_fidelity"], summary["all_fidelities_pass"]) == (0.5, False)
+        monkeypatch.setattr(cli, "_network_table", lambda *args: table)
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--ml", "1", "1", "--n", "1", "--enumerate", "--out", str(out)) == 1
+        report = json.loads(out.read_text())
+        assert (report["summary"]["min_fidelity"], report["summary"]["all_fidelities_pass"]) == (0.5, False)
+
     def test_diagonal_check_matches_the_per_report_check(self):
         """The run summary's column check against ``diag_matches`` on the
         reports of the same table, with entries nudged past the 1e-12 bar."""

@@ -277,33 +277,29 @@ def _assert_same_result(got, want):
     st.integers(1, 4),
     st.booleans(),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([0, protocol._WHOLE_ROW_BITS]),
     st.data(),
 )
-def test_sampled_support_loop_matches_the_full_size_loop(counts, agents, preset, seed, whole_row_bits, data):
+def test_sampled_support_loop_matches_the_full_size_loop(counts, agents, preset, seed, data):
     """Every bit of a drawn branch, for networks with and without a
     defector's qubit kept, in the natural and a permuted draw order, and for
-    a GHZ baseline copy; both with every row found from the support and with
-    short rows rotated whole."""
+    a GHZ baseline copy."""
     network, copy = _network_cases(counts, agents, preset, seed, data)
     cases = [(*network, None), (*network, data.draw(st.permutations(range(len(network[2])))))]
     cases.append((*copy, data.draw(st.permutations(range(len(copy[2]))))))
-    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
-        for *args, order in cases:
-            args = _drawn_in(args, order)
-            got = measure_all(*args, np.random.default_rng(seed))
-            _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
+    for *args, order in cases:
+        args = _drawn_in(args, order)
+        got = measure_all(*args, np.random.default_rng(seed))
+        _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0, 2]), st.data())
-def test_sampled_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, whole_row_bits, data):
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_sampled_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, data):
     """Random sparse resources, not only the protocol's stabilizer states,
     measured in random pairs and single qubits, with the rest kept."""
     args = _random_sparse_args(size, m, seed, data)
     args = _drawn_in(args, data.draw(st.permutations(range(len(args[2])))))
-    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
-        got = measure_all(*args, np.random.default_rng(seed))
+    got = measure_all(*args, np.random.default_rng(seed))
     _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
 
 
@@ -311,12 +307,10 @@ def test_sampled_support_loop_matches_the_full_size_loop_on_random_states(size, 
 def test_sampled_lone_column_is_rotated_like_the_full_row(seed):
     """Measuring the message of |psi> (x) |0> leaves the support a single
     column; rotated alone, numpy takes gemv and rounds it unlike the full
-    row's gemm (at each of these seeds).  The row is found from the support,
-    as it is for rows longer than ``_WHOLE_ROW_BITS`` qubits."""
+    row's gemm (at each of these seeds)."""
     message = tn.prepare_message_state(MessageSpec.random(1, np.random.default_rng(seed)))
     args = (_nonzeros(StateVector([1, 0])), message, [(0,)], [1])
-    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", 0):
-        got = measure_all(*args, np.random.default_rng(seed))
+    got = measure_all(*args, np.random.default_rng(seed))
     _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
 
 
@@ -364,39 +358,30 @@ def test_sampled_run_never_allocates_the_control_resource():
     st.integers(1, 4),
     st.booleans(),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([0, protocol._WHOLE_ROW_BITS]),
     st.data(),
 )
-def test_enumerate_support_loop_matches_the_full_size_loop(counts, agents, preset, seed, whole_row_bits, data):
+def test_enumerate_support_loop_matches_the_full_size_loop(counts, agents, preset, seed, data):
     """Every bit of every branch, for networks with and without a
-    defector's qubit kept and for a GHZ baseline copy; both with every
-    block found from the support and with short blocks laid out whole."""
-    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
-        for args in _network_cases(counts, agents, preset, seed, data):
-            _assert_same_bits(measure_all(*args), dense_enumerate(*args))
+    defector's qubit kept and for a GHZ baseline copy."""
+    for args in _network_cases(counts, agents, preset, seed, data):
+        _assert_same_bits(measure_all(*args), dense_enumerate(*args))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([0, 2]), st.data())
-def test_enumerate_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, whole_row_bits, data):
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_enumerate_support_loop_matches_the_full_size_loop_on_random_states(size, m, seed, data):
     """Random sparse resources in random groupings; a branch of zero
     weight is refused with the same message by both."""
     args = _random_sparse_args(size, m, seed, data)
-    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
-        got = _result(measure_all, *args)
-    _assert_same_result(got, _result(dense_enumerate, *args))
+    _assert_same_result(_result(measure_all, *args), _result(dense_enumerate, *args))
 
 
-@pytest.mark.parametrize("whole_row_bits", [0, protocol._WHOLE_ROW_BITS])
 @pytest.mark.parametrize("counts,agents,defector", [((5,), 3, None), ((3,), 5, None), ((3,), 5, 2)],
                          ids=["m5-n3", "m3-n5", "m3-n5-defector"])
-def test_enumerate_support_loop_matches_the_full_size_loop_at_19_and_15_qubits(counts, agents, defector,
-                                                                              whole_row_bits):
+def test_enumerate_support_loop_matches_the_full_size_loop_at_19_and_15_qubits(counts, agents, defector):
     rng = np.random.default_rng(8)
     args = _network_args([MessageSpec.random(m, rng) for m in counts], NetworkShape(counts, agents), defector)
-    with mock.patch.object(protocol, "_WHOLE_ROW_BITS", whole_row_bits):
-        got = measure_all(*args)
-    _assert_same_bits(got, dense_enumerate(*args))
+    _assert_same_bits(measure_all(*args), dense_enumerate(*args))
 
 
 def test_enumerate_peak_stays_near_the_output():
@@ -454,3 +439,52 @@ def test_defection_table_peak_stays_near_the_kept_states():
 def test_malformed_groups_are_refused(groups, keep, fault):
     with pytest.raises(ValueError, match=fault):
         measure_all(_nonzeros(tn.prepare_ghz(2)), StateVector([0.6, 0.8]), groups, keep)
+
+
+def test_each_layout_of_one_resource_gets_its_own_plan():
+    """One resource measured in one process with ``keep`` reversed and the
+    groups permuted, enumerated, then drawn, then enumerated again: whichever
+    plans are cached by then, each result is the full-size loop's bit for bit."""
+    rng = np.random.default_rng(11)
+    resource, message, groups, keep = _network_args([MessageSpec.random(2, rng)], NetworkShape.single(2, 2), 1)
+    layouts = [(groups, keep), (groups, keep[::-1]), ([groups[g] for g in rng.permutation(len(groups))], keep)]
+    for seed in (None, 3, None):
+        for args in [(resource, message, g, k) for g, k in layouts]:
+            if seed is None:
+                _assert_same_bits(measure_all(*args), dense_enumerate(*args))
+            else:
+                _assert_same_bits(measure_all(*args, np.random.default_rng(seed)),
+                                  dense_sampled(*args, np.random.default_rng(seed)))
+
+
+def test_cached_plan_does_not_admit_another_message_width():
+    """After a valid call is planned, the same resource, groups and kept
+    qubits with a two-qubit message are refused as before."""
+    resource, groups, keep = _nonzeros(tn.prepare_ghz(2)), [(0, 1)], [2]
+    measure_all(resource, StateVector([0.6, 0.8]), groups, keep)
+    with pytest.raises(ValueError, match=r"^groups and keep must hold each qubit exactly once, got \[0, 1, 2\]$"):
+        measure_all(resource, StateVector([0.6, 0, 0, 0.8]), groups, keep)
+
+
+def test_cached_plan_and_control_support_are_read_only():
+    rng = np.random.default_rng(4)
+    resource, message, groups, keep = _network_args([MessageSpec.random(3, rng)], NetworkShape.single(3, 2), 0)
+    measure_all(resource, message, groups, keep)
+    steps, final = protocol._plan(resource[0], resource[1].tobytes(), message.num_qubits, tuple(groups), tuple(keep))
+    arrays = [at for _, _, at in steps if at is not None] + ([] if final is None else [final])
+    arrays += list(_control_support(NetworkShape.single(3, 2))[1:])
+    assert len(arrays) > 2
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_repeated_layout_is_planned_once():
+    """A second call with the same resource, message width, groups and kept
+    qubits, in either mode, finds no distinct values: its plan is cached."""
+    args = _network_args([MessageSpec.random(3, np.random.default_rng(6))], NetworkShape.single(3, 3))
+    measure_all(*args, np.random.default_rng(0))
+    with mock.patch.object(protocol, "_distinct", wraps=protocol._distinct) as distinct:
+        measure_all(*args, np.random.default_rng(1))
+        measure_all(*args)
+    assert distinct.call_count == 0

@@ -457,7 +457,7 @@ def test_initial_state_matches_the_transposed_product_where_a_norm_rounds_apart(
 
 
 def _assert_layouts_match(specs, shape, permutation, order):
-    """``_support`` scattered into zeros equals the transposed ``tensor`` of
+    """The executor's support scattered into zeros equals the transposed ``tensor`` of
     message and resource in the natural layout, ``permutation``, the layout
     of the event order ``order`` and the layout of every defector."""
     message = tn.prepare_message_state(MessageSpec(tuple(q for s in specs for q in s.qubits)))
