@@ -39,6 +39,8 @@ matrices by ``tobytes()``.  The groups cover:
 - the executor's enumerate output, the bytes of ``(outcomes, probs,
   kept)``, at the shapes of ``EXECUTOR_ENUMERATE``, with and without a
   defector
+- every receiver's fidelities of enumerate runs at the shapes of
+  ``CORRUPTED``, each under three random wrong correction tables
 - the control resource's amplitude bytes at every single-receiver shape
   that ``run`` admits with at most 22 resource qubits, and at the shapes
   of ``RESOURCE_MULTI``
@@ -99,6 +101,8 @@ WIDE_SAMPLED = [((1,), 22), ((2,), 19)]
 # (message counts, agents, 1-based defector or None) of the executor group
 EXECUTOR_ENUMERATE = [((2,), 5, None), ((3,), 3, None), ((1, 2), 2, None), ((2,), 4, None), ((4,), 4, None),
                       ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3)]
+# (message counts, agents) of the enumerate runs with corrupted correction tables
+CORRUPTED = [((3,), 2), ((1, 2), 2)]
 # largest resource of the control group (64 MiB), and its multi-receiver shapes
 RESOURCE_QUBITS = 22
 RESOURCE_MULTI = [((2, 3), 5), ((1, 1, 1), 4)]
@@ -261,6 +265,19 @@ def hash_tree(tree: Path) -> dict[str, str]:
                                      defector=None if defector is None else defector - 1)
         groups[f"executor.enumerate[{counts} n={agents} defector={defector}]"] = group = Group()
         group.add(*branches)
+
+    # every receiver's fidelities under random wrong correction tables, so that most are far from 1
+    from teleportnet.protocol import _network_table
+
+    paulis = list(tn.PauliOp)
+    groups["corrupted_tables.floats"] = group = Group()
+    for counts, agents in CORRUPTED:
+        rng = np.random.default_rng(21)
+        specs = [tn.MessageSpec.random(m, rng) for m in counts]
+        for _ in range(3):
+            picks = rng.integers(4, size=(4, 2)).tolist()
+            table = {o: (paulis[i], paulis[j]) for o, (i, j) in zip(tn.BellOutcome, picks)}
+            group.add(_network_table(specs, tn.NetworkShape(counts, agents), "enumerate", None, table=table).fids)
 
     # the control resource, hashed straight from its buffer
     from teleportnet.cli import MAX_TOTAL_QUBITS

@@ -6,7 +6,8 @@
 Each mutant replaces one text of one source file, which must occur there
 exactly once, by a loosened or removed version: a bar moved far past its
 value, a guard that can no longer fire, a ``conj`` dropped, a sign flipped, a
-cache key cut short, a verdict read over part of its columns.
+cache key cut short, a verdict read over part of its columns, a contraction
+or a scatter out of order or dropped.
 The working tree's ``src/`` and ``tests/`` (and ``pyproject.toml``) are
 copied to a temporary directory.  The named test files run there once
 unmutated, and must pass; then each mutant is applied in turn, its test files
@@ -105,13 +106,31 @@ MUTANTS = [
            "measure_all's plans are cached by the kept qubits in sorted order", ("tests/test_executor.py",)),
     Mutant("plan_key_width", PROTOCOL, _PLAN_CACHE, _plan_memo("qubits, indices, groups, keep"),
            "measure_all's plans are cached without the message width", ("tests/test_executor.py",)),
-    Mutant("fidelities_conj", PROTOCOL, 'np.einsum("bhjl,bj->bhl", psi, target.conj())',
-           'np.einsum("bhjl,bj->bhl", psi, target)', "the fidelity overlap takes the target unconjugated",
-           ("tests/test_protocol.py",)),
+    Mutant("fidelities_conj", PROTOCOL, "candidates[i, ops[:, i]].conj())", "candidates[i, ops[:, i]])",
+           "each received qubit is contracted with its corrected target unconjugated", ("tests/test_protocol.py",)),
+    Mutant("fidelities_qubit_order", PROTOCOL, "for i in reversed(range(start, start + m)):",
+           "for i in range(start, start + m):", "a receiver's qubits are contracted lowest first, so each "
+           "contraction after the first reads the wrong axis", ("tests/test_protocol.py",)),
+    Mutant("final_scatter_dropped", PROTOCOL, "None if steps and len(cols) == 1 << n else _read_only(cols)", "None",
+           "the kept values are never scattered to their rows", ("tests/test_executor.py",)),
+    Mutant("final_order_unguarded", PROTOCOL, "None if steps and len(cols) == 1 << n", "None if len(cols) == 1 << n",
+           "a dense support measured in no group is kept in the order it is given", ("tests/test_executor.py",)),
+    Mutant("diagonal_first_qubit", CLI, "enumerate(zip(t.operators, qubits))",
+           "enumerate(zip(t.operators[:1], qubits[:1]))",
+           "run's diagonal verdict reads received qubit 0 only", ("tests/test_cli.py",)),
+    Mutant("probability_sum_numpy", CLI, "sum(np.repeat(t.probs, k).tolist()) / k", "np.sum(np.repeat(t.probs, k)) / k",
+           "the branch-probability sum is taken by numpy's pairwise sum, not in record order",
+           ("tests/test_cli.py",)),
+    Mutant("float_column_by_value", CLI, "np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)",
+           "np.ascontiguousarray(x, dtype=np.float64)", "report floats are keyed by value, so 0.0 and -0.0 merge",
+           ("tests/test_report_text.py",)),
     Mutant("marginal_conj", DEFECTION, 'np.einsum("bda,bdc->bac", h, h.conj())', 'np.einsum("bda,bdc->bac", h, h)',
            "the defection marginals lose their conjugate", ("tests/test_defection.py",)),
     Mutant("control_ghz_sign", RESOURCES, "ghz = _bit_parity(s) *", "ghz = (1 - _bit_parity(s)) *",
            "the resource pairs Phi+^M with GHZ- and Phi-^M with GHZ+", ("tests/test_resources.py",)),
+    Mutant("entangled_fixed_branch", DEFECTION, "pairs, keep, 0)", "pairs, keep)",
+           "the entangled-information check enumerates all 16 Bell branches to read one",
+           ("tests/test_defection.py",)),
     Mutant("entangled_first_conj", DEFECTION, "v = rows @ np.conj([a1, sign * b1])", "v = rows @ np.array([a1, sign * b1])",
            "the first received qubit is projected onto the unconjugated ket", ("tests/test_defection.py",)),
     Mutant("entangled_second_conj", DEFECTION, "v @ np.conj([a2, sign * b2])", "v @ np.array([a2, sign * b2])",

@@ -308,8 +308,8 @@ def analyze_baseline_defection(
 
 
 def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -> ConditionalStateReport:
-    """Measure both Bell pairs through ``measure_all``, skip all agent
-    measurements, and read the branch where both pairs read Phi+: project
+    """Measure both Bell pairs through ``measure_all`` with their outcomes
+    fixed to Phi+, skip all agent measurements, and in that one branch project
     the first received qubit onto alpha1|0> +/- beta1|1>, and report the
     second received qubit's fidelity against alpha2|0> +/- beta2|1>.  The
     kets are orthogonal, and p+ + p- = 1, only when |alpha1| = |beta1|."""
@@ -323,8 +323,8 @@ def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -
     pairs = [(registry.message(0, i), registry.sender_epr(0, i)) for i in range(2)]
     keep = [registry.receiver_epr(0, i) for i in range(2)]
     keep += [registry.agent(j) for j in range(shape.num_agents)] + [registry.sender_ghz]
-    _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep)
-    # branch 0 reads Phi+ on both pairs: (GHZ values, second received qubit, first received qubit)
+    _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep, 0)
+    # the one branch reads Phi+ on both pairs: (GHZ values, second received qubit, first received qubit)
     rows = kept[0].reshape(-1, 2, 2)
     (a1, b1), (a2, b2) = spec.qubits
     results = []  # p+, F+, p-, F-; p >= 1/2, since the GHZ qubits dephase the first received qubit

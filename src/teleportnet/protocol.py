@@ -191,7 +191,7 @@ def measure_all(
     message: StateVector,
     groups: Sequence[tuple[int, ...]],
     keep: Sequence[int],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure every group of ``groups`` of ``tensor(message, resource)`` in
     one pass and keep ``keep``.  ``resource`` is given by its support: its
@@ -211,8 +211,11 @@ def measure_all(
     branch is returned, in mixed-radix order of the group outcomes (the
     first group most significant).  With ``rng`` one branch is drawn group
     by group, each by Born weights conditioned on the earlier ones, over the
-    support.  A branch of next to no weight is refused: an enumerated one by
-    its probability, a drawn one by each draw's weight given the earlier ones.
+    support.  An int k in place of ``rng`` fixes every group's outcome to k,
+    so that only that branch is kept (0: Phi+ for a pair, plus for a qubit).
+    A branch of next to no weight is refused: an enumerated one by its
+    probability, a drawn or fixed one by each outcome's weight given the
+    earlier ones.
     """
     steps, final = _plan(resource[0], np.asarray(resource[1], dtype=np.int64).tobytes(), message.num_qubits,
                          tuple(map(tuple, groups)), tuple(keep))
@@ -220,10 +223,9 @@ def measure_all(
     t = _support_amplitudes(resource, message)[:, None]
     outcomes = np.zeros((1, len(groups)), dtype=np.int64)
     for g, (d, rows, at) in enumerate(steps):
-        if at is not None:
-            vals, t = t, np.zeros((rows, t.shape[1]), dtype=np.complex128)
-            t[at] = vals[:len(at)]
-            del vals  # only the block is held through the rotation
+        vals, t = t, np.zeros((rows, t.shape[1]), dtype=np.complex128)
+        t[at] = vals[:len(at)]
+        del vals  # only the block is held through the rotation
         # rotate the group's axis and move it behind the branches: the first group stays most significant
         t = (t.reshape(d, -1).T @ _ROTATIONS[d].T).reshape(-1, t.shape[-1] * d)
         if rng is not None:
@@ -253,8 +255,8 @@ def measure_all(
 def _plan(qubits: int, indices: bytes, m: int, groups: tuple, keep: tuple):
     """The half of ``measure_all`` that depends on where the support lies, not on its values, for a
     resource of ``qubits`` qubits with nonzeros at ``indices`` (int64 bytes) and an m-qubit message: per
-    group, its outcome count, its block's rows and the rows its amplitudes go to (None once the block
-    holds every row), then the kept values' rows (None if every row).  Cached, so its arrays are read-only."""
+    group, its outcome count, its block's rows and the rows its amplitudes go to, then the kept values'
+    rows (None if every row, in order).  Cached, so its arrays are read-only."""
     layout = [q for g in groups for q in g] + list(reversed(keep))
     width = _measurable(qubits + m)
     if any(len(g) not in (1, 2) for g in groups):
@@ -265,9 +267,6 @@ def _plan(qubits: int, indices: bytes, m: int, groups: tuple, keep: tuple):
     steps = []
     for group in groups:
         d, n = 1 << len(group), n - len(group)
-        if cols is None:  # the block holds every row, in order: it is rotated as it is
-            steps.append((d, None, None))
-            continue
         # the rows are the values of the later qubits that hold a nonzero, in order; a lone
         # row is padded, since gemv would round it unlike the full block's gemm
         hi, low = cols >> n, cols & ((1 << n) - 1)
@@ -275,8 +274,9 @@ def _plan(qubits: int, indices: bytes, m: int, groups: tuple, keep: tuple):
         cols = low[first]
         rows = max(len(cols), min(2, 1 << n))
         steps.append((d, d * rows, _read_only(at + hi * rows)))
-        cols = None if len(cols) == 1 << n else cols
-    return tuple(steps), cols if cols is None else _read_only(cols)
+    # values out of _distinct are sorted, so 1 << n of them are every row in order; with no
+    # group, the kept values are the support's, in its own order
+    return tuple(steps), None if steps and len(cols) == 1 << n else _read_only(cols)
 
 
 def _support_indices(size: int, indices: np.ndarray, m: int, layout: Sequence[int] | None = None):
@@ -309,7 +309,8 @@ def _fidelities(
     qubit i in branch b, and ``qubits`` are the message pairs, flattened over
     receivers like ``kept``'s bits.  The correction C is a product of Paulis,
     so <t|C|psi> = <C^dag t|psi> and C^dag t is a product state: the states
-    are never corrected, the targets are.
+    are never corrected, and each received qubit of a branch is contracted
+    with its own factor of C^dag t, highest bit first.
     """
     size = len(kept)
     # candidates[i, k] = (k-th Pauli)^dagger |t_i>
@@ -317,13 +318,11 @@ def _fidelities(
     out = []
     start = 0
     for m in counts:
-        target = np.ones((size, 1), dtype=np.complex128)
-        for i in range(start, start + m):
-            target = (candidates[i][ops[:, i]][:, :, None] * target[:, None, :]).reshape(size, -1)
-        # axes: (branch, later receivers, this receiver, earlier receivers)
-        psi = kept.reshape(size, -1, 1 << m, 1 << start)
-        overlap = np.einsum("bhjl,bj->bhl", psi, target.conj())
-        out.append(np.clip(np.einsum("bhl,bhl->b", overlap, overlap.conj()).real, 0.0, 1.0))
+        v = kept
+        for i in reversed(range(start, start + m)):
+            # axes: (branch, later qubits, qubit i, earlier qubits)
+            v = np.einsum("bhal,ba->bhl", v.reshape(size, -1, 2, 1 << i), candidates[i, ops[:, i]].conj())
+        out.append(np.clip(np.einsum("bhl,bhl->b", v, v.conj()).real, 0.0, 1.0))
         start += m
     return out
 

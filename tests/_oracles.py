@@ -20,7 +20,8 @@ are the library's record builders as they were when they built every field
 of every row on its own, through the dataclass constructors.
 ``entangled_info_walk`` is ``entangled_info_check`` as it was when it built
 the dense message (x) control resource and collapsed both Bell pairs onto
-Phi+ with ``measure_bell``.
+Phi+ with ``measure_bell``.  ``corrected_fidelities`` is the fidelity stage
+one branch at a time, with the corrections applied to the state.
 """
 
 from __future__ import annotations
@@ -516,6 +517,25 @@ def entangled_info_walk(spec, shape) -> ConditionalStateReport:
         results.append((p, fidelity(rho, StateVector([a2, sign * b2]))))
     (pp, fp), (pm, fm) = results
     return ConditionalStateReport(plus_probability=pp, plus_fidelity=fp, minus_probability=pm, minus_fidelity=fm)
+
+
+def corrected_fidelities(kept: np.ndarray, ops: np.ndarray, counts, pairs) -> list[np.ndarray]:
+    """Per receiver, each branch's fidelity as ``protocol._fidelities`` gives it,
+    one branch at a time: every received qubit of the kept state corrected by
+    ``apply_pauli`` with its Pauli (``ops[b, i]``, in ``PauliOp`` order), each
+    receiver's qubits kept by ``partial_trace``, and the ``fidelity`` of that
+    with the product of its message qubits."""
+    out = [np.empty(len(kept)) for _ in counts]
+    for b, row in enumerate(kept):
+        state = StateVector(row)
+        for i, k in enumerate(ops[b].tolist()):
+            state = apply_pauli(state, i, _PAULI_ORDER[k])
+        start = 0
+        for r, m in enumerate(counts):
+            target = StateVector(product_state_dense(pairs[start:start + m]))
+            out[r][b] = fidelity(partial_trace(state, range(start, start + m)), target)
+            start += m
+    return out
 
 
 def _baseline_leaves(alpha, beta, num_agents, skip=None, rng=None):

@@ -728,6 +728,30 @@ class TestEntangledInfoCheckThroughTheExecutor:
             tracemalloc.stop()
         assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fixed_branch_matches_the_enumerated_branch(self, n, monkeypatch):
+        # the same check with every Bell branch enumerated, reading branch 0 (Phi+ on both pairs)
+        rng = np.random.default_rng(90 + n)
+        shape = NetworkShape.single(2, n)
+        specs = [MessageSpec.random(2, rng) for _ in range(10)]
+        fixed = [tn.entangled_info_check(spec, shape) for spec in specs]
+        measure_all = tn.defection.measure_all
+        monkeypatch.setattr(tn.defection, "measure_all", lambda *args: measure_all(*args[:4]))
+        for spec, got in zip(specs, fixed):
+            assert vars(got) == pytest.approx(vars(tn.entangled_info_check(spec, shape)), abs=1e-15)
+
+    def test_keeps_only_the_phi_plus_branch(self, monkeypatch):
+        rows, measure_all = [], tn.defection.measure_all
+
+        def recorded(*args):
+            out = measure_all(*args)
+            rows.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(tn.defection, "measure_all", recorded)
+        tn.entangled_info_check(MessageSpec.random(2, np.random.default_rng(3)), NetworkShape.single(2, 2))
+        assert rows == [1]
+
     def test_measures_through_the_executor_once(self, monkeypatch):
         calls, measure_all = [], tn.defection.measure_all
 

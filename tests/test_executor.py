@@ -314,6 +314,23 @@ def test_sampled_lone_column_is_rotated_like_the_full_row(seed):
     _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_drawn_call_without_groups_keeps_the_support_in_its_own_order(seed):
+    """Nothing measured and every qubit kept in order: the kept state is
+    ``tensor(message, resource)``, though the resource's support is every
+    row and is given shuffled."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    resource = StateVector(amps)
+    size, at, vals = _nonzeros(resource)
+    order = rng.permutation(len(at))
+    message = tn.prepare_message_state(MessageSpec.random(2, rng))
+    args = ((size, at[order], vals[order]), message, [], list(range(size + 2)))
+    got = measure_all(*args, np.random.default_rng(seed))
+    _assert_same_bits(got, dense_sampled(*args, np.random.default_rng(seed)))
+    np.testing.assert_allclose(got[2][0], tn.tensor(message, resource).amplitudes, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("counts,agents", [((5,), 5), ((2, 3), 5)])
 def test_sampled_support_loop_matches_the_full_size_loop_at_21_qubits(counts, agents):
     rng = np.random.default_rng(5)

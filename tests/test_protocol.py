@@ -20,10 +20,10 @@ from teleportnet import (
     StateVector,
 )
 from teleportnet.cli import main
-from teleportnet.protocol import _distinct, _event_qubits
+from teleportnet.protocol import _distinct, _event_qubits, _fidelities, _network_branches, _transcript_table
 from teleportnet.resources import _control_support, _ghz_support
 
-from _oracles import _nonzeros, conditional_kets, executor_layout, scattered_support
+from _oracles import _nonzeros, conditional_kets, corrected_fidelities, executor_layout, scattered_support
 from conftest import row_keys
 
 
@@ -591,6 +591,39 @@ def distinct_keys(draw):
     if kind == "float bits":
         return np.array(pool, dtype=np.uint64).view(np.float64)[picks].view(np.uint64)
     return row_keys(np.array(pool).view(np.complex128).reshape(-1, 2, 2)[picks])
+
+
+class TestFidelityStage:
+    """Each receiver's fidelities against the branch-by-branch oracle, with a
+    wrong correction table, so that most of them are far from 1."""
+
+    @pytest.mark.parametrize("counts,agents", [((1, 2), 2), ((2, 1), 1), ((1, 1, 1), 1), ((3,), 2)])
+    def test_wrong_corrections_match_the_oracle(self, counts, agents):
+        rng = np.random.default_rng(len(counts) + 10 * agents)
+        specs = [MessageSpec.random(m, rng) for m in counts]
+        paulis = list(PauliOp)
+        table = {o: (paulis[i], paulis[j]) for o, (i, j) in zip(BellOutcome, rng.integers(4, size=(4, 2)).tolist())}
+        outcomes, probs, kept = _network_branches(specs, NetworkShape(counts, agents))
+        t = _transcript_table(outcomes, probs, kept, specs, table)
+        want = corrected_fidelities(kept, t.ops, counts, [q for s in specs for q in s.qubits])
+        assert min(f.min() for f in t.fids) < 0.5
+        for got, w in zip(t.fids, want):
+            np.testing.assert_allclose(got, w, rtol=0, atol=1e-14)
+
+    def test_peak_stays_under_the_kept_states(self):
+        """At (5,3), 16,384 branches of 2^5 amplitudes (8 MiB), the stage
+        contracts the kept states qubit by qubit and builds no target state
+        per branch."""
+        spec = MessageSpec.random(5, np.random.default_rng(0))
+        outcomes, probs, kept = _network_branches([spec], NetworkShape.single(5, 3))
+        ops = _transcript_table(outcomes, probs, kept, [spec]).ops
+        tracemalloc.start()
+        try:
+            _fidelities(kept, ops, [5], spec.qubits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= kept.nbytes, f"peak {peak / kept.nbytes:.2f} times the kept states"
 
 
 class TestDistinct:
