@@ -26,7 +26,8 @@ matrices by ``tobytes()``.  The groups cover:
   n = 3, defector 3, and the baseline's at (6,6) with defector 3, each at
   three message seeds, with the baseline's enumerate and sampled transcripts
   at (6,6) for the same messages; ``max_recovery_fidelity`` on 200 single operators
-  with the default grid and with grids of 1, 2 and 3 unitaries
+  with the default grid and with grids of 1, 2 and 3 unitaries; the bytes of
+  the default grid and of its 24 Cliffords alone
 - the report bytes and exit code of every stored-report CLI command and of
   ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``, and
   the report as printed to stdout of a sampled, a multi-receiver enumerate
@@ -302,6 +303,9 @@ def hash_tree(tree: Path) -> dict[str, str]:
     for name, us in grids.items():
         groups[f"max_recovery_fidelity[{name}].floats"] = group = Group()
         group.add([tn.max_recovery_fidelity(rho, t, us) for rho, t in zip(rhos, targets)])
+    # the grid itself, so that a change to its matrices shows apart from the fidelities they give
+    groups["recovery_grid"] = group = Group()
+    group.add(tn.recovery_unitaries(), tn.recovery_unitaries(num_random=0, seed=0))
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"

@@ -128,7 +128,7 @@ MUTANTS = [
            "the defection marginals lose their conjugate", ("tests/test_defection.py",)),
     Mutant("control_ghz_sign", RESOURCES, "ghz = _bit_parity(s) *", "ghz = (1 - _bit_parity(s)) *",
            "the resource pairs Phi+^M with GHZ- and Phi-^M with GHZ+", ("tests/test_resources.py",)),
-    Mutant("entangled_fixed_branch", DEFECTION, "pairs, keep, 0)", "pairs, keep)",
+    Mutant("entangled_fixed_branch", DEFECTION, "pairs, keep, (0, 0))", "pairs, keep)",
            "the entangled-information check enumerates all 16 Bell branches to read one",
            ("tests/test_defection.py",)),
     Mutant("entangled_first_conj", DEFECTION, "v = rows @ np.conj([a1, sign * b1])", "v = rows @ np.array([a1, sign * b1])",
@@ -137,6 +137,24 @@ MUTANTS = [
            "the second received qubit is compared with the unconjugated ket", ("tests/test_defection.py",)),
     Mutant("state_rescale", STATES, "if not np.isfinite(norm):", "if False:",
            "amplitudes whose norm overflows are zeroed", ("tests/test_states.py",)),
+    Mutant("clifford_coset_dropped", DEFECTION, "h @ s, s @ h, hsh)", "h @ s, h, hsh)",
+           "one of the six axis permutations is replaced by H, so the grid holds H's coset twice",
+           ("tests/test_defection.py",)),
+    Mutant("walk_int_before_bool", CLI,
+           'elif node is None or node is True or node is False:\n'
+           '        out.append("null" if node is None else "true" if node else "false")\n'
+           '    elif isinstance(node, int):\n'
+           '        out.append(int.__repr__(node))\n',
+           'elif isinstance(node, int):\n'
+           '        out.append(int.__repr__(node))\n'
+           '    elif node is None or node is True or node is False:\n'
+           '        out.append("null" if node is None else "true" if node else "false")\n',
+           "the report walk takes a bool for an int, so true and false are written 1 and 0",
+           ("tests/test_report_text.py", "tests/test_cli.py")),
+    Mutant("support_indices_bits_reversed", PROTOCOL, "bits = 1 << np.arange(n - 1, -1, -1)", "bits = 1 << np.arange(n)",
+           "the support's layout puts qubit layout[j] on index bit j, not N-1-j", ("tests/test_executor.py",)),
+    Mutant("last_record_comma_kept", CLI, '_Column([",\\n", ""],', '_Column([",\\n", ",\\n"],',
+           "the report's last record is followed by a comma", ("tests/test_report_text.py", "tests/test_cli.py")),
     Mutant("target_rescale", DEFECTION, "if not np.finfo(np.float64).tiny <= np.vdot(t, t).real < np.inf:", "if False:",
            "a recovery target whose squared norm is not a normal float is normalized as it is",
            ("tests/test_defection.py",)),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .protocol import _BELL_ORDER, _baseline_branches, _distinct, _measurable, _network_branches, _record, measure_all
 from .resources import MessageSpec, NetworkShape, QubitRegistry, _control_support, _integral, prepare_message_state
-from .states import UNITARY_ATOL, BellOutcome, DensityMatrix
+from .states import HADAMARD, UNITARY_ATOL, BellOutcome, DensityMatrix, PauliOp
 
 _PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
 
@@ -58,32 +58,11 @@ class ConditionalStateReport:
 
 
 def _clifford_group() -> np.ndarray:
-    """The 24 single-qubit Cliffords, generated from H and S, deduplicated up
-    to global phase."""
-    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-    s = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
-
-    def key(u: np.ndarray) -> tuple:
-        flat = u.reshape(-1)
-        # first clearly-nonzero entry in row-major order fixes the phase;
-        # Clifford entries have magnitude 0, 1/2, 1/sqrt(2), or 1
-        pivot = flat[np.flatnonzero(np.abs(flat) > 0.3)[0]]
-        canon = flat * (abs(pivot) / pivot)
-        return tuple(np.round(canon, 6).tolist())
-
-    group = {key(np.eye(2, dtype=np.complex128)): np.eye(2, dtype=np.complex128)}
-    frontier = list(group.values())
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in (h, s):
-                v = g @ u
-                k = key(v)
-                if k not in group:
-                    group[k] = v
-                    nxt.append(v)
-        frontier = nxt
-    return np.stack(list(group.values()))
+    """The 24 single-qubit Cliffords up to global phase, in closed form: each Pauli times each of the
+    six Cliffords that permute the X, Y and Z axes (I, H, S, HS, SH and HSH), every entry exact."""
+    h, s = HADAMARD, np.array([[1, 0], [0, 1j]])
+    hsh = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    return np.stack([p.matrix @ c for p in PauliOp for c in (np.eye(2), h, s, h @ s, s @ h, hsh)])
 
 
 _CLIFFORDS = _clifford_group()
@@ -323,7 +302,7 @@ def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -
     pairs = [(registry.message(0, i), registry.sender_epr(0, i)) for i in range(2)]
     keep = [registry.receiver_epr(0, i) for i in range(2)]
     keep += [registry.agent(j) for j in range(shape.num_agents)] + [registry.sender_ghz]
-    _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep, 0)
+    _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep, (0, 0))
     # the one branch reads Phi+ on both pairs: (GHZ values, second received qubit, first received qubit)
     rows = kept[0].reshape(-1, 2, 2)
     (a1, b1), (a2, b2) = spec.qubits

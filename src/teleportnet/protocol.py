@@ -191,7 +191,7 @@ def measure_all(
     message: StateVector,
     groups: Sequence[tuple[int, ...]],
     keep: Sequence[int],
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure every group of ``groups`` of ``tensor(message, resource)`` in
     one pass and keep ``keep``.  ``resource`` is given by its support: its
@@ -211,12 +211,15 @@ def measure_all(
     branch is returned, in mixed-radix order of the group outcomes (the
     first group most significant).  With ``rng`` one branch is drawn group
     by group, each by Born weights conditioned on the earlier ones, over the
-    support.  An int k in place of ``rng`` fixes every group's outcome to k,
-    so that only that branch is kept (0: Phi+ for a pair, plus for a qubit).
-    A branch of next to no weight is refused: an enumerated one by its
-    probability, a drawn or fixed one by each outcome's weight given the
-    earlier ones.
+    support.  A sequence of outcome indices in place of ``rng``, one per
+    group, fixes each group's outcome, so that only that branch is kept (0:
+    Phi+ for a pair, plus for a qubit).  A branch of next to no weight is
+    refused: an enumerated one by its probability, a drawn or fixed one by
+    each outcome's weight given the earlier ones.
     """
+    fixed = rng is not None and not isinstance(rng, np.random.Generator)
+    if fixed and len(rng) != len(groups):
+        raise ValueError(f"a fixed branch needs one outcome per group: got {len(rng)} for {len(groups)} groups")
     steps, final = _plan(resource[0], np.asarray(resource[1], dtype=np.int64).tobytes(), message.num_qubits,
                          tuple(map(tuple, groups)), tuple(keep))
     # t[c, b] is branch b's amplitude at the c-th laid-out value of the unmeasured qubits
@@ -231,7 +234,7 @@ def measure_all(
         if rng is not None:
             w = np.ascontiguousarray(t.T)
             weights = np.einsum("ij,ij->i", w, w.conj()).real.tolist()
-            k = outcomes[0, g] = _pick(rng, range(d), weights)
+            k = outcomes[0, g] = _pick(rng[g] if fixed else rng, range(d), weights)
             if weights[k] < ZERO_BRANCH_ATOL * sum(weights):
                 raise ValueError(f"outcome {k} on qubits {groups[g]} has probability {weights[k] / sum(weights):.3e}")
             t = w[k, :, None]
@@ -239,7 +242,7 @@ def measure_all(
         vals, t = t, np.zeros((1 << len(keep), t.shape[1]), dtype=np.complex128)
         t[final] = vals[:len(final)]
     kept = t.T
-    if rng is None:
+    if rng is None and groups:  # with no group, the one branch has no outcomes
         outcomes = np.stack(np.unravel_index(np.arange(len(kept)), [1 << len(g) for g in groups]), axis=1)
     probs = np.einsum("bj,bj->b", kept, kept.conj()).real
     if not np.all(np.isfinite(probs)):

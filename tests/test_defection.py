@@ -206,6 +206,22 @@ class TestRecoveryCeiling:
         eye = np.einsum("gba,gbc->gac", grid.conj(), grid)
         np.testing.assert_allclose(eye, np.broadcast_to(np.eye(2), (34, 2, 2)), atol=1e-12)
 
+    def test_cliffords_are_the_exact_group_up_to_phase(self):
+        """The 24 Cliffords start with I, are pairwise distinct and closed under products up to
+        phase, and every real and imaginary part is exactly 0, +-1/2, +-1 or +-1/sqrt(2)."""
+        grid = tn.recovery_unitaries(num_random=0, seed=0)
+        assert grid.shape == (24, 2, 2)
+        np.testing.assert_array_equal(grid[0], np.eye(2))
+        # |tr(A^dag B)| is 2 exactly when A and B agree up to phase, and under 2 - 0.5 otherwise
+        same = np.abs(np.einsum("iab,jab->ij", grid.conj(), grid)) > 1.5
+        np.testing.assert_array_equal(same, np.eye(24, dtype=bool))
+        products = np.einsum("iab,jbc->ijac", grid, grid).reshape(-1, 2, 2)
+        found = np.abs(np.einsum("pab,kab->pk", products.conj(), grid)) > 1.5
+        assert found.sum(axis=1).tolist() == [1] * 24**2
+        r = float(tn.states.HADAMARD[0, 0].real)
+        parts = set(grid.real.ravel().tolist()) | set(grid.imag.ravel().tolist())
+        assert parts <= {0.0, 0.5, -0.5, 1.0, -1.0, r, -r}, sorted(parts)
+
 
 def _stack(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
     """A (size, 2, 2) stack of one kind of operator."""

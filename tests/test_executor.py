@@ -193,6 +193,50 @@ def test_drawn_outcome_is_guarded_by_its_conditional_weight():
     assert outcomes.tolist() == [[3]] and probs[0] == pytest.approx(5e-13)
 
 
+def test_fixed_outcome_is_guarded_by_its_conditional_weight():
+    # the outcome that test_drawn_outcome_is_guarded_by_its_conditional_weight draws, fixed instead
+    def fixed(b):
+        return measure_all(_nonzeros(StateVector([1, 0])), StateVector([1, b]), [(0, 1)], [], [3])
+
+    with pytest.raises(ValueError, match=r"^outcome 3 on qubits \(0, 1\) has probability 5\.000e-15$"):
+        fixed(1e-7)
+    with pytest.raises(ValueError, match=r"^outcome 3 on qubits \(0, 1\) has probability 0\.000e\+00$"):
+        fixed(0)
+    outcomes, probs, _ = fixed(1e-6)
+    assert outcomes.tolist() == [[3]] and probs[0] == pytest.approx(5e-13)
+
+
+@pytest.mark.parametrize("outcomes,fault", [
+    ([], "one outcome per group: got 0 for 1 groups"),
+    ([0, 0], "one outcome per group: got 2 for 1 groups"),
+    ([4], "invalid branch selector 4"),
+])
+def test_malformed_fixed_branch_is_refused(outcomes, fault):
+    with pytest.raises(ValueError, match=fault):
+        measure_all(_nonzeros(StateVector([1, 0])), StateVector([0.6, 0.8]), [(0, 1)], [], outcomes)
+
+
+@pytest.mark.parametrize("counts,agents", [((2,), 2), ((3,), 1), ((1, 2), 2)])
+def test_fixed_branch_is_the_enumerated_row(counts, agents):
+    """Every branch, fixed by its outcomes, is the enumerated branch's row within 1e-15."""
+    rng = np.random.default_rng(10 * len(counts) + agents)
+    args = _network_args([MessageSpec.random(m, rng) for m in counts], NetworkShape(counts, agents))
+    outcomes, probs, kept = measure_all(*args)
+    for b, row in enumerate(outcomes.tolist()):
+        got = measure_all(*args, row)
+        assert got[0].tolist() == [row]
+        np.testing.assert_allclose(got[1], probs[b:b + 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got[2], kept[b:b + 1], rtol=0, atol=1e-15)
+
+
+def test_enumerated_call_without_groups_is_the_drawn_call():
+    """Nothing measured: enumerating gives the one branch, with no outcomes, that a draw gives."""
+    args = (_nonzeros(tn.prepare_ghz(2)), StateVector([0.6, 0.8]), [], [0, 1, 2])
+    got = measure_all(*args)
+    assert got[0].shape == (1, 0)
+    _assert_same_bits(got, measure_all(*args, np.random.default_rng(0)))
+
+
 def _assert_same_bits(got, want):
     """Outcomes, probabilities and kept states agree in every bit."""
     for g, w in zip(got, want):
