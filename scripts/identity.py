@@ -18,7 +18,8 @@ matrices by ``tobytes()``.  The groups cover:
 - defection reports at every defector
 - the GHZ baseline (enumerate and sampled) and its defection at every
   defector
-- ``entangled_info_check``
+- ``entangled_info_check``, and apart from it the check at 8 and 18 agents
+  for three messages
 - every branch and every defector of the message ``MessageSpec.random(3,
   default_rng(0))`` with four agents
 - the recovery search at the benchmark's defection shapes: defection
@@ -256,6 +257,14 @@ def hash_tree(tree: Path) -> dict[str, str]:
             specs = [tn.MessageSpec.random(m, np.random.default_rng(seed)) for m in counts]
             _transcripts(groups, f"sampled.wide[{counts} n={agents}]",
                          [_sampled(specs, tn.NetworkShape(counts, agents), seed)])
+
+    # the entangled-information check on networks wide enough that keeping every GHZ qubit shows
+    groups["entangled_info_check.wide"] = group = Group()
+    for seed in range(3):
+        pair = tn.MessageSpec.random(2, np.random.default_rng(seed))
+        for agents in (8, 18):
+            c = tn.entangled_info_check(pair, tn.NetworkShape.single(2, agents))
+            group.add(c.plus_probability, c.plus_fidelity, c.minus_probability, c.minus_fidelity)
 
     # every branch straight from the executor, which rotates only the support
     from teleportnet.protocol import _network_branches

@@ -128,8 +128,12 @@ MUTANTS = [
            "the defection marginals lose their conjugate", ("tests/test_defection.py",)),
     Mutant("control_ghz_sign", RESOURCES, "ghz = _bit_parity(s) *", "ghz = (1 - _bit_parity(s)) *",
            "the resource pairs Phi+^M with GHZ- and Phi-^M with GHZ+", ("tests/test_resources.py",)),
-    Mutant("entangled_fixed_branch", DEFECTION, "pairs, keep, (0, 0))", "pairs, keep)",
-           "the entangled-information check enumerates all 16 Bell branches to read one",
+    Mutant("entangled_fixed_branch", DEFECTION, "shape, (0,) * (2 + shape.num_agents), defector=", "shape, defector=",
+           "the entangled-information check enumerates every Bell and agent branch to read one",
+           ("tests/test_defection.py",)),
+    Mutant("entangled_sender_measured", DEFECTION, "(0,) * (2 + shape.num_agents), defector=shape.num_agents)",
+           "(0,) * (3 + shape.num_agents))",
+           "the sender's GHZ qubit is measured as plus, so the first received qubit is no longer dephased",
            ("tests/test_defection.py",)),
     Mutant("entangled_first_conj", DEFECTION, "v = rows @ np.conj([a1, sign * b1])", "v = rows @ np.array([a1, sign * b1])",
            "the first received qubit is projected onto the unconjugated ket", ("tests/test_defection.py",)),

@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .protocol import _BELL_ORDER, _baseline_branches, _distinct, _measurable, _network_branches, _record, measure_all
-from .resources import MessageSpec, NetworkShape, QubitRegistry, _control_support, _integral, prepare_message_state
+from .protocol import _BELL_ORDER, _baseline_branches, _distinct, _network_branches, _record
+from .resources import MessageSpec, NetworkShape, _integral
 from .states import HADAMARD, UNITARY_ATOL, BellOutcome, DensityMatrix, PauliOp
 
 _PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
@@ -49,7 +49,7 @@ class DefectionReport:
 @dataclass(frozen=True)
 class ConditionalStateReport:
     """Conditional collapse of the second received qubit after projecting the
-    first one (Bell outcomes pinned to the plus pair, no agent measurements)."""
+    first one (Bell outcomes pinned to the plus pair, the sender's GHZ qubit withheld)."""
 
     plus_probability: float
     plus_fidelity: float
@@ -77,9 +77,10 @@ def recovery_unitaries(num_random: int = _DEFAULT_GRID[0], seed: int = _DEFAULT_
 
     The default grid is built once, on first use, and shared read-only.
     """
-    if (num_random, seed) == _DEFAULT_GRID:
-        return _default_grid()
-    return _build_grid(num_random, seed)
+    for name, value in {"num_random": num_random, "seed": seed}.items():
+        if _integral(value, name) < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    return _default_grid() if (num_random, seed) == _DEFAULT_GRID else _build_grid(int(num_random), int(seed))
 
 
 @lru_cache(maxsize=1)
@@ -287,24 +288,19 @@ def analyze_baseline_defection(
 
 
 def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -> ConditionalStateReport:
-    """Measure both Bell pairs through ``measure_all`` with their outcomes
-    fixed to Phi+, skip all agent measurements, and in that one branch project
-    the first received qubit onto alpha1|0> +/- beta1|1>, and report the
-    second received qubit's fidelity against alpha2|0> +/- beta2|1>.  The
-    kets are orthogonal, and p+ + p- = 1, only when |alpha1| = |beta1|."""
+    """Fix both Bell pairs to Phi+ and each agent's bit to plus through ``_network_branches``, the
+    sender withholding its GHZ qubit as a defector would; in that one branch project the first received
+    qubit onto alpha1|0> +/- beta1|1>, and report the second received qubit's fidelity against
+    alpha2|0> +/- beta2|1>.  The kets are orthogonal, and p+ + p- = 1, only when |alpha1| = |beta1|."""
     if len(spec) != 2:
         raise ValueError("the entangled-information check needs exactly two message qubits")
     shape = shape or NetworkShape.single(2, 1)
     if shape.num_receivers != 1 or shape.message_counts[0] != 2:
         raise ValueError("shape must carry two message qubits to one receiver")
-    _measurable(shape.total_qubits)  # before the support's indices overflow
-    registry = QubitRegistry(shape)
-    pairs = [(registry.message(0, i), registry.sender_epr(0, i)) for i in range(2)]
-    keep = [registry.receiver_epr(0, i) for i in range(2)]
-    keep += [registry.agent(j) for j in range(shape.num_agents)] + [registry.sender_ghz]
-    _, _, kept = measure_all(_control_support(shape), prepare_message_state(spec), pairs, keep, (0, 0))
-    # the one branch reads Phi+ on both pairs: (GHZ values, second received qubit, first received qubit)
-    rows = kept[0].reshape(-1, 2, 2)
+    # exact: every GHZ qubit holds one value p, so tracing them all out leaves sum_p |psi_p><psi_p|; while the
+    # sender's qubit is unmeasured the p-terms stay orthogonal, so each agent's plus keeps both at weight 1/2
+    _, _, kept = _network_branches([spec], shape, (0,) * (2 + shape.num_agents), defector=shape.num_agents)
+    rows = kept[0].reshape(-1, 2, 2)  # (sender's GHZ value, second received qubit, first received qubit)
     (a1, b1), (a2, b2) = spec.qubits
     results = []  # p+, F+, p-, F-; p >= 1/2, since the GHZ qubits dephase the first received qubit
     for sign in (+1, -1):

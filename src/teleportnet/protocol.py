@@ -30,6 +30,7 @@ from .resources import (
     QubitRegistry,
     _control_support,
     _ghz_support,
+    _integral,
     prepare_message_state,
 )
 from .states import (
@@ -432,22 +433,22 @@ def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode needs a seed")
-        return np.random.default_rng(seed)
+        return np.random.default_rng(_integral(seed, "seed"))
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def _network_branches(
     specs: Sequence[MessageSpec],
     shape: NetworkShape,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[int] | None = None,
     event_order: Sequence[Event] | None = None,
     defector: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``measure_all`` over the network's message and control resource: every
-    protocol event but agent ``defector``'s, keeping the received qubits and,
-    above them, the defector's qubit.  A drawn branch is drawn in
-    ``event_order`` (default: canonical order); enumerating ignores it.  The
-    outcome columns are in canonical order either way."""
+    """``measure_all`` over the network's message and control resource: every protocol event but
+    party ``defector``'s (an agent, or the sender as party ``num_agents``), keeping the received
+    qubits and, above them, the defector's GHZ qubit.  A drawn or fixed branch is drawn in
+    ``event_order`` (default: canonical order); enumerating ignores it.  The outcome columns are in
+    canonical order either way."""
     if len(specs) != shape.num_receivers:
         raise ValueError(f"got {len(specs)} message specs for {shape.num_receivers} receivers")
     for spec, m in zip(specs, shape.message_counts):
@@ -461,7 +462,7 @@ def _network_branches(
     registry = QubitRegistry(shape)
     groups = [_event_qubits(events[g], registry) for g in order]
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
-    keep += [] if defector is None else [registry.agent(defector)]
+    keep += [] if defector is None else _event_qubits(("ghz", defector), registry)
     message = prepare_message_state(MessageSpec(tuple(q for spec in specs for q in spec.qubits)))
     outcomes, probs, kept = measure_all(_control_support(shape), message, groups, keep, rng)
     if rng is not None:  # drawn in event order; an enumeration's order is already sorted

@@ -18,6 +18,9 @@ is the defection table's reduction as it was when it built every branch's
 joint operator and traced the stack.  ``row_transcripts`` and ``row_reports``
 are the library's record builders as they were when they built every field
 of every row on its own, through the dataclass constructors.
+``pauli_frame_branch`` is one network branch's received state by the Pauli
+frame, with each Bell outcome's Pauli found by ``bell_pauli`` from the Bell
+vectors alone, not from ``CORRECTIONS``.
 ``entangled_info_walk`` is ``entangled_info_check`` as it was when it built
 the dense message (x) control resource and collapsed both Bell pairs onto
 Phi+ with ``measure_bell``.  ``corrected_fidelities`` is the fidelity stage
@@ -40,6 +43,7 @@ from teleportnet import (
     DensityMatrix,
     DiagonalForm,
     MessageSpec,
+    PauliOp,
     ProtocolTranscript,
     QubitRegistry,
     StateVector,
@@ -64,7 +68,7 @@ from teleportnet import (
 )
 from teleportnet.defection import _form_for
 from teleportnet.protocol import _BELL_ORDER, _PAULI_ORDER, _ROTATIONS, _support_amplitudes, _support_indices
-from teleportnet.states import ZERO_BRANCH_ATOL, _num_qubits_for, _read_only
+from teleportnet.states import BELL_VECTORS, ZERO_BRANCH_ATOL, _num_qubits_for, _read_only
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -200,6 +204,27 @@ def product_of_kets(kets) -> np.ndarray:
             value *= kets[q][(idx >> q) & 1]
         amps[idx] = value
     return amps
+
+
+def bell_pauli(outcome: BellOutcome) -> np.ndarray:
+    """The Pauli sigma with (I (x) sigma)|Phi+> proportional to the outcome's Bell vector.  A pair
+    measured with this outcome against an EPR pair in Phi+ leaves the far qubit in sigma|psi>, up to
+    phase."""
+    phi = BELL_VECTORS[BellOutcome.PHI_PLUS]
+    found = [op.matrix for op in PauliOp
+             if abs(abs(np.vdot(BELL_VECTORS[outcome], np.kron(np.eye(2), op.matrix) @ phi)) - 1) < 1e-12]
+    assert len(found) == 1, outcome
+    return found[0]
+
+
+def pauli_frame_branch(specs, bell, ghz_bits) -> np.ndarray:
+    """The received qubits of the network branch with Bell outcome indices ``bell`` (one per message
+    qubit, flattened over receivers) and GHZ bits ``ghz_bits``, up to one global phase: received
+    qubit i holds sigma_i Z^pi |psi_i>, with sigma_i its pair's ``bell_pauli`` and pi the parity of
+    the GHZ bits, since the control resource pairs Phi+^M with GHZ+ and Phi-^M with GHZ-."""
+    z = PauliOp.Z.matrix if sum(ghz_bits) % 2 else np.eye(2)
+    pairs = [q for spec in specs for q in spec.qubits]
+    return product_of_kets([bell_pauli(_BELL_ORDER[k]) @ z @ np.array(q) for k, q in zip(bell, pairs)])
 
 
 def defection_mixture(outcomes, pairs) -> np.ndarray:

@@ -200,6 +200,21 @@ class TestRecoveryCeiling:
         fresh = tn.recovery_unitaries(num_random=1000, seed=8)
         assert fresh.flags.writeable and fresh is not tn.recovery_unitaries(num_random=1000, seed=8)
 
+    def test_an_integral_numpy_grid_size_and_seed_take_the_cached_grid(self):
+        assert tn.recovery_unitaries(np.int64(1000), np.int64(7)) is tn.recovery_unitaries()
+        np.testing.assert_array_equal(tn.recovery_unitaries(np.int64(3), np.int64(1)),
+                                      tn.recovery_unitaries(3, 1))
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("num_random", -1, "must be non-negative, got -1"), ("seed", -1, "must be non-negative, got -1"),
+        ("num_random", np.int64(-5), "must be non-negative, got -5"), ("num_random", 2.5, "takes integers, got 2.5"),
+        ("num_random", True, "takes integers, got True"), ("seed", True, "takes integers, got True"),
+        ("seed", "7", "takes integers, got '7'"), ("num_random", None, "takes integers, got None"),
+    ])
+    def test_a_grid_size_or_seed_that_is_not_a_non_negative_integer_is_refused_by_name(self, name, value, message):
+        with pytest.raises(ValueError, match=rf"^{name} {message}$"):
+            tn.recovery_unitaries(**{name: value})
+
     def test_grid_contains_24_cliffords(self):
         grid = tn.recovery_unitaries(num_random=10, seed=0)
         assert grid.shape == (34, 2, 2)
@@ -710,18 +725,6 @@ class TestEntangledInfoCheckThroughTheExecutor:
                 assert type(getattr(got, field)) is float, field
                 assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), field
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_both_projections_have_the_closed_form_probability(self, n):
-        # the GHZ qubits dephase the first received qubit, so either sign projects onto it
-        # with weight |alpha1|^4 + |beta1|^4
-        rng = np.random.default_rng(70 + n)
-        for spec in [MessageSpec.random(2, rng) for _ in range(5)] + [MessageSpec.balanced_random_phases(2, rng)]:
-            report = tn.entangled_info_check(spec, NetworkShape.single(2, n))
-            (a1, b1), _ = spec.qubits
-            want = abs(a1) ** 4 + abs(b1) ** 4
-            assert report.plus_probability == pytest.approx(want, abs=1e-15)
-            assert report.minus_probability == pytest.approx(want, abs=1e-15)
-
     def test_reads_the_branch_without_a_dense_kernel(self, monkeypatch):
         # the kept row is contracted directly: no dense projection runs
         def refuse(*args, **kwargs):
@@ -746,35 +749,67 @@ class TestEntangledInfoCheckThroughTheExecutor:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fixed_branch_matches_the_enumerated_branch(self, n, monkeypatch):
-        # the same check with every Bell branch enumerated, reading branch 0 (Phi+ on both pairs)
+        # the same check with every branch enumerated, reading branch 0 (Phi+ on both pairs, every agent plus)
         rng = np.random.default_rng(90 + n)
         shape = NetworkShape.single(2, n)
         specs = [MessageSpec.random(2, rng) for _ in range(10)]
         fixed = [tn.entangled_info_check(spec, shape) for spec in specs]
-        measure_all = tn.defection.measure_all
-        monkeypatch.setattr(tn.defection, "measure_all", lambda *args: measure_all(*args[:4]))
+        measure_all = tn.protocol.measure_all
+        monkeypatch.setattr(tn.protocol, "measure_all", lambda *args: measure_all(*args[:4]))
         for spec, got in zip(specs, fixed):
             assert vars(got) == pytest.approx(vars(tn.entangled_info_check(spec, shape)), abs=1e-15)
 
     def test_keeps_only_the_phi_plus_branch(self, monkeypatch):
-        rows, measure_all = [], tn.defection.measure_all
+        # the sender withholds its GHZ qubit and every agent's bit is fixed, so whatever n is, the one
+        # branch holds (sender's GHZ value, second received qubit, first received qubit)
+        rows, shapes, measure_all = [], [], tn.protocol.measure_all
 
         def recorded(*args):
             out = measure_all(*args)
             rows.append(len(out[2]))
+            shapes.append(out[2].shape)
             return out
 
-        monkeypatch.setattr(tn.defection, "measure_all", recorded)
+        monkeypatch.setattr(tn.protocol, "measure_all", recorded)
         tn.entangled_info_check(MessageSpec.random(2, np.random.default_rng(3)), NetworkShape.single(2, 2))
         assert rows == [1]
+        tn.entangled_info_check(MessageSpec.random(2, np.random.default_rng(3)), NetworkShape.single(2, 5))
+        assert shapes == [(1, 8), (1, 8)]
 
     def test_measures_through_the_executor_once(self, monkeypatch):
-        calls, measure_all = [], tn.defection.measure_all
+        calls, measure_all = [], tn.protocol.measure_all
 
         def counted(*args, **kwargs):
             calls.append(args)
             return measure_all(*args, **kwargs)
 
-        monkeypatch.setattr(tn.defection, "measure_all", counted)
+        monkeypatch.setattr(tn.protocol, "measure_all", counted)
         tn.entangled_info_check(MessageSpec.random(2, np.random.default_rng(1)), NetworkShape.single(2, 3))
         assert len(calls) == 1
+
+    # the widest networks come last: with -x, a change that enumerates the branches again fails the
+    # one-branch pins above before these would try to hold 2^50 or more of them
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 50, 56])
+    def test_both_projections_have_the_closed_form_probability(self, n):
+        # the GHZ qubits dephase the first received qubit, so either sign projects onto it
+        # with weight |alpha1|^4 + |beta1|^4
+        rng = np.random.default_rng(70 + n)
+        for spec in [MessageSpec.random(2, rng) for _ in range(5)] + [MessageSpec.balanced_random_phases(2, rng)]:
+            report = tn.entangled_info_check(spec, NetworkShape.single(2, n))
+            (a1, b1), _ = spec.qubits
+            want = abs(a1) ** 4 + abs(b1) ** 4
+            assert report.plus_probability == pytest.approx(want, abs=1e-15)
+            assert report.minus_probability == pytest.approx(want, abs=1e-15)
+
+    def test_the_widest_measurable_network_runs_in_a_few_kib(self):
+        # n = 56 is 63 qubits, the int64 limit; the one branch holds 8 amplitudes whatever n is
+        spec = MessageSpec.random(2, np.random.default_rng(56))
+        tracemalloc.start()
+        try:
+            report = tn.entangled_info_check(spec, NetworkShape.single(2, 56))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+        (a1, b1), _ = spec.qubits
+        assert report.plus_probability == pytest.approx(abs(a1) ** 4 + abs(b1) ** 4, abs=1e-15)

@@ -23,7 +23,8 @@ from teleportnet.cli import main
 from teleportnet.protocol import _distinct, _event_qubits, _fidelities, _network_branches, _transcript_table
 from teleportnet.resources import _control_support, _ghz_support
 
-from _oracles import _nonzeros, conditional_kets, corrected_fidelities, executor_layout, scattered_support
+from _oracles import (_nonzeros, conditional_kets, corrected_fidelities, executor_layout, pauli_frame_branch,
+                      scattered_support)
 from conftest import row_keys
 
 
@@ -212,6 +213,21 @@ class TestRunControlledTeleport:
     def test_unknown_mode_rejected(self, rng):
         with pytest.raises(ValueError):
             tn.run_controlled_teleport(MessageSpec.random(1, rng), NetworkShape.single(1, 1), "guess")
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_, 1.5, "1"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed, rng):
+        # as run --spec refuses "seed": true, rather than drawing with seed 1
+        spec = MessageSpec.random(2, rng)
+        with pytest.raises(ValueError, match=r"^seed takes integers, got "):
+            tn.run_controlled_teleport(spec, NetworkShape.single(2, 2), "sampled", seed=seed)
+        with pytest.raises(ValueError, match=r"^seed takes integers, got "):
+            tn.run_baseline_ghz(spec, NetworkShape.single(2, 2), "sampled", seed=seed)
+
+    def test_an_integral_seed_draws_as_its_int(self, rng):
+        spec, shape = MessageSpec.random(2, rng), NetworkShape.single(2, 2)
+        want = tn.run_controlled_teleport(spec, shape, "sampled", seed=11)
+        assert tn.run_controlled_teleport(spec, shape, "sampled", seed=np.int64(11)) == want
+        assert tn.run_controlled_teleport(spec, shape, "sampled", seed=11.0) == want
 
 
 def _result_map(transcripts):
@@ -512,6 +528,29 @@ def test_sampled_library_runs_go_past_46_qubits(m, n):
     t = tn.run_controlled_teleport(MessageSpec.random(m, np.random.default_rng(0)), shape, "sampled", seed=1)
     assert abs(t.branch_probability - expect) <= 1e-13 * expect
     assert t.fidelity >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("counts,agents", [((6,), 10), ((8,), 6), ((2, 3), 5)], ids=["6-10", "8-6", "ml2-3-n5"])
+def test_fixed_branches_take_the_pauli_frame_at_shapes_no_enumeration_reaches(counts, agents):
+    """Random outcome strings fixed through the executor at 21 to 31 qubits: each branch has
+    probability 2^-(2M+n+1), leaves the received qubits in the Pauli frame of its outcomes up to one
+    global phase, and is restored by the correction table."""
+    shape = NetworkShape(counts, agents)
+    rng = np.random.default_rng(100 * sum(counts) + agents)
+    specs = [MessageSpec.random(m, rng) for m in counts]
+    total = shape.total_messages
+    expect = 2.0 ** -(2 * total + agents + 1)
+    for _ in range(5):
+        bell, ghz = rng.integers(4, size=total).tolist(), rng.integers(2, size=agents + 1).tolist()
+        outcomes, probs, kept = _network_branches(specs, shape, bell + ghz)
+        assert outcomes.tolist() == [bell + ghz]
+        assert abs(probs[0] - expect) <= 1e-12 * expect
+        want = pauli_frame_branch(specs, bell, ghz)
+        phase = np.vdot(want, kept[0])
+        assert abs(abs(phase) - 1) < 1e-12
+        assert np.max(np.abs(kept[0] - phase * want)) < 1e-12
+        for fids in _transcript_table(outcomes, probs, kept, specs).fids:
+            assert np.all(fids >= 1 - tn.protocol.FIDELITY_ATOL)
 
 
 @pytest.mark.parametrize("n", [60, 61])
