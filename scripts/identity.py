@@ -29,8 +29,12 @@ matrices by ``tobytes()``.  The groups cover:
   at (6,6) for the same messages; ``max_recovery_fidelity`` on 200 single operators
   with the default grid and with grids of 1, 2 and 3 unitaries; the bytes of
   the default grid and of its 24 Cliffords alone
+- the defection table over random kept rows of 65 and 129 branches, so that
+  every received qubit leaves one distinct operator alone in its last block
+  of the search, with the one-unitary grid and the default one
 - the report bytes and exit code of every stored-report CLI command and of
-  ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``, and
+  ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``; the
+  118 MB report of ``run --m 6 --n 4 --defector 1``, hashed in chunks; and
   the report as printed to stdout of a sampled, a multi-receiver enumerate
   and a defection run, and the stdout and exit code of ``selftest``
 - sampled transcripts of 280 random messages, 10 at each of the shapes
@@ -88,6 +92,8 @@ CLI_COMMANDS = [
 # the largest defection report the benchmark ladder writes, 5 MiB, and one of
 # 4,096 branches whose 2x2 marginals take few distinct values (6 MiB)
 LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2", "run --m 5 --n 2 --defector 1"]
+# a defection report of 118 MB, hashed in 1 MiB chunks as it is read, so that it is never held whole
+STREAMED_CLI_COMMANDS = ["run --m 6 --n 4 --defector 1"]
 # commands whose output is hashed as written to stdout, without --out: three reports and the self-test's lines
 STDOUT_COMMANDS = ["run --m 2 --n 2 --seed 5", "run --ml 1 2 --n 2 --enumerate", "run --ml 1 2 --n 3 --defector 3",
                    "selftest"]
@@ -102,7 +108,8 @@ BENCH_SAMPLED = [((5,), 5), ((6,), 2), ((2, 3), 5)]
 WIDE_SAMPLED = [((1,), 22), ((2,), 19)]
 # (message counts, agents, 1-based defector or None) of the executor group
 EXECUTOR_ENUMERATE = [((2,), 5, None), ((3,), 3, None), ((1, 2), 2, None), ((2,), 4, None), ((4,), 4, None),
-                      ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3)]
+                      ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3), ((6,), 4, None),
+                      ((6,), 4, 1)]
 # (message counts, agents) of the enumerate runs with corrupted correction tables
 CORRUPTED = [((3,), 2), ((1, 2), 2)]
 # largest resource of the control group (64 MiB), and its multi-receiver shapes
@@ -316,6 +323,20 @@ def hash_tree(tree: Path) -> dict[str, str]:
     groups["recovery_grid"] = group = Group()
     group.add(tn.recovery_unitaries(), tn.recovery_unitaries(num_random=0, seed=0))
 
+    # defection tables whose every received qubit has 65 or 129 distinct operators, one alone in its last block
+    from teleportnet.defection import _defection_table
+
+    groups["defection_table.blocks"] = group = Group()
+    rng = np.random.default_rng(42)
+    for branches in (65, 129):
+        for total in (1, 2):
+            kept = rng.standard_normal((branches, 2 << total)) + 1j * rng.standard_normal((branches, 2 << total))
+            kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+            qubits = [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(total)]
+            for us in (small[-1:], tn.recovery_unitaries()):
+                t = _defection_table(np.zeros((branches, 0), int), np.ones(branches) / branches, kept, qubits, us)
+                group.add(t.best, t.off, [ops for ops, _ in t.operators])
+
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         for command in CLI_COMMANDS + LARGE_CLI_COMMANDS:
@@ -325,6 +346,16 @@ def hash_tree(tree: Path) -> dict[str, str]:
             groups[f"cli[{command}]"] = group = Group()
             group.add(code, printed.getvalue(), out.read_bytes() if out.exists() else b"")
             out.unlink(missing_ok=True)
+        for command in STREAMED_CLI_COMMANDS:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                code = cli_main(command.split() + ["--out", str(out)])
+            groups[f"cli.streamed[{command}]"] = group = Group()
+            group.add(code, printed.getvalue())
+            with open(out, "rb") as report:
+                for chunk in iter(lambda: report.read(1 << 20), b""):
+                    group.h.update(chunk)
+            out.unlink()
     for command in STDOUT_COMMANDS:
         printed, errors = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):

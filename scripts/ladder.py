@@ -21,7 +21,8 @@ Wall time runs from the start of the process to its exit, so it includes the
 interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
 that one process.  Commands over ``--max-qubits`` (3M + n + 1 qubits for M
 message qubits), and those named by ``--skip``, are listed under ``skipped``
-and not run: ``run --m 8 --n 1 --enumerate`` peaks at about 3.2 GiB, while
+and not run: ``run --m 8 --n 1 --enumerate`` peaks at about 2.1 GiB and
+``run --m 8 --n 1 --defector 1`` at about 2.4 GiB, while
 ``run --m 1 --n 22 --seed 1``, as wide, needs no skip.  A shape that
 ``run`` refuses (exit 2) is listed under ``refused`` with the last line of
 its stderr, so that trees which refuse different shapes run the same ladder;
@@ -65,6 +66,8 @@ LADDER = [
     ("run --m 5 --n 4 --defector 1", 20),
     ("run --m 6 --n 2 --defector 1", 21),
     ("run --m 6 --n 4 --defector 1", 23),
+    ("run --m 8 --n 1 --defector 1", 26),
+    ("run --ml 4 4 --n 1 --defector 1", 26),
     ("run --m 5 --n 5 --seed 1", 21),
     ("run --m 7 --n 3 --seed 1", 25),
     ("run --m 6 --n 2 --seed 1", 21),

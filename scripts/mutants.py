@@ -98,7 +98,7 @@ MUTANTS = [
            "selftest takes a corrupted correction table for a working one", ("tests/test_cli.py",)),
     Mutant("summary_min_fidelity_first_receiver", CLI, "min_fid = min(np.stack(t.fids, axis=1).ravel().tolist())",
            "min_fid = min(t.fids[0].tolist())", "run's fidelity verdict reads receiver 0 only", ("tests/test_cli.py",)),
-    Mutant("lone_operator_pad", DEFECTION, "lone = len(ops) % _BLOCK == 1", "lone = False",
+    Mutant("lone_operator_pad", DEFECTION, "if len(rhos) % _BLOCK == 1 else rhos", "if False else rhos",
            "a lone operator in a last block is searched unpadded", ("tests/test_defection.py",)),
     Mutant("lone_row_pad", PROTOCOL, "rows = max(len(cols), min(2, 1 << n))", "rows = len(cols)",
            "a lone row of the support is rotated unpadded", ("tests/test_executor.py",)),
@@ -162,6 +162,9 @@ MUTANTS = [
     Mutant("target_rescale", DEFECTION, "if not np.finfo(np.float64).tiny <= np.vdot(t, t).real < np.inf:", "if False:",
            "a recovery target whose squared norm is not a normal float is normalized as it is",
            ("tests/test_defection.py",)),
+    Mutant("phi_form_swapped", DEFECTION, "_PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)",
+           "_PHI = (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)",
+           "Phi- is taken to swap the diagonal and Psi+ to preserve it", ("tests/test_defection.py",)),
 ]
 
 

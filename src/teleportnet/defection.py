@@ -148,13 +148,14 @@ _BLOCK = 64
 
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
     """Best fidelity over the grid for each operator of a (count, 2, 2) stack: one einsum
-    over the whole grid per block, on the stack in C order, since the einsum rounds by layout."""
+    over the whole grid per block, on the stack in C order, since the einsum rounds by layout.
+    A lone operator in a last block, which a grid of one unitary rounds apart, is searched twice."""
     t = np.asarray(target, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
-    rhos = np.ascontiguousarray(rhos)
-    return np.concatenate([np.einsum("ga,bac,gc->bg", w.conj(), rhos[i:i + _BLOCK], w).real.max(axis=1)
-                           for i in range(0, len(rhos), _BLOCK)])
+    padded = np.ascontiguousarray(np.concatenate([rhos, rhos[-1:]]) if len(rhos) % _BLOCK == 1 else rhos)
+    return np.concatenate([np.einsum("ga,bac,gc->bg", w.conj(), padded[i:i + _BLOCK], w).real.max(axis=1)
+                           for i in range(0, len(padded), _BLOCK)])[:len(rhos)]
 
 
 def _form_for(outcome: BellOutcome) -> DiagonalForm:
@@ -191,9 +192,7 @@ def _defection_table(
         first, inverse = _distinct(rows.view(f"V{rows[0].nbytes}")[:, 0])  # by bytes: 0.0 and -0.0, or NaNs, apart
         ops = stack[first]
         DensityMatrix._check_stack(ops)
-        # a grid of one unitary rounds a lone operator in a last block unlike two or more: repeat it
-        lone = len(ops) % _BLOCK == 1
-        best.append(_best_recovery(np.concatenate([ops, ops[-1:]]) if lone else ops, pair, unitaries)[inverse])
+        best.append(_best_recovery(ops, pair, unitaries)[inverse])
         off.append(np.abs(ops[:, [0, 1], [1, 0]]).max(axis=1)[inverse])
         operators.append((ops, inverse))
     return _DefectionTable(outcomes, probs, operators, np.stack(best, axis=1), np.stack(off, axis=1))

@@ -433,7 +433,9 @@ def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode needs a seed")
-        return np.random.default_rng(_integral(seed, "seed"))
+        if (seed := _integral(seed, "seed")) < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        return np.random.default_rng(seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 

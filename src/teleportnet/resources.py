@@ -57,13 +57,7 @@ class MessageSpec:
     def random(cls, num_qubits: int, rng: np.random.Generator) -> "MessageSpec":
         """Haar-random single-qubit states, independent per qubit."""
         raw = rng.standard_normal((num_qubits, 4))
-        pairs = []
-        for row in raw:
-            a = complex(row[0], row[1])
-            b = complex(row[2], row[3])
-            norm = np.hypot(abs(a), abs(b))
-            pairs.append((a / norm, b / norm))
-        return cls(tuple(pairs))
+        return cls.normalized((complex(r0, i0), complex(r1, i1)) for r0, i0, r1, i1 in raw)[0]
 
     @classmethod
     def balanced_random_phases(cls, num_qubits: int, rng: np.random.Generator) -> "MessageSpec":

@@ -29,6 +29,7 @@ one branch at a time, with the corrections applied to the state.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -133,14 +134,19 @@ def best_grid_fidelity(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
 def whole_grid_recovery(rhos: np.ndarray, pair, unitaries) -> np.ndarray:
     """The grid search as one complex einsum over the whole grid for each
     block of 64 operators: the bit-exact reference for the library's
-    search over distinct operators, which must reproduce every value's last bit."""
+    search over distinct operators, which must reproduce every value's last bit.
+    A lone operator in a last block is searched beside a copy of itself, so
+    that it takes the bits it takes among two or more."""
     t = np.asarray(pair, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
+    count = len(rhos)
+    if count % 64 == 1:
+        rhos = np.concatenate([rhos, rhos[-1:]])
     return np.concatenate([
         np.einsum("ga,bac,gc->bg", w.conj(), rhos[i:i + 64], w).real.max(axis=1)
         for i in range(0, len(rhos), 64)
-    ])
+    ])[:count]
 
 
 def born_z_probability(amps: np.ndarray, qubit: int, bit: int) -> float:
@@ -206,6 +212,7 @@ def product_of_kets(kets) -> np.ndarray:
     return amps
 
 
+@functools.cache
 def bell_pauli(outcome: BellOutcome) -> np.ndarray:
     """The Pauli sigma with (I (x) sigma)|Phi+> proportional to the outcome's Bell vector.  A pair
     measured with this outcome against an EPR pair in Phi+ leaves the far qubit in sigma|psi>, up to

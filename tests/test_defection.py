@@ -17,10 +17,10 @@ from teleportnet import (
 )
 
 from teleportnet.cli import PRESETS
-from teleportnet.protocol import _baseline_branches
+from teleportnet.protocol import _BELL_ORDER, _baseline_branches, _network_branches
 
 from _oracles import (defection_mixture, entangled_info_walk, joint_stack_marginals, max_eigenvalue,
-                      whole_grid_recovery)
+                      pauli_frame_branch, whole_grid_recovery)
 
 GRID = tn.recovery_unitaries(num_random=300, seed=3)
 RECOVERY_GRIDS = {
@@ -298,6 +298,20 @@ class TestRecoverySearch:
         if size == 1:
             single = np.array([tn.max_recovery_fidelity(rhos[0], target, us)])
             np.testing.assert_array_equal(single.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", sorted(RECOVERY_GRIDS))
+    def test_a_lone_operator_takes_its_value_in_any_stack(self, grid):
+        # the library's single call and a table's search among others give one operator the same bits
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        rhos = z @ z.conj().transpose(0, 2, 1)
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        targets = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        us = RECOVERY_GRIDS[grid]
+        for rho, target in zip(rhos, targets):
+            single = np.float64(tn.max_recovery_fidelity(rho, target, us)).view(np.uint64)
+            for k in (2, 3, 65):
+                assert tn.defection._best_recovery(np.stack([rho] * k), target, us)[:1].view(np.uint64) == single
 
     @pytest.mark.parametrize("counts,agents,defector", [((3,), 3, 2), ((1, 2), 3, 3)])
     def test_grid_value_is_under_the_top_eigenvalue(self, counts, agents, defector):
@@ -662,6 +676,40 @@ class TestBaselineDefection:
             tn.run_baseline_ghz(spec, NetworkShape.single(2, 2))
         with pytest.raises(ValueError, match="spec length 3 does not match"):
             tn.analyze_defection(spec, NetworkShape.single(2, 2), 0, unitaries=GRID)
+
+
+@pytest.mark.parametrize("counts,agents", [((8,), 6), ((6,), 10), ((4,), 40), ((1,), 55), ((2, 3), 5)],
+                         ids=["8-6", "6-10", "4-40", "1-55", "ml2-3-n5"])
+def test_fixed_cooperating_branches_leave_only_amplitudes(counts, agents):
+    """One random cooperating branch per defector, fixed through the executor at 31 to 59 qubits:
+    each received qubit keeps the diagonal its Bell outcome names and no off-diagonal, the branch has
+    probability 2^-(2M+n), the joint is the mixture of the two Pauli frames the defector's bit
+    leaves open (every shape has M <= 8), and no recovery in the grid beats the exact ceiling
+    max(|alpha|^2, |beta|^2)."""
+    shape = NetworkShape(counts, agents)
+    rng = np.random.default_rng(10 * sum(counts) + agents)
+    specs = [MessageSpec.random(m, rng) for m in counts]
+    pairs = [q for s in specs for q in s.qubits]
+    total = shape.total_messages
+    expect = 2.0 ** -(2 * total + agents)
+    for defector in sorted({0, agents // 2, agents - 1}):
+        bell, ghz = rng.integers(4, size=total).tolist(), rng.integers(2, size=agents).tolist()
+        outcomes, probs, kept = _network_branches(specs, shape, bell + ghz, defector=defector)
+        assert outcomes.tolist() == [bell + ghz]
+        assert abs(probs[0] - expect) <= 1e-12 * expect
+        halves = kept.reshape(1, 2, 1 << total)
+        for i, (k, (a, b)) in enumerate(zip(bell, pairs)):
+            rho = tn.defection._marginal(halves, total, i)[0]
+            diag = [abs(a) ** 2, abs(b) ** 2]
+            if tn.defection._form_for(_BELL_ORDER[k]) is DiagonalForm.SWAPPED:
+                diag.reverse()
+            assert np.max(np.abs(np.diagonal(rho) - diag)) < 1e-12
+            assert abs(rho[0, 1]) < 1e-12 and abs(rho[1, 0]) < 1e-12
+            assert tn.max_recovery_fidelity(rho, (a, b)) <= max(diag) + 1e-12
+        frames = [pauli_frame_branch(specs, bell, ghz + [p]) for p in (0, 1)]
+        want = sum(np.outer(v, v.conj()) for v in frames) / 2
+        joint = np.einsum("di,dj->ij", halves[0], halves[0].conj())
+        assert np.max(np.abs(joint - want)) < 1e-12
 
 
 class TestEntangledInfoCheck:

@@ -223,6 +223,18 @@ class TestRunControlledTeleport:
         with pytest.raises(ValueError, match=r"^seed takes integers, got "):
             tn.run_baseline_ghz(spec, NetworkShape.single(2, 2), "sampled", seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, -3, np.int64(-2), -2.0])
+    def test_a_negative_seed_is_refused_by_name(self, seed, rng):
+        # in the words run uses for a negative --seed, not numpy's
+        spec, shape = MessageSpec.random(2, rng), NetworkShape.single(2, 2)
+        want = f"^seed must be non-negative, got {int(seed)}$"
+        with pytest.raises(ValueError, match=want):
+            tn.run_controlled_teleport(spec, shape, "sampled", seed=seed)
+        with pytest.raises(ValueError, match=want):
+            tn.run_baseline_ghz(spec, shape, "sampled", seed=seed)
+        with pytest.raises(ValueError, match=want):
+            tn.run_multi_receiver([spec, spec], NetworkShape((2, 2), 1), "sampled", seed=seed)
+
     def test_an_integral_seed_draws_as_its_int(self, rng):
         spec, shape = MessageSpec.random(2, rng), NetworkShape.single(2, 2)
         want = tn.run_controlled_teleport(spec, shape, "sampled", seed=11)
@@ -551,6 +563,23 @@ def test_fixed_branches_take_the_pauli_frame_at_shapes_no_enumeration_reaches(co
         assert np.max(np.abs(kept[0] - phase * want)) < 1e-12
         for fids in _transcript_table(outcomes, probs, kept, specs).fids:
             assert np.all(fids >= 1 - tn.protocol.FIDELITY_ATOL)
+
+
+@pytest.mark.parametrize("counts,agents", [((5,), 3), ((1, 2), 3)], ids=["5-3", "ml1-2-n3"])
+def test_every_enumerated_branch_keeps_its_pauli_frame(counts, agents):
+    """Every branch's uncorrected kept amplitudes are the Pauli frame of its Bell outcomes and GHZ
+    parity, up to one global phase; each distinct frame, at most 2 * 4^M of them, is built once."""
+    shape = NetworkShape(counts, agents)
+    specs = [MessageSpec.random(m, np.random.default_rng(sum(counts) + agents)) for m in counts]
+    total = shape.total_messages
+    outcomes, _, kept = _network_branches(specs, shape)
+    keys = [(tuple(row[:total]), sum(row[total:]) % 2) for row in outcomes.tolist()]
+    frames = {key: pauli_frame_branch(specs, key[0], [key[1]]) for key in set(keys)}
+    assert len(frames) <= 2 * 4**total
+    want = np.array([frames[key] for key in keys])
+    phases = np.einsum("bi,bi->b", want.conj(), kept)
+    assert np.max(np.abs(np.abs(phases) - 1)) < 1e-12
+    assert np.max(np.abs(kept - phases[:, None] * want)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [60, 61])
