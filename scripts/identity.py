@@ -9,8 +9,9 @@ object of SHA-256 hashes, one per result group, to FILE or stdout.  Outcome
 columns (Bell outcomes, bits, corrections, branches, diagonal forms, copy
 indices) and float columns (probabilities, fidelities, density matrices)
 are hashed as separate groups, so a change in the last bit of a float shows
-apart from a changed branch.  Floats are hashed by ``float.hex`` and
-matrices by ``tobytes()``.  The groups cover:
+apart from a changed branch.  Floats are hashed by ``float.hex``, and arrays
+and ``bytes`` values by their raw buffers, an array's in C order after its
+dtype and shape.  The groups cover:
 
 - enumerate and sampled transcripts at 40 seeds, each in the natural event
   order with the ``hadamard_z`` agent basis and in a permuted event order
@@ -33,10 +34,10 @@ matrices by ``tobytes()``.  The groups cover:
   every received qubit leaves one distinct operator alone in its last block
   of the search, with the one-unitary grid and the default one
 - the report bytes and exit code of every stored-report CLI command and of
-  ``run --m 4 --n 4 --defector 2`` and ``run --m 5 --n 2 --defector 1``; the
-  118 MB report of ``run --m 6 --n 4 --defector 1``, hashed in chunks; and
-  the report as printed to stdout of a sampled, a multi-receiver enumerate
-  and a defection run, and the stdout and exit code of ``selftest``
+  ``run --m 4 --n 4 --defector 2``, ``run --m 5 --n 2 --defector 1`` and
+  ``run --m 6 --n 4 --defector 1`` (118 MB); and the report as printed to
+  stdout of a sampled, a multi-receiver enumerate and a defection run, and
+  the stdout and exit code of ``selftest``
 - sampled transcripts of 280 random messages, 10 at each of the shapes
   (1..3,), (1,1), (1,2), (2,1) and (1,1,1) with 1 to 4 agents, each in a
   permuted event order; of the benchmark's three 21-qubit sampled shapes at
@@ -89,11 +90,9 @@ CLI_COMMANDS = [
     "run --m 5 --n 5 --seed 3",
     "run --ml 2 3 --n 5 --seed 4",
 ]
-# the largest defection report the benchmark ladder writes, 5 MiB, and one of
-# 4,096 branches whose 2x2 marginals take few distinct values (6 MiB)
-LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2", "run --m 5 --n 2 --defector 1"]
-# a defection report of 118 MB, hashed in 1 MiB chunks as it is read, so that it is never held whole
-STREAMED_CLI_COMMANDS = ["run --m 6 --n 4 --defector 1"]
+# the largest defection report the benchmark ladder writes (5 MiB), one of 4,096 branches whose 2x2
+# marginals take few distinct values (6 MiB), and one of 118 MB
+LARGE_CLI_COMMANDS = ["run --m 4 --n 4 --defector 2", "run --m 5 --n 2 --defector 1", "run --m 6 --n 4 --defector 1"]
 # commands whose output is hashed as written to stdout, without --out: three reports and the self-test's lines
 STDOUT_COMMANDS = ["run --m 2 --n 2 --seed 5", "run --ml 1 2 --n 2 --enumerate", "run --ml 1 2 --n 3 --defector 3",
                    "selftest"]
@@ -109,7 +108,7 @@ WIDE_SAMPLED = [((1,), 22), ((2,), 19)]
 # (message counts, agents, 1-based defector or None) of the executor group
 EXECUTOR_ENUMERATE = [((2,), 5, None), ((3,), 3, None), ((1, 2), 2, None), ((2,), 4, None), ((4,), 4, None),
                       ((5,), 3, None), ((3,), 5, None), ((4,), 4, 1), ((1, 1, 1), 5, 3), ((6,), 4, None),
-                      ((6,), 4, 1)]
+                      ((6,), 4, 1), ((8,), 1, None), ((8,), 1, 1)]
 # (message counts, agents) of the enumerate runs with corrupted correction tables
 CORRUPTED = [((3,), 2), ((1, 2), 2)]
 # largest resource of the control group (64 MiB), and its multi-receiver shapes
@@ -118,21 +117,27 @@ RESOURCE_MULTI = [((2, 3), 5), ((1, 1, 1), 4)]
 
 
 class Group:
-    """A running hash of one result group."""
+    """A running hash of one result group.  Each ``add`` hashes ``repr`` of its values' structure,
+    then the raw buffers of the arrays and ``bytes`` values in it, in the order they stand there."""
 
     def __init__(self):
         self.h = hashlib.sha256()
 
     def add(self, *values) -> None:
-        self.h.update(repr([_canonical(v) for v in values]).encode())
+        buffers = []
+        self.h.update(repr([_canonical(v, buffers) for v in values]).encode())
+        for buffer in buffers:
+            self.h.update(buffer)
 
     def hexdigest(self) -> str:
         return self.h.hexdigest()
 
 
-def _canonical(v):
-    """Enums by value, floats by ``float.hex``, arrays and density matrices
-    by their bytes, dataclasses by their fields."""
+def _canonical(v, buffers: list):
+    """Enums by value, floats by ``float.hex``, density matrices by their matrix, dataclasses by
+    their fields.  An array (in C order) or a ``bytes`` value is appended to ``buffers`` and stands
+    as its dtype, shape and position there, or as ``bytes``, its length and position: a dtype's and
+    a type's ``repr`` are no str's, int's or tuple's, so no other value reads the same."""
     import numpy as np
 
     from teleportnet import DensityMatrix
@@ -144,11 +149,15 @@ def _canonical(v):
     if isinstance(v, DensityMatrix):
         v = v.matrix
     if isinstance(v, np.ndarray):
-        return (str(v.dtype), v.shape, v.tobytes().hex())
+        buffers.append(np.ascontiguousarray(v))
+        return (v.dtype, v.shape, len(buffers) - 1)
+    if isinstance(v, bytes):
+        buffers.append(v)
+        return (bytes, len(v), len(buffers) - 1)
     if isinstance(v, (tuple, list)):
-        return tuple(_canonical(x) for x in v)
+        return tuple(_canonical(x, buffers) for x in v)
     if dataclasses.is_dataclass(v):
-        return tuple(_canonical(getattr(v, f.name)) for f in dataclasses.fields(v))
+        return tuple(_canonical(getattr(v, f.name), buffers) for f in dataclasses.fields(v))
     return v
 
 
@@ -278,10 +287,10 @@ def hash_tree(tree: Path) -> dict[str, str]:
 
     for counts, agents, defector in EXECUTOR_ENUMERATE:
         specs = [tn.MessageSpec.random(m, np.random.default_rng(7)) for m in counts]
-        branches = _network_branches(specs, tn.NetworkShape(counts, agents),
-                                     defector=None if defector is None else defector - 1)
         groups[f"executor.enumerate[{counts} n={agents} defector={defector}]"] = group = Group()
-        group.add(*branches)
+        # unnamed, so that each shape's arrays are freed before the next shape is measured
+        group.add(*_network_branches(specs, tn.NetworkShape(counts, agents),
+                                     defector=None if defector is None else defector - 1))
 
     # every receiver's fidelities under random wrong correction tables, so that most are far from 1
     from teleportnet.protocol import _network_table
@@ -296,7 +305,7 @@ def hash_tree(tree: Path) -> dict[str, str]:
             table = {o: (paulis[i], paulis[j]) for o, (i, j) in zip(tn.BellOutcome, picks)}
             group.add(_network_table(specs, tn.NetworkShape(counts, agents), "enumerate", None, table=table).fids)
 
-    # the control resource, hashed straight from its buffer
+    # the control resource
     from teleportnet.cli import MAX_TOTAL_QUBITS
 
     groups["resources.control"] = group = Group()
@@ -304,8 +313,7 @@ def hash_tree(tree: Path) -> dict[str, str]:
               if 3 * m + n + 1 <= MAX_TOTAL_QUBITS and 2 * m + n + 1 <= RESOURCE_QUBITS]
     for counts, agents in single + RESOURCE_MULTI:
         state, _ = tn.prepare_control_resource(tn.NetworkShape(counts, agents))
-        group.add(counts, agents, str(state.amplitudes.dtype))
-        group.h.update(state.amplitudes.data)
+        group.add(counts, agents, state.amplitudes)
         del state
 
     # single operators: the search must not round a lone operator apart
@@ -346,16 +354,6 @@ def hash_tree(tree: Path) -> dict[str, str]:
             groups[f"cli[{command}]"] = group = Group()
             group.add(code, printed.getvalue(), out.read_bytes() if out.exists() else b"")
             out.unlink(missing_ok=True)
-        for command in STREAMED_CLI_COMMANDS:
-            printed = io.StringIO()
-            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
-                code = cli_main(command.split() + ["--out", str(out)])
-            groups[f"cli.streamed[{command}]"] = group = Group()
-            group.add(code, printed.getvalue())
-            with open(out, "rb") as report:
-                for chunk in iter(lambda: report.read(1 << 20), b""):
-                    group.h.update(chunk)
-            out.unlink()
     for command in STDOUT_COMMANDS:
         printed, errors = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):

@@ -427,14 +427,14 @@ def _draw_order(event_order: Sequence[Event] | None, events: Sequence[Event]) ->
 
 
 def _sampling_rng(mode: str, seed: int | None) -> np.random.Generator | None:
-    """The generator that sampled mode draws from; None when enumerating."""
+    """The generator that sampled mode draws from; None when enumerating.  A given seed is checked in both."""
+    if seed is not None and (seed := _integral(seed, "seed")) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if mode == "enumerate":
         return None
     if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode needs a seed")
-        if (seed := _integral(seed, "seed")) < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
         return np.random.default_rng(seed)
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -20,7 +20,7 @@ from teleportnet.cli import PRESETS
 from teleportnet.protocol import _BELL_ORDER, _baseline_branches, _network_branches
 
 from _oracles import (defection_mixture, entangled_info_walk, joint_stack_marginals, max_eigenvalue,
-                      pauli_frame_branch, whole_grid_recovery)
+                      pauli_frame_branch, qubit_marginal_dense, whole_grid_recovery)
 
 GRID = tn.recovery_unitaries(num_random=300, seed=3)
 RECOVERY_GRIDS = {
@@ -710,6 +710,34 @@ def test_fixed_cooperating_branches_leave_only_amplitudes(counts, agents):
         want = sum(np.outer(v, v.conj()) for v in frames) / 2
         joint = np.einsum("di,dj->ij", halves[0], halves[0].conj())
         assert np.max(np.abs(joint - want)) < 1e-12
+
+
+@pytest.mark.parametrize("counts,agents,defector", [((4,), 4, 0), ((4,), 4, 3), ((1, 2), 3, 1)],
+                         ids=["4-4-d0", "4-4-d3", "ml1-2-n3-d1"])
+def test_every_defection_report_is_the_mixture_of_two_pauli_frames(counts, agents, defector):
+    """Every enumerated report: the joint is the mixture of the two Pauli frames the defector's bit
+    leaves open, each marginal is that mixture's partial trace, the probability is 2^-(2M+n), and no
+    recovery in the grid beats the exact ceiling max(|alpha|^2, |beta|^2)."""
+    rng = np.random.default_rng(10 * sum(counts) + agents)
+    specs = [MessageSpec.random(m, rng) for m in counts]
+    ceilings = [max(abs(a) ** 2, abs(b) ** 2) for s in specs for a, b in s.qubits]
+    total = len(ceilings)
+    expect = 2.0 ** -(2 * total + agents)
+    reports = tn.analyze_defection(specs, NetworkShape(counts, agents), defector)
+    assert len(reports) == 4 ** total * 2 ** agents
+    mixtures = {}  # by Bell outcomes: the two frames cover both GHZ parities, whatever the cooperators' bits
+    for r in reports:
+        if r.bell_outcomes not in mixtures:
+            bell = [_BELL_ORDER.index(o) for o in r.bell_outcomes]
+            frames = [pauli_frame_branch(specs, bell, [*r.cooperator_bits, p]) for p in (0, 1)]
+            want = sum(np.outer(v, v.conj()) for v in frames) / 2
+            mixtures[r.bell_outcomes] = want, [qubit_marginal_dense(want, q) for q in range(total)]
+        want, marginals = mixtures[r.bell_outcomes]
+        assert np.max(np.abs(r.joint_density.matrix - want)) < 1e-12
+        for rho, marginal in zip(r.per_qubit_density, marginals, strict=True):
+            assert np.max(np.abs(rho.matrix - marginal)) < 1e-12
+        assert abs(r.probability - expect) <= 1e-12 * expect
+        assert all(f <= c + 1e-12 for f, c in zip(r.max_fidelity, ceilings, strict=True))
 
 
 class TestEntangledInfoCheck:

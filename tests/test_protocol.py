@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -214,26 +215,40 @@ class TestRunControlledTeleport:
         with pytest.raises(ValueError):
             tn.run_controlled_teleport(MessageSpec.random(1, rng), NetworkShape.single(1, 1), "guess")
 
-    @pytest.mark.parametrize("seed", [True, False, np.True_, 1.5, "1"])
+    @pytest.mark.parametrize("seed", [True, False, np.True_, 1.5, "1", "x"])
     def test_a_seed_that_is_not_an_integer_is_refused(self, seed, rng):
-        # as run --spec refuses "seed": true, rather than drawing with seed 1
-        spec = MessageSpec.random(2, rng)
-        with pytest.raises(ValueError, match=r"^seed takes integers, got "):
-            tn.run_controlled_teleport(spec, NetworkShape.single(2, 2), "sampled", seed=seed)
-        with pytest.raises(ValueError, match=r"^seed takes integers, got "):
-            tn.run_baseline_ghz(spec, NetworkShape.single(2, 2), "sampled", seed=seed)
+        # as run --spec refuses "seed": true, rather than drawing with seed 1; and, as run checks
+        # --seed, in both modes, though only a sampled run draws from it
+        spec, shape = MessageSpec.random(2, rng), NetworkShape.single(2, 2)
+        want = f"^seed takes integers, got {re.escape(repr(seed))}$"
+        for mode in ("sampled", "enumerate"):
+            with pytest.raises(ValueError, match=want):
+                tn.run_controlled_teleport(spec, shape, mode, seed=seed)
+            with pytest.raises(ValueError, match=want):
+                tn.run_baseline_ghz(spec, shape, mode, seed=seed)
+            with pytest.raises(ValueError, match=want):
+                tn.run_multi_receiver([spec, spec], NetworkShape((2, 2), 1), mode, seed=seed)
 
     @pytest.mark.parametrize("seed", [-1, -3, np.int64(-2), -2.0])
     def test_a_negative_seed_is_refused_by_name(self, seed, rng):
-        # in the words run uses for a negative --seed, not numpy's
+        # in the words run uses for a negative --seed, not numpy's, in both modes
         spec, shape = MessageSpec.random(2, rng), NetworkShape.single(2, 2)
         want = f"^seed must be non-negative, got {int(seed)}$"
-        with pytest.raises(ValueError, match=want):
-            tn.run_controlled_teleport(spec, shape, "sampled", seed=seed)
-        with pytest.raises(ValueError, match=want):
-            tn.run_baseline_ghz(spec, shape, "sampled", seed=seed)
-        with pytest.raises(ValueError, match=want):
-            tn.run_multi_receiver([spec, spec], NetworkShape((2, 2), 1), "sampled", seed=seed)
+        for mode in ("sampled", "enumerate"):
+            with pytest.raises(ValueError, match=want):
+                tn.run_controlled_teleport(spec, shape, mode, seed=seed)
+            with pytest.raises(ValueError, match=want):
+                tn.run_baseline_ghz(spec, shape, mode, seed=seed)
+            with pytest.raises(ValueError, match=want):
+                tn.run_multi_receiver([spec, spec], NetworkShape((2, 2), 1), mode, seed=seed)
+
+    def test_an_enumerate_run_does_not_draw_from_a_valid_seed(self, rng):
+        spec = MessageSpec.random(2, rng)
+        runs = [(tn.run_controlled_teleport, spec, NetworkShape.single(2, 2)),
+                (tn.run_baseline_ghz, spec, NetworkShape.single(2, 2)),
+                (tn.run_multi_receiver, [spec, spec], NetworkShape((2, 2), 1))]
+        for run, specs, shape in runs:
+            assert repr(run(specs, shape, seed=np.int64(3))) == repr(run(specs, shape, seed=None))
 
     def test_an_integral_seed_draws_as_its_int(self, rng):
         spec, shape = MessageSpec.random(2, rng), NetworkShape.single(2, 2)
