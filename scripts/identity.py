@@ -27,7 +27,10 @@ dtype and shape.  The groups cover:
   reports at (3,3) with defector 2, (2,4) with defector 1 and ``ml=(1,2)``,
   n = 3, defector 3, and the baseline's at (6,6) with defector 3, each at
   three message seeds, with the baseline's enumerate and sampled transcripts
-  at (6,6) for the same messages; ``max_recovery_fidelity`` on 200 single operators
+  at (6,6) for the same messages; the baseline's enumerate and sampled (three
+  seeds) transcripts and its defection at every defector at (12,) with four
+  agents and at (20,) with two, whose one pass holds 12 and 20 copies;
+  ``max_recovery_fidelity`` on 200 single operators
   with the default grid and with grids of 1, 2 and 3 unitaries; the bytes of
   the default grid and of its 24 Cliffords alone
 - the defection table over random kept rows of 65 and 129 branches, so that
@@ -101,6 +104,8 @@ BENCH_DEFECTIONS = [((3,), 3, 2), ((2,), 4, 1), ((1, 2), 3, 3)]
 # message counts of the sampled random-message group, each with 1 to 4 agents
 SAMPLED_COUNTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
 SAMPLED_MESSAGES = 10
+# (message qubits, agents) of the GHZ baseline beyond the benchmark's (6,6): many copies in one pass
+BASELINE_COPIES = [(12, 4), (20, 2)]
 # (message counts, agents) of the benchmark's sampled runs, 21 qubits each
 BENCH_SAMPLED = [((5,), 5), ((6,), 2), ((2, 3), 5)]
 # (message counts, agents) of sampled runs with the widest control resource that ``run`` admits
@@ -251,6 +256,16 @@ def hash_tree(tree: Path) -> dict[str, str]:
         for mode in ("enumerate", "sampled"):
             transcripts = tn.run_baseline_ghz(spec, tn.NetworkShape.single(6, 6), mode, seed=seed)
             _transcripts(groups, f"bench.baseline.{mode}[(6,) n=6]", [(t,) for t in transcripts])
+
+    for m, agents in BASELINE_COPIES:
+        spec, shape = tn.MessageSpec.random(m, np.random.default_rng(m)), tn.NetworkShape.single(m, agents)
+        name = f"baseline.copies[({m},) n={agents}]"
+        _transcripts(groups, f"{name}.enumerate", [(t,) for t in tn.run_baseline_ghz(spec, shape)])
+        for seed in range(3):
+            sampled = tn.run_baseline_ghz(spec, shape, "sampled", seed=seed)
+            _transcripts(groups, f"{name}.sampled", [(t,) for t in sampled])
+        for d in range(agents):
+            _defection(groups, f"{name}.defection", tn.analyze_baseline_defection(spec, shape, d))
 
     # sampled draws, which measure only the state's support
     rng = np.random.default_rng(13)

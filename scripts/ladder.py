@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time ``teleportnet`` end to end over a fixed ladder: ``run`` at a range of
-shapes, ``selftest``, one ``compare`` sweep and two library calls of the GHZ
+shapes, ``selftest``, one ``compare`` sweep and three library calls of the GHZ
 baseline, on one or more source trees.
 
     python3 scripts/ladder.py TREE [TREE ...] --label NAME [NAME ...] [--max-qubits Q] [--skip COMMAND ...]
@@ -12,10 +12,13 @@ command and tree the script records the median wall time and max RSS of 5
 repeats, every repeat, and the size of the report in bytes (0 for
 ``selftest`` and the library entries, which write none).  A library entry,
 ``lib CALL``, is a child ``python -c`` that imports ``teleportnet`` and makes
-CALL 20 times at (6,6) with a fixed message.  It writes them, with ``nproc``
-and the package, Python, numpy and BLAS versions, to ``BENCH_<NAME>.json`` in
-the current directory, one file per tree, each labelled by the ``NAME`` in
-the same place as its tree.
+CALL 20 times at (6,6) with a fixed message.  It prints the ``perf_counter``
+time of those 20 calls, and its entry also records the median of that time
+per call over the repeats as ``call_s``: free of the interpreter's start-up
+and the imports, which are most of a library entry's ``wall_s``.  The
+script writes the entries, with ``nproc`` and the package, Python, numpy and
+BLAS versions, to ``BENCH_<NAME>.json`` in the current directory, one file
+per tree, each labelled by the ``NAME`` in the same place as its tree.
 
 Wall time runs from the start of the process to its exit, so it includes the
 interpreter and the import of numpy; max RSS is the kernel's ``ru_maxrss`` of
@@ -76,14 +79,18 @@ LADDER = [
     ("compare --m 1..12 --n 4", 0),
     ("lib run_baseline_ghz(spec, shape)", 9),
     ("lib analyze_baseline_defection(spec, shape, 2)", 9),
+    ('lib run_baseline_ghz(spec, shape, "sampled", seed=1)', 9),
 ]
-# the child of a ``lib`` entry: the call, 20 times, at (6,6) with a fixed message
+# the child of a ``lib`` entry: the call, 20 times, at (6,6) with a fixed message, and the seconds they took
 LIBRARY = """
-import numpy as np, teleportnet as tn
+import time, numpy as np, teleportnet as tn
 spec, shape = tn.MessageSpec.random(6, np.random.default_rng(0)), tn.NetworkShape.single(6, 6)
-for _ in range(20):
+start = time.perf_counter()
+for _ in range({calls}):
     tn.{call}
+print(time.perf_counter() - start)
 """
+LIBRARY_CALLS = 20
 REPEATS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 VERSIONS = """
@@ -105,19 +112,19 @@ class Refused(Exception):
     """``run`` exited 2, a configuration error; the message is its stderr's last line."""
 
 
-def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
+def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int, float | None]:
     """Wall seconds, max RSS in MiB and report bytes (0 for ``selftest`` and ``lib``, which write none)
-    of one process."""
+    of one process, and for ``lib`` the seconds per call that it printed (None for the others)."""
     with tempfile.TemporaryDirectory() as tmp:
-        out, err = Path(tmp) / "report.json", Path(tmp) / "stderr.txt"
+        out, err, printed = Path(tmp) / "report.json", Path(tmp) / "stderr.txt", Path(tmp) / "stdout.txt"
         writes = argv[0] not in ("selftest", "lib")
         if argv[0] == "lib":
-            cmd = [sys.executable, "-c", LIBRARY.format(call=" ".join(argv[1:]))]
+            cmd = [sys.executable, "-c", LIBRARY.format(call=" ".join(argv[1:]), calls=LIBRARY_CALLS)]
         else:
             cmd = [sys.executable, "-m", "teleportnet.cli", *argv, *(["--out", str(out)] if writes else [])]
-        with open(err, "w") as stderr:
+        with open(err, "w") as stderr, open(printed, "w") as stdout:
             start = time.perf_counter()
-            proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            proc = subprocess.Popen(cmd, env=env, stdout=stdout, stderr=stderr)
             _, status, usage = os.wait4(proc.pid, 0)
             wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -125,7 +132,8 @@ def _run_once(argv: list[str], env: dict[str, str]) -> tuple[float, float, int]:
             raise Refused((err.read_text().strip().splitlines() or [""])[-1])
         if proc.returncode != 0:
             raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}")
-        return wall, usage.ru_maxrss / 1024, out.stat().st_size if writes else 0
+        call = float(printed.read_text()) / LIBRARY_CALLS if argv[0] == "lib" else None
+        return wall, usage.ru_maxrss / 1024, out.stat().st_size if writes else 0, call
 
 
 def ladders(trees: list[Path], labels: list[str], max_qubits: int, skip: list[str]) -> list[dict]:
@@ -147,7 +155,7 @@ def ladders(trees: list[Path], labels: list[str], max_qubits: int, skip: list[st
             for result in results:
                 result["skipped"].append({"command": command, "qubits": qubits})
             continue
-        runs, refused = [[] for _ in trees], {}  # per tree, (wall, rss, bytes) of each repeat; why a tree refused
+        runs, refused = [[] for _ in trees], {}  # per tree, (wall, rss, bytes, call) of each repeat; why refused
         for _ in range(REPEATS):
             for i in range(rounds, rounds + len(trees)):
                 i %= len(trees)
@@ -163,7 +171,7 @@ def ladders(trees: list[Path], labels: list[str], max_qubits: int, skip: list[st
                 result["refused"].append({"command": command, "qubits": qubits, "stderr": refused[i]})
                 print(f"{name} refused: {refused[i]}", file=sys.stderr)
                 continue
-            walls, rss, sizes = zip(*runs[i])
+            walls, rss, sizes, calls = zip(*runs[i])
             if len(set(sizes)) != 1:
                 raise SystemExit(f"{command} wrote reports of {sorted(set(sizes))} bytes")
             result["shapes"].append({
@@ -176,7 +184,11 @@ def ladders(trees: list[Path], labels: list[str], max_qubits: int, skip: list[st
                 "max_rss_mib_runs": list(rss),
             })
             shape = result["shapes"][-1]
-            print(f"{name} {shape['wall_s']:8.3f} s {shape['max_rss_mib']:8.1f} MiB", file=sys.stderr)
+            line = f"{name} {shape['wall_s']:8.3f} s {shape['max_rss_mib']:8.1f} MiB"
+            if command.startswith("lib "):
+                shape.update(call_s=statistics.median(calls), call_s_runs=[round(c, 6) for c in calls])
+                line += f" {shape['call_s'] * 1e3:8.3f} ms/call"
+            print(line, file=sys.stderr)
     return results
 
 

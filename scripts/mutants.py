@@ -106,7 +106,9 @@ MUTANTS = [
            "measure_all's plans are cached by the kept qubits in sorted order", ("tests/test_executor.py",)),
     Mutant("plan_key_width", PROTOCOL, _PLAN_CACHE, _plan_memo("qubits, indices, groups, keep"),
            "measure_all's plans are cached without the message width", ("tests/test_executor.py",)),
-    Mutant("fidelities_conj", PROTOCOL, "candidates[i, ops[:, i]].conj())", "candidates[i, ops[:, i]])",
+    Mutant("fidelities_conj", PROTOCOL,
+           "factors = candidates[i].take(ops[:, i].reshape(len(targets), -1) + shift, axis=0).reshape(size, 2).conj()",
+           "factors = candidates[i].take(ops[:, i].reshape(len(targets), -1) + shift, axis=0).reshape(size, 2)",
            "each received qubit is contracted with its corrected target unconjugated", ("tests/test_protocol.py",)),
     Mutant("fidelities_qubit_order", PROTOCOL, "for i in reversed(range(start, start + m)):",
            "for i in range(start, start + m):", "a receiver's qubits are contracted lowest first, so each "
@@ -162,6 +164,10 @@ MUTANTS = [
     Mutant("target_rescale", DEFECTION, "if not np.finfo(np.float64).tiny <= np.vdot(t, t).real < np.inf:", "if False:",
            "a recovery target whose squared norm is not a normal float is normalized as it is",
            ("tests/test_defection.py",)),
+    Mutant("baseline_copy_order", PROTOCOL, "shift = 4 * np.arange(len(targets))[:, None]",
+           "shift = 4 * ((np.arange(len(targets)) + 1) % len(targets))[:, None]",
+           "the GHZ baseline's rows of copy i are corrected towards copy i+1's message",
+           ("tests/test_records.py", "tests/test_protocol.py")),
     Mutant("phi_form_swapped", DEFECTION, "_PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)",
            "_PHI = (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)",
            "Phi- is taken to swap the diagonal and Psi+ to preserve it", ("tests/test_defection.py",)),

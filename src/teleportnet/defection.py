@@ -181,18 +181,28 @@ def _defection_table(
     unitaries: np.ndarray,
 ) -> _DefectionTable:
     """The columns of ``measure_all`` output whose kept qubits are the
-    received ones with the defector's qubit on top."""
-    total = len(qubits)
+    received ones with the defector's qubit on top.  ``qubits`` are the
+    received qubits' targets, then the next copy's when the branches are the
+    copies' equal blocks, copy-major (the GHZ baseline's)."""
+    total = kept.shape[1].bit_length() - 2  # the kept qubits but the defector's
+    targets = np.asarray(qubits, dtype=np.complex128).reshape(-1, total, 2)  # (copy, received qubit, 2)
     halves = kept.reshape(len(kept), 2, 1 << total)
+    block = len(kept) // len(targets)  # the rows of a copy
+    # each row's copy, big-endian, to put in front of its operator's bytes, so that a copy's operators sort together
+    prefix = np.arange(len(targets), dtype=">u8").view(np.uint8).reshape(-1, 1, 8)
     operators, best, off = [], [], []
-    for i, pair in enumerate(qubits):
-        # a handful of distinct 2x2 operators stand for all the branches: check and search those
+    for i in range(total):
+        # a handful of distinct 2x2 operators stand for all the branches: check and search those, per copy
         stack = _marginal(halves, total, i)
-        rows = np.ascontiguousarray(stack).reshape(len(stack), -1)
-        first, inverse = _distinct(rows.view(f"V{rows[0].nbytes}")[:, 0])  # by bytes: 0.0 and -0.0, or NaNs, apart
+        rows = np.empty((len(stack), 8 + stack[0].nbytes), dtype=np.uint8)
+        rows[:, :8].reshape(len(targets), block, 8)[:] = prefix
+        rows[:, 8:] = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.uint8)
+        first, inverse = _distinct(rows.view(f"V{rows.shape[1]}")[:, 0])  # by bytes: 0.0 and -0.0, or NaNs, apart
         ops = stack[first]
         DensityMatrix._check_stack(ops)
-        best.append(_best_recovery(ops, pair, unitaries)[inverse])
+        ends = np.searchsorted(first // block, np.arange(len(targets) + 1)).tolist()  # each copy's run of operators
+        best.append(np.concatenate([_best_recovery(ops[a:b], t[i], unitaries)
+                                    for a, b, t in zip(ends, ends[1:], targets)])[inverse])
         off.append(np.abs(ops[:, [0, 1], [1, 0]]).max(axis=1)[inverse])
         operators.append((ops, inverse))
     return _DefectionTable(outcomes, probs, operators, np.stack(best, axis=1), np.stack(off, axis=1))
@@ -237,12 +247,12 @@ def analyze_defection(
 
 
 def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
-             message_index: int | None = None) -> list[DefectionReport]:
+             copies: int | None = None) -> list[DefectionReport]:
     """One report per row of the table, with its joint operator from the kept
-    states the table reduced.  Each distinct tuple of Bell outcomes, with its
-    diagonal forms, and each bytewise-distinct marginal is built once and
-    shared by the rows; with one received qubit the joint is the marginal.
-    A joint is wrapped unchecked: it is a Gram matrix, and its marginals were checked."""
+    states the table reduced, and in the GHZ baseline's table of ``copies`` copies its copy as its
+    ``message_index``.  Each distinct tuple of Bell outcomes, with its diagonal forms, and each
+    bytewise-distinct marginal is built once and shared by the rows; with one received qubit the
+    joint is the marginal.  A joint is wrapped unchecked: it is a Gram matrix, and its marginals were checked."""
     total = len(t.operators)
     per_qubit = [list(map(DensityMatrix._wrap_all(ops).__getitem__, inverse.tolist())) for ops, inverse in t.operators]
     if total == 1:
@@ -253,13 +263,14 @@ def _reports(t: _DefectionTable, kept: np.ndarray, defector: int,
     first, at = _distinct(t.outcomes[:, :total] @ 4 ** np.arange(total - 1, -1, -1))
     bells = [tuple(map(_BELL_ORDER.__getitem__, row)) for row in t.outcomes[first, :total].tolist()]
     parts = [(b, tuple(map(_form_for, b))) for b in bells]
+    indices = itertools.repeat(None) if copies is None else np.arange(copies).repeat(len(t.probs) // copies).tolist()
     return [_record(DefectionReport, {
         "defector": defector, "bell_outcomes": b, "cooperator_bits": tuple(bits), "probability": p,
         "joint_density": joint, "per_qubit_density": densities, "off_diagonal_norm": norm,
-        "max_fidelity": tuple(best), "conforms_to": forms, "message_index": message_index,
-    }) for (b, forms), bits, p, joint, densities, norm, best in zip(
+        "max_fidelity": tuple(best), "conforms_to": forms, "message_index": index,
+    }) for (b, forms), bits, p, joint, densities, norm, best, index in zip(
         map(parts.__getitem__, at.tolist()), t.outcomes[:, total:].tolist(), t.probs.tolist(), joints,
-        zip(*per_qubit), t.off.max(axis=1).tolist(), t.best.tolist())]
+        zip(*per_qubit), t.off.max(axis=1).tolist(), t.best.tolist(), indices)]
 
 
 def analyze_two_party_defection(spec: MessageSpec) -> list[DefectionReport]:
@@ -279,11 +290,8 @@ def analyze_baseline_defection(
     its per-copy bits; reports are per copy and per cooperating branch."""
     defector = _integral(defector, "defector")
     us = _recovery_grid(unitaries, shape, defector)
-    reports = []
-    copies = _baseline_branches(spec, shape, defector=defector)
-    for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
-        reports += _reports(_defection_table(outcomes, probs, kept, [pair], us), kept, defector, index)
-    return reports
+    outcomes, probs, kept = _baseline_branches(spec, shape, defector=defector)
+    return _reports(_defection_table(outcomes, probs, kept, spec.qubits, us), kept, defector, len(spec))
 
 
 def entangled_info_check(spec: MessageSpec, shape: NetworkShape | None = None) -> ConditionalStateReport:

@@ -189,7 +189,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def measure_all(
     resource: tuple[int, np.ndarray, np.ndarray],
-    message: StateVector,
+    message: StateVector | Sequence[StateVector],
     groups: Sequence[tuple[int, ...]],
     keep: Sequence[int],
     rng: np.random.Generator | Sequence[int] | None = None,
@@ -216,16 +216,20 @@ def measure_all(
     group, fixes each group's outcome, so that only that branch is kept (0:
     Phi+ for a pair, plus for a qubit).  A branch of next to no weight is
     refused: an enumerated one by its probability, a drawn or fixed one by
-    each outcome's weight given the earlier ones.
+    each outcome's weight given the earlier ones.  Several messages of one width are enumerated in one pass,
+    each with its own copy of the resource, as the most significant branch digit, bit for bit as its own call.
     """
     fixed = rng is not None and not isinstance(rng, np.random.Generator)
     if fixed and len(rng) != len(groups):
         raise ValueError(f"a fixed branch needs one outcome per group: got {len(rng)} for {len(groups)} groups")
-    steps, final = _plan(resource[0], np.asarray(resource[1], dtype=np.int64).tobytes(), message.num_qubits,
+    messages = [message] if isinstance(message, StateVector) else list(message)
+    if len({s.num_qubits for s in messages}) != 1 or rng is not None and len(messages) > 1:
+        raise ValueError(f"give one message, or to enumerate, several of one width: got {len(messages)}")
+    steps, final = _plan(resource[0], np.asarray(resource[1], dtype=np.int64).tobytes(), messages[0].num_qubits,
                          tuple(map(tuple, groups)), tuple(keep))
     # t[c, b] is branch b's amplitude at the c-th laid-out value of the unmeasured qubits
-    t = _support_amplitudes(resource, message)[:, None]
-    outcomes = np.zeros((1, len(groups)), dtype=np.int64)
+    t = np.array([_support_amplitudes(resource, s) for s in messages]).T
+    outcomes = np.zeros((len(messages), len(groups)), dtype=np.int64)
     for g, (d, rows, at) in enumerate(steps):
         vals, t = t, np.zeros((rows, t.shape[1]), dtype=np.complex128)
         t[at] = vals[:len(at)]
@@ -244,7 +248,10 @@ def measure_all(
         t[final] = vals[:len(final)]
     kept = t.T
     if rng is None and groups:  # with no group, the one branch has no outcomes
-        outcomes = np.stack(np.unravel_index(np.arange(len(kept)), [1 << len(g) for g in groups]), axis=1)
+        # the message is the high part of the first group's digit, masked off after
+        sizes = [1 << len(g) for g in groups]
+        outcomes = np.stack(np.unravel_index(np.arange(len(kept)), [len(messages) * sizes[0]] + sizes[1:]), axis=1)
+        outcomes[:, 0] &= sizes[0] - 1
     probs = np.einsum("bj,bj->b", kept, kept.conj()).real
     if not np.all(np.isfinite(probs)):
         raise ValueError("amplitudes must be finite")
@@ -309,23 +316,25 @@ def _fidelities(
 ) -> list[np.ndarray]:
     """Per receiver, the fidelity of each corrected branch with its message.
 
-    ``ops[b, i]`` indexes (in ``PauliOp`` order) the correction of received
-    qubit i in branch b, and ``qubits`` are the message pairs, flattened over
-    receivers like ``kept``'s bits.  The correction C is a product of Paulis,
-    so <t|C|psi> = <C^dag t|psi> and C^dag t is a product state: the states
-    are never corrected, and each received qubit of a branch is contracted
-    with its own factor of C^dag t, highest bit first.
+    ``ops[b, i]`` indexes (in ``PauliOp`` order) the correction of received qubit i in branch b, and
+    ``qubits`` are the message pairs, flattened over receivers like ``kept``'s bits, then over copies
+    when the branches are the copies' equal blocks, copy-major.  The correction C is a product of Paulis,
+    so <t|C|psi> = <C^dag t|psi> and C^dag t is a product state: the states are never corrected, and
+    each received qubit of a branch is contracted with its own factor of C^dag t, highest bit first.
     """
     size = len(kept)
-    # candidates[i, k] = (k-th Pauli)^dagger |t_i>
-    candidates = np.einsum("kba,ib->ika", _PAULI_STACK.conj(), np.asarray(qubits, dtype=np.complex128))
+    targets = np.asarray(qubits, dtype=np.complex128).reshape(-1, sum(counts), 2)  # (copy, received qubit, 2)
+    # candidates[i, 4c + k] = (k-th Pauli)^dagger |t_i> of copy c
+    candidates = np.einsum("kba,cib->icka", _PAULI_STACK.conj(), targets).reshape(targets.shape[1], -1, 2)
+    shift = 4 * np.arange(len(targets))[:, None]  # per block of rows, where its copy's candidates start
     out = []
     start = 0
     for m in counts:
         v = kept
         for i in reversed(range(start, start + m)):
-            # axes: (branch, later qubits, qubit i, earlier qubits)
-            v = np.einsum("bhal,ba->bhl", v.reshape(size, -1, 2, 1 << i), candidates[i, ops[:, i]].conj())
+            # each copy's rows take that copy's candidates; axes: (branch, later qubits, qubit i, earlier qubits)
+            factors = candidates[i].take(ops[:, i].reshape(len(targets), -1) + shift, axis=0).reshape(size, 2).conj()
+            v = np.einsum("bhal,ba->bhl", v.reshape(size, -1, 2, 1 << i), factors)
         out.append(np.clip(np.einsum("bhl,bhl->b", v, v.conj()).real, 0.0, 1.0))
         start += m
     return out
@@ -355,9 +364,10 @@ def _transcript_table(
     """The columns of the transcripts of ``measure_all``'s branches.
 
     Outcome columns are the Bell outcomes, flattened over receivers, then the
-    agent bits, then the sender's GHZ bit when ``sender`` is set.
+    agent bits, then the sender's GHZ bit when ``sender`` is set.  Without it the table is the GHZ
+    baseline's: its rows are one equal block per copy, copy-major, and copy i receives qubit i of ``specs[0]``.
     """
-    counts = tuple(len(s) for s in specs)
+    counts = tuple(len(s) for s in specs) if sender else (1,)
     total = sum(counts)
     parity = outcomes[:, total:].sum(axis=1) & 1
     table = table or CORRECTIONS
@@ -375,12 +385,13 @@ def _record(cls, fields: dict):
     return record
 
 
-def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[tuple[ProtocolTranscript, ...]]:
-    """One tuple of transcripts (one per receiver) per row of the table.  The
-    rows share the parts they have in common: each distinct agents' and
-    sender's part, and each receiver's distinct (parity, Bell outcomes) part,
-    is built once."""
+def _transcripts(t: _TranscriptTable, copies: int | None = None) -> list[tuple[ProtocolTranscript, ...]]:
+    """One tuple of transcripts (one per receiver) per row of the table, in the GHZ baseline's table of
+    ``copies`` copies with the row's copy as its ``message_index``.  The rows share the parts they have
+    in common: each distinct agents' and sender's part, and each receiver's distinct part, is built once."""
     total = sum(t.counts)
+    copy = np.arange(copies or 1)  # the copies, whose rows are equal blocks, copy-major
+    block = len(t.probs) // len(copy)
     num_agents = t.outcomes.shape[1] - total - int(t.sender)
     # the message that each column after the Bell outcomes (each agent's bit, then the
     # sender's) sends for each bit value
@@ -400,18 +411,22 @@ def _transcripts(t: _TranscriptTable, message_index: int | None = None) -> list[
     start = 0
     for r, m in enumerate(t.counts):
         cols = slice(start, start + m)
-        bell_messages = [[ClassicalMessage("sender", o, f"pair{r}.{i if message_index is None else message_index}")
-                          for o in _BELL_ORDER] for i in range(m)]
-        # each row's Bell outcomes as base-4 digits, the parity above them
-        first, at = _distinct(t.outcomes[:, cols] @ 4 ** np.arange(m - 1, -1, -1) + (t.parity << 2 * m))
+        # per message qubit, or in the baseline per copy (one qubit a row), the message of each Bell outcome
+        bell_messages = [[ClassicalMessage("sender", o, f"pair{r}.{i}") for o in _BELL_ORDER]
+                         for i in range(m if copies is None else copies)]
+        # each row's Bell outcomes as base-4 digits, then its parity and its copy above them
+        key = t.outcomes[:, cols] @ 4 ** np.arange(m - 1, -1, -1) + (t.parity << 2 * m)
+        key.reshape(len(copy), block)[:] += copy[:, None] << 2 * m + 1
+        first, at = _distinct(key)
         parts = [(tuple(map(_BELL_ORDER.__getitem__, row)), tuple(map(_PAULI_ORDER.__getitem__, ops)),
-                  tuple(map(list.__getitem__, bell_messages, row)))
-                 for row, ops in zip(t.outcomes[first, cols].tolist(), t.ops[first, cols].tolist())]
+                  tuple(map(list.__getitem__, bell_messages[c:c + m], row)), None if copies is None else c)
+                 for row, ops, c in zip(t.outcomes[first, cols].tolist(), t.ops[first, cols].tolist(),
+                                        (first // block).tolist())]
         columns.append([_record(ProtocolTranscript, {
             "receiver": r, "bell_outcomes": bells, "agent_bits": bits, "sender_ghz_bit": sender_bit,
             "branch": branch, "corrections": corrections, "fidelity": f, "branch_probability": p,
-            "classical_messages": own + common, "message_index": message_index,
-        }) for (bells, corrections, own), (bits, sender_bit, common, branch), f, p
+            "classical_messages": own + common, "message_index": index,
+        }) for (bells, corrections, own, index), (bits, sender_bit, common, branch), f, p
             in zip(map(parts.__getitem__, at.tolist()), shared, t.fids[r].tolist(), probs)])
         start += m
     return list(zip(*columns))
@@ -540,12 +555,12 @@ def _baseline_branches(
     shape: NetworkShape,
     rng: np.random.Generator | None = None,
     defector: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``measure_all`` over each baseline copy, in message order.  A copy is
-    the message qubit 0 and an (n+2)-qubit GHZ above it: the sender's qubit
-    1, the receiver's qubit 2 and agent j's qubit 3 + j.  Measures the Bell
-    pair (0, 1), then every agent but ``defector``; keeps the receiver
-    qubit, and above it the defector's qubit."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``measure_all`` over the baseline copies, one per message qubit, each copy's branches an equal
+    block in message order.  A copy is the message qubit 0 and an (n+2)-qubit GHZ above it: the sender's
+    qubit 1, the receiver's qubit 2 and agent j's qubit 3 + j.  Measures the Bell pair (0, 1), then every
+    agent but ``defector``, in one pass over all copies, or copy after copy when drawing from ``rng``;
+    keeps the receiver qubit, and above it the defector's qubit."""
     if shape.num_receivers != 1:
         raise ValueError("the GHZ baseline covers the single-receiver network")
     if len(spec) != shape.message_counts[0]:
@@ -553,8 +568,10 @@ def _baseline_branches(
     n = shape.num_agents
     groups = [(0, 1)] + [(3 + j,) for j in range(n) if j != defector]
     keep = [2] if defector is None else [2, 3 + defector]
-    ghz = _ghz_support(n + 2)
-    return [measure_all(ghz, StateVector(pair), groups, keep, rng) for pair in spec.qubits]
+    ghz, messages = _ghz_support(n + 2), [StateVector(pair) for pair in spec.qubits]
+    if rng is None:
+        return measure_all(ghz, messages, groups, keep)
+    return tuple(map(np.concatenate, zip(*(measure_all(ghz, s, groups, keep, rng) for s in messages))))
 
 
 def run_baseline_ghz(
@@ -571,9 +588,5 @@ def run_baseline_ghz(
     copy.  The correction is the usual table with the branch given by the
     parity of that copy's agent bits.
     """
-    out = []
-    copies = _baseline_branches(spec, shape, _sampling_rng(mode, seed))
-    for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
-        copy = MessageSpec((pair,))
-        out += [t for t, in _transcripts(_transcript_table(outcomes, probs, kept, [copy], sender=False), index)]
-    return out
+    table = _transcript_table(*_baseline_branches(spec, shape, _sampling_rng(mode, seed)), [spec], sender=False)
+    return [t for t, in _transcripts(table, len(spec))]

@@ -637,7 +637,8 @@ class TestDistinctOperators:
     @pytest.mark.parametrize("kind", ["random", "plus"])
     def test_baseline_defection(self, grid, kind):
         spec, shape, us = self._message(kind, 6), NetworkShape.single(6, 6), RECOVERY_GRIDS[grid]
-        for pair, (outcomes, probs, kept) in zip(spec.qubits, _baseline_branches(spec, shape, defector=2)):
+        copies = zip(*(np.split(a, len(spec)) for a in _baseline_branches(spec, shape, defector=2)))
+        for pair, (outcomes, probs, kept) in zip(spec.qubits, copies):
             table = tn.defection._defection_table(outcomes, probs, kept, [pair], us)
             self._assert_distinct_operators(table, kept, [pair], us)
 

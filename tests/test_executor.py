@@ -237,6 +237,32 @@ def test_enumerated_call_without_groups_is_the_drawn_call():
     _assert_same_bits(got, measure_all(*args, np.random.default_rng(0)))
 
 
+@pytest.mark.parametrize("m", [1, 6, 20])
+@pytest.mark.parametrize("defector", [None, 0, 1])
+def test_baseline_copies_in_one_pass_are_the_per_copy_calls(m, defector):
+    """The GHZ baseline's copies, enumerated in one pass, are its per-copy calls bit for bit, copy-major."""
+    spec, n = MessageSpec.random(m, np.random.default_rng(m)), 2
+    got = protocol._baseline_branches(spec, NetworkShape.single(m, n), defector=defector)
+    ghz = _nonzeros(tn.prepare_ghz(n + 2))
+    groups = [(0, 1)] + [(3 + j,) for j in range(n) if j != defector]
+    keep = [2] if defector is None else [2, 3 + defector]
+    assert len(got[0]) == m * 4 * 2 ** len(groups[1:])
+    for copy, pair in zip(zip(*(np.split(a, m) for a in got)), spec.qubits):
+        _assert_same_bits(copy, measure_all(ghz, StateVector(pair), groups, keep))
+    _assert_same_bits(got, measure_all(ghz, [StateVector(pair) for pair in spec.qubits], groups, keep))
+
+
+@pytest.mark.parametrize("messages,rng", [
+    ([], None),
+    ([StateVector([1, 0]), StateVector([1, 0, 0, 0])], None),
+    ([StateVector([1, 0]), StateVector([0, 1])], np.random.default_rng(0)),
+    ([StateVector([1, 0]), StateVector([0, 1])], [0]),
+])
+def test_several_messages_are_refused_unless_enumerated_at_one_width(messages, rng):
+    with pytest.raises(ValueError, match=f"several of one width: got {len(messages)}$"):
+        measure_all(_nonzeros(StateVector([1, 0])), messages, [(0, 1)], [], rng)
+
+
 def _assert_same_bits(got, want):
     """Outcomes, probabilities and kept states agree in every bit."""
     for g, w in zip(got, want):

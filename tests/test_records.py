@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import teleportnet as tn
-from teleportnet import DensityMatrix, MessageSpec, NetworkShape
+from teleportnet import DensityMatrix, MessageSpec, NetworkShape, StateVector
 from teleportnet.defection import _defection_table, _network_defection, recovery_unitaries
-from teleportnet.protocol import _baseline_branches, _network_table, _sampling_rng, _transcript_table
+from teleportnet.protocol import _baseline_branches, _network_table, _sampling_rng, _transcript_table, measure_all
+from teleportnet.resources import _ghz_support
 
 from _oracles import row_reports, row_transcripts
 
@@ -83,13 +84,36 @@ class TestTranscripts:
     def test_baseline(self, mode, seed):
         spec, shape = SPECS[(3,)][0], NetworkShape.single(3, 3)
         want = []
-        copies = _baseline_branches(spec, shape, _sampling_rng(mode, seed))
+        copies = zip(*(np.split(a, len(spec)) for a in _baseline_branches(spec, shape, _sampling_rng(mode, seed))))
         for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
             table = _transcript_table(outcomes, probs, kept, [MessageSpec((pair,))], sender=False)
             want += [t for t, in row_transcripts(table, index)]
         got = tn.run_baseline_ghz(spec, shape, mode, seed=seed)
         _assert_same_records(got, want)
         assert {t.message_index for t in got} == {0, 1, 2}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_baseline_draws_copy_after_copy(self, seed):
+        """A drawn baseline's copies are per-copy draws from one generator, in message order."""
+        spec, shape = MessageSpec.random(6, np.random.default_rng(6)), NetworkShape.single(6, 3)
+        rng, ghz, groups = np.random.default_rng(seed), _ghz_support(5), [(0, 1), (3,), (4,), (5,)]
+        want = []
+        for index, pair in enumerate(spec.qubits):
+            table = _transcript_table(*measure_all(ghz, StateVector(pair), groups, [2], rng), [MessageSpec((pair,))],
+                                      sender=False)
+            want += [t for t, in row_transcripts(table, index)]
+        _assert_same_records(tn.run_baseline_ghz(spec, shape, "sampled", seed=seed), want)
+
+    @pytest.mark.parametrize("mode,seed", [("enumerate", None), ("sampled", 3)])
+    def test_baseline_records_follow_their_copy(self, mode, seed):
+        """Each transcript's ``message_index`` and its Bell outcome's message name its copy, copy-major."""
+        spec, shape = MessageSpec.random(5, np.random.default_rng(5)), NetworkShape.single(5, 2)
+        got = tn.run_baseline_ghz(spec, shape, mode, seed=seed)
+        assert [t.message_index for t in got] == np.repeat(range(5), len(got) // 5).tolist()
+        for t in got:
+            assert [(m.sender, m.about) for m in t.classical_messages] == [
+                ("sender", f"pair0.{t.message_index}"), ("agent0", "agent0"), ("agent1", "agent1")]
+            assert t.classical_messages[0].payload is t.bell_outcomes[0]
 
     def test_transcripts_are_frozen(self):
         t = tn.run_controlled_teleport(SPECS[(1,)][0], NetworkShape.single(1, 1))[0]
@@ -107,7 +131,7 @@ class TestReports:
     def test_baseline_defection(self):
         spec, shape, us = SPECS[(3,)][0], NetworkShape.single(3, 3), recovery_unitaries()
         want = []
-        copies = _baseline_branches(spec, shape, defector=1)
+        copies = zip(*(np.split(a, len(spec)) for a in _baseline_branches(spec, shape, defector=1)))
         for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
             want += row_reports(_defection_table(outcomes, probs, kept, [pair], us), kept, 1, index)
         _assert_same_records(tn.analyze_baseline_defection(spec, shape, 1), want)
