@@ -171,6 +171,28 @@ MUTANTS = [
     Mutant("phi_form_swapped", DEFECTION, "_PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)",
            "_PHI = (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS)",
            "Phi- is taken to swap the diagonal and Psi+ to preserve it", ("tests/test_defection.py",)),
+    Mutant("copy_keys_one_block", DEFECTION, ".reshape(len(targets), -1, 4)  # (copy, row, entry)",
+           ".reshape(1, -1, 4)  # (copy, row, entry)",
+           "the GHZ baseline's copies are keyed as one block, so every copy is searched against the first's message",
+           ("tests/test_defection.py",)),
+    Mutant("phase_preset_alpha", CLI, '"phase": (1 / np.sqrt(2), 1j / np.sqrt(2))',
+           '"phase": (1 / np.sqrt(3), 1j / np.sqrt(2))', "the phase preset's alpha is off 1/sqrt(2)",
+           ("tests/test_cli.py",)),
+    Mutant("phase_preset_beta", CLI, '"phase": (1 / np.sqrt(2), 1j / np.sqrt(2))',
+           '"phase": (1 / np.sqrt(2), 1j / np.sqrt(3))', "the phase preset's beta is off i/sqrt(2)",
+           ("tests/test_cli.py",)),
+    Mutant("selftest_reconstruction_shapes", CLI, "for n in (1, 2):\n                shape = NetworkShape.single(m, n)",
+           "for n in (1, 3):\n                shape = NetworkShape.single(m, n)",
+           "selftest's reconstruction runs at three agents instead of two", ("tests/test_cli.py",)),
+    Mutant("selftest_odd_ghz", CLI, "for sign in (+1, -1):", "for sign in (+1, +1):",
+           "selftest's parity check never builds the odd GHZ", ("tests/test_cli.py",)),
+    Mutant("parity_mask_start", RESOURCES, "mask = 0\n    for q in qs:", "mask = 1\n    for q in qs:",
+           "qubit 0 counts in every parity, given or not", ("tests/test_resources.py",)),
+    Mutant("parity_marker_zero", RESOURCES, "if not 0 <= marker_qubit < state.num_qubits:",
+           "if not 1 <= marker_qubit < state.num_qubits:", "joint_parity_weights refuses marker qubit 0",
+           ("tests/test_resources.py",)),
+    Mutant("partial_trace_keep_bound", STATES, "kept[-1] >= n:", "kept[-1] > n:",
+           "partial_trace admits the qubit one past the state's last", ("tests/test_states.py",)),
 ]
 
 

@@ -168,7 +168,7 @@ class _DefectionTable(NamedTuple):
     outcomes: np.ndarray  # measure_all's outcomes: Bell outcomes, then the cooperators' bits
     probs: np.ndarray
     operators: list[tuple[np.ndarray, np.ndarray]]  # per received qubit, its distinct 2x2 operators and each
-    # branch's index among them: branch b's is ops[inverse[b]]; the operators are bytewise distinct and validated
+    # branch's index among them: branch b's is ops[inverse[b]]; a copy's operators are bytewise distinct, all checked
     best: np.ndarray  # best[b, i]: received qubit i's best recovery fidelity
     off: np.ndarray  # off[b, i]: received qubit i's largest off-diagonal magnitude
 
@@ -187,22 +187,16 @@ def _defection_table(
     total = kept.shape[1].bit_length() - 2  # the kept qubits but the defector's
     targets = np.asarray(qubits, dtype=np.complex128).reshape(-1, total, 2)  # (copy, received qubit, 2)
     halves = kept.reshape(len(kept), 2, 1 << total)
-    block = len(kept) // len(targets)  # the rows of a copy
-    # each row's copy, big-endian, to put in front of its operator's bytes, so that a copy's operators sort together
-    prefix = np.arange(len(targets), dtype=">u8").view(np.uint8).reshape(-1, 1, 8)
     operators, best, off = [], [], []
     for i in range(total):
-        # a handful of distinct 2x2 operators stand for all the branches: check and search those, per copy
-        stack = _marginal(halves, total, i)
-        rows = np.empty((len(stack), 8 + stack[0].nbytes), dtype=np.uint8)
-        rows[:, :8].reshape(len(targets), block, 8)[:] = prefix
-        rows[:, 8:] = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.uint8)
-        first, inverse = _distinct(rows.view(f"V{rows.shape[1]}")[:, 0])  # by bytes: 0.0 and -0.0, or NaNs, apart
-        ops = stack[first]
-        DensityMatrix._check_stack(ops)
-        ends = np.searchsorted(first // block, np.arange(len(targets) + 1)).tolist()  # each copy's run of operators
-        best.append(np.concatenate([_best_recovery(ops[a:b], t[i], unitaries)
-                                    for a, b, t in zip(ends, ends[1:], targets)])[inverse])
+        # a handful of distinct 2x2 operators stand for all the branches: check and search those. Each copy keys
+        # its own rows by their bytes (0.0 and -0.0, or NaNs, apart), and its run is searched against its target
+        copies = np.ascontiguousarray(_marginal(halves, total, i)).reshape(len(targets), -1, 4)  # (copy, row, entry)
+        firsts, inverses = zip(*(_distinct(rows.view("V64")[:, 0]) for rows in copies))
+        runs = [rows[first].reshape(-1, 2, 2) for rows, first in zip(copies, firsts)]  # joined in copy order
+        DensityMatrix._check_stack(ops := np.concatenate(runs))
+        inverse = np.concatenate([inv + s for inv, s in zip(inverses, itertools.accumulate(map(len, runs), initial=0))])
+        best.append(np.concatenate([_best_recovery(run, t[i], unitaries) for run, t in zip(runs, targets)])[inverse])
         off.append(np.abs(ops[:, [0, 1], [1, 0]]).max(axis=1)[inverse])
         operators.append((ops, inverse))
     return _DefectionTable(outcomes, probs, operators, np.stack(best, axis=1), np.stack(off, axis=1))

@@ -43,14 +43,20 @@ class MessageSpec:
 
         Returns the spec and the largest normalization correction applied.
         """
-        fixed = []
-        worst = 0.0
+        fixed, worst = [], 0.0
         for a, b in pairs:
-            norm = float(np.hypot(abs(complex(a)), abs(complex(b))))
+            a, b, top = complex(a), complex(b), 1.0
+            try:
+                with np.errstate(over="raise"):
+                    norm = float(np.hypot(abs(a), abs(b)))
+            except (OverflowError, FloatingPointError):  # the norm overflows: scale by the largest component first
+                top = max(abs(x) for x in (a.real, a.imag, b.real, b.imag))
+                a, b = a / top, b / top
+                norm = float(np.hypot(abs(a), abs(b)))
             if norm < NORM_ATOL:
                 raise ValueError("amplitude pair has zero norm")
-            worst = max(worst, abs(norm - 1.0))
-            fixed.append((complex(a) / norm, complex(b) / norm))
+            worst = max(worst, abs(norm * top - 1.0))
+            fixed.append((a / norm, b / norm))
         return cls(tuple(fixed)), worst
 
     @classmethod

@@ -41,6 +41,10 @@ class TestAccount:
             old = account(Method.GHZ_BASELINE, shape)
             assert new.bell_measurements == old.bell_measurements == shape.total_messages
 
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ValueError, match="unknown method 'ghz'"):
+            account("ghz", NetworkShape.single(1, 1))
+
     def test_large_sweep_formulas(self):
         shape = NetworkShape.single(10, 3)
         assert account(Method.ENTANGLING, shape).aux_qubits == 24

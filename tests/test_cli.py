@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,55 @@ class TestRunCommand:
         assert run_cli("run", "--spec", str(path), "--out", str(tmp_path / "r.json")) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, scenario, err", [
+        ("run --ml 1 2 --k 3", None, "--ml lists 2 receivers but --k is 3\n"),
+        ("run --spec {missing}", None, "cannot read spec file: [Errno 2] "),
+        ("run --spec {spec}", [1, 2], "spec file must hold a JSON object\n"),
+        ("run --spec {spec}", {"m": 2, "messages": {"kind": "explicit", "amplitudes": [[[1, 0], [0, 0]]]}},
+         "explicit amplitudes must list 2 qubits\n"),
+        ("run --spec {spec}", {"m": 1, "messages": {"kind": "explicit", "amplitudes": [[[1, 0]]]}},
+         "each amplitude entry must be [[re, im], [re, im]]\n"),
+        ("run --spec {spec}", {"m": 1, "messages": {"kind": "given"}}, "unknown message source kind 'given'\n"),
+        ("run --spec {spec}", {"m": 1, "messages": {"kind": "explicit", "amplitudes": [[[0, 0], [0, 0]]]}},
+         "amplitude pair has zero norm\n"),
+        ("compare --m 1..3 --ml 1", None, "give either --m or --ml, not both\n"),
+        ("compare --m 3..1", None, "empty m range\n"),
+    ], ids=["ml-count-against-k", "spec-missing", "spec-array", "amplitude-count", "amplitude-entry",
+            "message-kind", "zero-pair", "compare-m-and-ml", "compare-empty-range"])
+    def test_each_refusal_names_its_fault(self, tmp_path, capsys, argv, scenario, err):
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps(scenario if not isinstance(scenario, dict) else {**scenario, "mode": "enumerate"}))
+        assert run_cli(*argv.format(spec=spec, missing=tmp_path / "missing.json").split()) == 2
+        got = capsys.readouterr().err
+        assert got.startswith(f"error: {err}") and got.count("\n") == 1
+
+    @pytest.mark.parametrize("huge, unit", [([[[1.7e308, 1.7e308], [0, 0]]], [[[1, 1], [0, 0]]]),
+                                            ([[[1e308, 1e308], [1e308, 1e308]]], [[[1, 1], [1, 1]]])],
+                             ids=["abs-overflows", "hypot-overflows"])
+    def test_amplitudes_whose_norm_overflows_are_rescaled(self, tmp_path, capsys, huge, unit):
+        # the norm of each huge pair overflows: it once escaped as an OverflowError (exit 1) or was refused
+        reports = []
+        for amplitudes in (huge, unit):
+            path, out = tmp_path / "scenario.json", tmp_path / "r.json"
+            path.write_text(json.dumps({"m": 1, "messages": {"kind": "explicit", "amplitudes": amplitudes}}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("run", "--spec", str(path), "--enumerate", "--out", str(out)) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("warning: message amplitudes renormalized") and err.count("\n") == 1
+            reports.append(json.loads(out.read_text()))
+        got, want = ((r["transcripts"], r["summary"]) for r in reports)
+        assert got == want
+
+    def test_phase_preset_is_an_equal_superposition(self, tmp_path, capsys):
+        # |alpha|^2 = |beta|^2 = 1/2 as written: no renormalization, and every diagonal a defector leaves is 1/2
+        path, out = tmp_path / "scenario.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "defector": 1, "messages": {"kind": "preset", "name": "phase"}}))
+        assert run_cli("run", "--spec", str(path), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        branches = json.loads(out.read_text())["branches"]
+        assert {d for b in branches for q in b["per_qubit"] for d in q["diag"]} == {0.5}
+
     def test_spec_defector_string_is_written_as_an_integer(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         out = tmp_path / "d.json"
@@ -505,3 +555,36 @@ class TestSelftest:
         monkeypatch.setattr(defection, "_record", refuse)
         assert run_cli("selftest") == 0
         assert capsys.readouterr().out.endswith("[selftest] all checks passed\n")
+
+    @pytest.mark.parametrize("check, name, fake, problem", [
+        ("reconstruction", "_transcript_summary", lambda real: lambda *a: real(*a) | {"num_transcripts": 17},
+         "branch count 17 wrong for m=1 n=1"),
+        # the odd GHZ built as the even one: its parity mass sits on the other class
+        ("ghz_parity_decomposition", "prepare_ghz", lambda real: lambda size, sign: real(size, +1),
+         "parity mass off for size=2 sign=-1"),
+        ("defection_diagonality", "_diagonal_ok", lambda real: lambda *a: ~real(*a),
+         "defection leaves a non-diagonal or wrong diagonal at m=1 n=1"),
+        ("corrupted_table_detected", "_network_table", lambda real: lambda *a, table=None: real(*a),
+         "reconstruction did not fail under a corrupted correction table"),
+    ], ids=["branch-count", "odd-ghz", "defection-diagonal", "corrupted-table-ignored"])
+    def test_each_check_names_its_failure(self, capsys, monkeypatch, check, name, fake, problem):
+        monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+        assert run_cli("selftest") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert f"[selftest] {check}: FAIL ({problem})" in lines
+        assert lines[-1] == f"[selftest] failed: {check}"
+
+    def test_each_check_runs_at_its_shapes(self, capsys, monkeypatch):
+        calls = []
+        for name in ("_network_table", "_network_defection", "_baseline_branches"):
+            def spy(spec, shape, *args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append((_name, shape.total_messages, shape.num_agents, *args))
+                return _real(spec, shape, *args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        assert run_cli("selftest") == 0
+        shapes = [(m, n) for m in (1, 2) for n in (1, 2)]
+        assert calls == ([("_network_table", m, n, "enumerate", None) for m, n in shapes for _ in range(3)]
+                         + [("_network_defection", m, n, defector) for m, n in shapes for defector in range(n)]
+                         + [("_baseline_branches", m, n) for m, n in shapes]
+                         + [("_network_table", m, n, "enumerate", None) for m, n in ((1, 1), (2, 1), (2, 1))])

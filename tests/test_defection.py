@@ -668,6 +668,23 @@ class TestBaselineDefection:
         old_diags = {(r.bell_outcomes[0], tuple(np.round(np.diag(r.per_qubit_density[0].matrix).real, 12))) for r in old}
         assert new_diags == old_diags
 
+    def test_each_copy_is_searched_against_its_own_message(self):
+        # the three copies' marginals are byte-identical, but their targets are a phase apart: keyed on the
+        # bytes alone, every copy would be searched against the first copy's message
+        a, b = np.sqrt(0.3), np.sqrt(0.7)
+        spec = MessageSpec(((a, b), (a, 1j * b), (a, -b)))
+        reports = tn.analyze_baseline_defection(spec, NetworkShape.single(3, 2), 1)
+        assert len({r.max_fidelity for r in reports}) == 6
+
+        def bits(r):
+            return (r.bell_outcomes, r.cooperator_bits, r.probability, r.joint_density.matrix.tobytes(),
+                    [d.matrix.tobytes() for d in r.per_qubit_density], r.off_diagonal_norm, r.max_fidelity,
+                    r.conforms_to)
+
+        for index, pair in enumerate(spec.qubits):
+            own = tn.analyze_baseline_defection(MessageSpec((pair,)), NetworkShape.single(1, 2), 1)
+            assert [bits(r) for r in reports if r.message_index == index] == list(map(bits, own))
+
     def test_spec_of_the_wrong_length_is_refused(self, rng):
         # one copy per message qubit: three qubits on a two-qubit shape would be three copies
         spec = MessageSpec.random(3, rng)
@@ -783,6 +800,10 @@ class TestEntangledInfoCheck:
     def test_wrong_length_rejected(self, rng):
         with pytest.raises(ValueError):
             tn.entangled_info_check(MessageSpec.random(3, rng))
+
+    def test_shape_of_another_message_count_is_refused(self, rng):
+        with pytest.raises(ValueError, match="shape must carry two message qubits to one receiver"):
+            tn.entangled_info_check(MessageSpec.random(2, rng), NetworkShape.single(3, 1))
 
 
 class TestEntangledInfoCheckThroughTheExecutor:

@@ -172,6 +172,12 @@ def test_zero_probability_branch_is_refused():
         measure_all(_nonzeros(StateVector([1, 0])), StateVector([1, 0]), [(0, 1)], [])
 
 
+def test_non_finite_resource_amplitude_is_refused():
+    resource = (2, np.array([0, 3]), np.array([np.nan, 1.0], dtype=np.complex128))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        measure_all(resource, StateVector([1, 0]), [(0, 1)], [2])
+
+
 class _LastDraw(np.random.Generator):
     """A generator whose every uniform draw is the largest below 1, so that
     each measurement draws its last outcome of nonzero weight."""

@@ -340,6 +340,10 @@ class TestMultiReceiver:
         with pytest.raises(ValueError):
             tn.run_multi_receiver([MessageSpec.random(1, rng)], NetworkShape.single(1, 1))
 
+    def test_fewer_specs_than_receivers_are_refused(self, rng):
+        with pytest.raises(ValueError, match="got 1 message specs for 2 receivers"):
+            tn.run_multi_receiver([MessageSpec.random(1, rng)], NetworkShape((1, 1), 1))
+
 
 class TestBaseline:
     def test_enumeration_counts_and_fidelity(self, rng):
@@ -389,6 +393,10 @@ class TestBaseline:
         assert [t.message_index for t in trs] == [0, 1, 2]
         for t in trs:
             assert t.fidelity == pytest.approx(1.0, abs=1e-10)
+
+    def test_two_receiver_shape_is_refused(self, rng):
+        with pytest.raises(ValueError, match="the GHZ baseline covers the single-receiver network"):
+            tn.run_baseline_ghz(MessageSpec.random(2, rng), NetworkShape((1, 1), 1))
 
     def test_resource_sizes(self):
         sizes = tn.protocol.baseline_resource_sizes(NetworkShape.single(3, 2))

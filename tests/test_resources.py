@@ -42,6 +42,27 @@ class TestMessageSpec:
         assert worst == pytest.approx(4.0)
         assert abs(spec.qubits[0][0]) == pytest.approx(0.6)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="qubit 0 amplitudes are not finite"):
+            MessageSpec(((np.nan, 1.0),))
+
+    @pytest.mark.parametrize("huge, unit", [((1.7e308 + 1.7e308j, 0), (1 + 1j, 0)),
+                                            ((1e308 + 1e308j, 1e308 + 1e308j), (1 + 1j, 1 + 1j)),
+                                            ((-1.5e308, 1.5e308j), (-1, 1j))],
+                             ids=["abs", "hypot-complex", "hypot-real"])
+    def test_normalized_rescales_a_pair_whose_norm_overflows(self, huge, unit):
+        # abs() of the first pair's alpha overflows, and the others' hypot: each is divided by its largest part first
+        spec, worst = MessageSpec.normalized([huge])
+        assert (spec, worst) == (MessageSpec.normalized([unit])[0], np.inf)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e300])
+    def test_normalized_keeps_the_bits_of_a_pair_whose_norm_is_finite(self, rng, scale):
+        for a, b in (scale * rng.standard_normal((50, 2, 2)) @ [1, 1j]).tolist():
+            spec, worst = MessageSpec.normalized([(a, b)])
+            norm = float(np.hypot(abs(a), abs(b)))
+            assert np.array(spec.qubits).tobytes() == np.array([(a / norm, b / norm)]).tobytes()
+            assert worst == abs(norm - 1.0)
+
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
     def test_random_specs_are_normalized(self, seed, m):
@@ -125,6 +146,8 @@ class TestQubitRegistry:
             reg.message(0, 1)
         with pytest.raises(IndexError):
             reg.agent(1)
+        with pytest.raises(IndexError, match="receiver 1 out of range"):
+            reg.sender_epr(1, 0)
 
 
 class TestPrepareMessageState:
@@ -180,6 +203,10 @@ class TestPrepareGhz:
     def test_too_small(self):
         with pytest.raises(ValueError):
             tn.prepare_ghz(1)
+
+    def test_sign_other_than_plus_or_minus_one_is_refused(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            tn.prepare_ghz(3, sign=0)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("size", range(2, 17))
@@ -305,6 +332,13 @@ class TestParityDecomposition:
         state = StateVector.from_bits([1, 1])
         assert tn.parity_decompose(state, [0, 1])[ParityClass.EVEN] == pytest.approx(1.0)
         assert tn.parity_decompose(state, [0])[ParityClass.ODD] == pytest.approx(1.0)
+
+    def test_parity_reads_only_the_given_qubits(self):
+        # |qubit 1 = 0, qubit 0 = 1>: even on qubit 1, and its marker qubit 0 reads 1
+        state = StateVector.basis(2, 1)
+        assert tn.parity_decompose(state, [1]) == {ParityClass.EVEN: 1.0, ParityClass.ODD: 0.0}
+        assert tn.joint_parity_weights(state, [1], 0) == {(ParityClass.EVEN, 0): 0.0, (ParityClass.EVEN, 1): 1.0,
+                                                          (ParityClass.ODD, 0): 0.0, (ParityClass.ODD, 1): 0.0}
 
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,13 @@ class TestStateVector:
         amps = scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         assert StateVector(amps).amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
+    def test_basis_index_out_of_range_is_refused(self):
+        with pytest.raises(ValueError, match="basis index 4 out of range for 2 qubits"):
+            StateVector.basis(2, 4)
+
+    def test_states_of_different_widths_are_not_close(self):
+        assert not tn.states_close(StateVector.zero(1), StateVector.zero(2))
+
     def test_from_bits_is_little_endian(self):
         # qubit 1 set -> index 2
         assert StateVector.from_bits([0, 1]).amplitudes[2] == 1.0
@@ -76,6 +83,10 @@ class TestSingleQubitGates:
     def test_qubit_out_of_range(self):
         with pytest.raises(IndexError):
             tn.apply_hadamard(StateVector.zero(1), 1)
+
+    def test_gate_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match=r"gate must be 2x2, got shape \(3, 3\)"):
+            tn.apply_single_qubit_gate(StateVector.zero(2), 0, np.eye(3))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -318,8 +329,17 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             tn.partial_trace(StateVector.zero(2), [])
 
+    @pytest.mark.parametrize("keep", [[2], [0, 2], [-1]])
+    def test_keep_outside_the_state_is_refused(self, keep):
+        with pytest.raises(IndexError, match="out of range for 2 qubits"):
+            tn.partial_trace(StateVector.zero(2), keep)
+
 
 class TestDensityMatrix:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"density matrix must be square, got shape \(2, 4\)"):
+            DensityMatrix(np.eye(2, 4) / 2)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
