@@ -186,6 +186,12 @@ MUTANTS = [
            "selftest's reconstruction runs at three agents instead of two", ("tests/test_cli.py",)),
     Mutant("selftest_odd_ghz", CLI, "for sign in (+1, -1):", "for sign in (+1, +1):",
            "selftest's parity check never builds the odd GHZ", ("tests/test_cli.py",)),
+    Mutant("ghz_value_one_ulp_low", RESOURCES, "np.array([1, sign], dtype=np.complex128) * np.sqrt(0.5)",
+           "np.array([1, sign], dtype=np.complex128) * (1 / np.sqrt(2))",
+           "the GHZ support's amplitudes are 1/sqrt(2), one ulp under the dense build's", ("tests/test_resources.py",)),
+    Mutant("control_value_power", RESOURCES, "np.sqrt(0.5 ** total)", "np.sqrt(0.5) ** total",
+           "the control support's amplitudes are sqrt(1/2) to the M-th power, which rounds off 2^(-M/2) from M = 2",
+           ("tests/test_resources.py",)),
     Mutant("parity_mask_start", RESOURCES, "mask = 0\n    for q in qs:", "mask = 1\n    for q in qs:",
            "qubit 0 counts in every parity, given or not", ("tests/test_resources.py",)),
     Mutant("parity_marker_zero", RESOURCES, "if not 0 <= marker_qubit < state.num_qubits:",

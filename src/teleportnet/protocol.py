@@ -16,7 +16,6 @@ the baseline's defection all measure through it.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Literal, Mapping, NamedTuple, Sequence
@@ -27,6 +26,7 @@ from .resources import (
     _LAYOUTS_CACHED,
     MessageSpec,
     NetworkShape,
+    ParityClass,
     QubitRegistry,
     _control_support,
     _ghz_support,
@@ -45,20 +45,11 @@ from .states import (
 )
 
 AgentBasis = Literal["hadamard_z", "plus_minus"]
+Branch = ParityClass  # the joint parity of all control bits: EVEN picks the first correction column, ODD the second
 
 _BELL_ORDER = tuple(BellOutcome)
 _PAULI_ORDER = tuple(PauliOp)
 _PAULI_STACK = np.stack([op.matrix for op in _PAULI_ORDER])
-
-
-class Branch(enum.Enum):
-    """Joint parity of all control-qubit measurement bits.
-
-    EVEN selects the first correction column, ODD the second.
-    """
-
-    EVEN = "even"
-    ODD = "odd"
 
 
 # outcome -> (correction in the EVEN branch, correction in the ODD branch)

@@ -11,9 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import NORM_ATOL, StateVector, _read_only
+from .states import _SQRT_HALF, NORM_ATOL, StateVector, _read_only
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 _LAYOUTS_CACHED = 32  # control supports and measure_all plans kept per process; a small sweep makes 16 plans
 
 
@@ -207,14 +206,13 @@ def prepare_message_state(spec: MessageSpec) -> StateVector:
 
 def _ghz_support(num_qubits: int, sign: int = +1) -> tuple[int, np.ndarray, np.ndarray]:
     """The GHZ state's qubit count, and the indices and amplitudes of its two
-    nonzeros: 0 and 2^q - 1, with +-1/sqrt(2) normalized among themselves,
-    which rounds as the whole vector's norm."""
+    nonzeros: 0 and 2^q - 1, with sqrt(1/2) and sign * sqrt(1/2), the bits of
+    the dense vector normalized as a whole."""
     if num_qubits < 2:
         raise ValueError("GHZ state needs at least 2 qubits")
-    if sign not in (+1, -1):
+    if _integral(sign, "sign") not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    vals = np.array([_SQRT_HALF, sign * _SQRT_HALF], dtype=np.complex128)
-    vals /= np.linalg.norm(vals)
+    vals = np.array([1, sign], dtype=np.complex128) * np.sqrt(0.5)
     return num_qubits, np.array([0, (1 << num_qubits) - 1]), vals
 
 
@@ -240,14 +238,13 @@ def _control_support(shape: NetworkShape) -> tuple[int, np.ndarray, np.ndarray]:
     its nonzeros, one per M-bit string s in the order of s.  Both EPR products
     put 2^(-M/2) on each |s>|s>, |Phi->^M with the sign (-1)^parity(s), so
     with |GHZ+-> = (|0...0> +- |1...1>)/sqrt(2) the resource is the sum over
-    all s of 2^(-M/2) |s>|s>|p...p>, p = parity(s).  The 2^M values are
-    normalized among themselves, which rounds as the whole vector's norm at
-    every shape under the 26-qubit cap.  Cached per shape, so both arrays are read-only."""
+    all s of 2^(-M/2) |s>|s>|p...p>, p = parity(s).  Each value is
+    sqrt(0.5 ** M), the bits of the two-term build normalized as a whole.
+    Cached per shape, so both arrays are read-only."""
     total = shape.total_messages
     s = np.arange(1 << total)
     ghz = _bit_parity(s) * ((2 << shape.num_agents) - 1)
     vals = np.full(1 << total, np.sqrt(0.5 ** total), dtype=np.complex128)
-    vals /= np.linalg.norm(vals)
     return shape.resource_qubits, _read_only(s | s << total | ghz << 2 * total), _read_only(vals)
 
 

@@ -100,6 +100,11 @@ class TestConditionalStates:
 
 
 class TestInferBranch:
+    def test_branch_is_the_parity_class(self):
+        # one even/odd enum serves both the resource's parity and the protocol's branch
+        assert Branch is tn.ParityClass
+        assert [(b.name, b.value) for b in Branch] == [("EVEN", "even"), ("ODD", "odd")]
+
     def test_all_zero(self):
         assert tn.infer_branch([0, 0, 0], 0) is Branch.EVEN
 

@@ -1,4 +1,10 @@
+import os
+import platform
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,11 @@ from _oracles import (
     partial_trace_dense,
     product_state_dense,
 )
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
 
 SQ2 = 1.0 / np.sqrt(2.0)
 # every single-receiver shape that ``run`` admits with at most 18 resource
@@ -208,6 +219,12 @@ class TestPrepareGhz:
         with pytest.raises(ValueError, match="sign must be"):
             tn.prepare_ghz(3, sign=0)
 
+    @pytest.mark.parametrize("sign", [True, np.True_])
+    def test_bool_sign_is_refused(self, sign):
+        # True == 1 would build GHZ+: the sign refuses bools, as every other integer input does
+        with pytest.raises(ValueError, match="sign takes integers"):
+            tn.prepare_ghz(3, sign=sign)
+
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("size", range(2, 17))
     def test_closed_form_support_is_the_dense_build(self, size, sign):
@@ -219,6 +236,46 @@ class TestPrepareGhz:
         assert (idx.dtype, idx.tobytes()) == (want_idx.dtype, want_idx.tobytes())
         assert (vals.dtype, vals.tobytes()) == (want_vals.dtype, want_vals.tobytes())
         assert tn.prepare_ghz(size, sign).amplitudes.tobytes() == dense.amplitudes.tobytes()
+
+
+# hashes every GHZ support from 2 to 63 qubits, both signs, and the control support from M = 1 to 20
+_SUPPORTS_HASH = """
+import hashlib
+from teleportnet.resources import NetworkShape, _control_support, _ghz_support
+h = hashlib.sha256()
+supports = [_ghz_support(q, sign) for q in range(2, 64) for sign in (+1, -1)]
+for n, idx, vals in supports + [_control_support.__wrapped__(NetworkShape.single(m, 1)) for m in range(1, 21)]:
+    h.update(n.to_bytes(1, "big") + idx.tobytes() + vals.tobytes())
+print(h.hexdigest())
+"""
+
+
+def _supports_hash(coretype: str | None) -> tuple[str, str | None]:
+    """The hash of ``_SUPPORTS_HASH`` in a child process whose OpenBLAS runs the ``coretype`` kernel
+    (None: the one it picks for this CPU), and the kernel that OpenBLAS says it runs."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(OPENBLAS_VERBOSE="2", PYTHONPATH=os.pathsep.join([str(Path(tn.__file__).parents[1]),
+                                                                  env.get("PYTHONPATH", "")]))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    out = subprocess.run([sys.executable, "-c", _SUPPORTS_HASH], env=env, capture_output=True, text=True, check=True)
+    core = re.search(r"Core: (\S+)", out.stderr)
+    return out.stdout.strip(), core and core[1]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS kernels are x86-64's")
+def test_closed_form_supports_keep_their_bits_under_other_blas_kernels():
+    # both supports are closed forms that pass through no BLAS call, so every kernel gives their bits;
+    # OPENBLAS_CORETYPE acts only on the process that reads it, hence one child per kernel
+    default, core = _supports_hash(None)
+    if core is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    cores = {core}
+    for coretype in ["Prescott"] + (["Haswell"] if _CPU_FEATURES.get("AVX2") else []):
+        digest, core = _supports_hash(coretype)
+        assert digest == default, f"the supports' bits differ under OPENBLAS_CORETYPE={coretype} (core {core})"
+        cores.add(core)
+    assert len(cores) > 1  # some child ran another kernel than the default
 
 
 class TestControlResource:
@@ -260,7 +317,7 @@ class TestControlResource:
         assert (vals.dtype, vals[order].tobytes()) == (want_vals.dtype, want_vals.tobytes())
 
     def test_build_holds_one_resource(self):
-        # the scattered vector is normalized in place and wrapped, not copied
+        # the support is scattered into one zeroed vector and wrapped, not copied
         tracemalloc.start()
         try:
             state, _ = tn.prepare_control_resource(NetworkShape.single(6, 4))
