@@ -46,7 +46,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-CLI, DEFECTION, PROTOCOL = f"{PKG}/cli.py", f"{PKG}/defection.py", f"{PKG}/protocol.py"
+ACCOUNTING, CLI, DEFECTION = f"{PKG}/accounting.py", f"{PKG}/cli.py", f"{PKG}/defection.py"
+PROTOCOL = f"{PKG}/protocol.py"
 RESOURCES, STATES = f"{PKG}/resources.py", f"{PKG}/states.py"
 
 
@@ -199,6 +200,14 @@ MUTANTS = [
            ("tests/test_resources.py",)),
     Mutant("partial_trace_keep_bound", STATES, "kept[-1] >= n:", "kept[-1] > n:",
            "partial_trace admits the qubit one past the state's last", ("tests/test_states.py",)),
+    Mutant("baseline_per_agent_receivers", ACCOUNTING, "total * (n + 2), total, tuple(shape.message_counts)",
+           "total * (n + 2), shape.num_receivers, tuple(shape.message_counts)",
+           "the baseline's agents hold one qubit per receiver, not one per message qubit",
+           ("tests/test_accounting.py",)),
+    Mutant("entangling_bits_one_receiver", ACCOUNTING, "tuple(1 for _ in shape.message_counts)", "(1,)",
+           "the entangling protocol sends one bit to the first receiver only", ("tests/test_accounting.py",)),
+    Mutant("crossover_m_truncated", ACCOUNTING, '_integral(m, "m")', "int(m)",
+           "crossover_table truncates a non-integral message count to a row", ("tests/test_accounting.py",)),
 ]
 
 

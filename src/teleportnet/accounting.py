@@ -7,7 +7,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .resources import NetworkShape
+from .resources import NetworkShape, _integral
 
 
 class Method(enum.Enum):
@@ -36,31 +36,18 @@ def account(method: Method, shape: NetworkShape) -> ResourceReport:
     """Auxiliary-qubit, per-agent operation, and classical-bit counts.
 
     Message qubits themselves are excluded from ``aux_qubits`` for both
-    methods.
+    methods.  An agent holds one qubit per GHZ state it shares and applies one
+    Hadamard and one measurement to each, so one per-agent count gives all three.
     """
     total = shape.total_messages
     n = shape.num_agents
     if method is Method.ENTANGLING:
-        return ResourceReport(
-            method=method,
-            aux_qubits=2 * total + n + 1,
-            qubits_per_agent=1,
-            hadamards_per_agent=1,
-            measurements_per_agent=1,
-            classical_bits_per_agent=tuple(1 for _ in shape.message_counts),
-            bell_measurements=total,
-        )
-    if method is Method.GHZ_BASELINE:
-        return ResourceReport(
-            method=method,
-            aux_qubits=total * (n + 2),
-            qubits_per_agent=total,
-            hadamards_per_agent=total,
-            measurements_per_agent=total,
-            classical_bits_per_agent=tuple(shape.message_counts),
-            bell_measurements=total,
-        )
-    raise ValueError(f"unknown method {method!r}")
+        aux, per_agent, bits = 2 * total + n + 1, 1, tuple(1 for _ in shape.message_counts)
+    elif method is Method.GHZ_BASELINE:
+        aux, per_agent, bits = total * (n + 2), total, tuple(shape.message_counts)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return ResourceReport(method, aux, per_agent, per_agent, per_agent, bits, total)
 
 
 @dataclass(frozen=True)
@@ -95,7 +82,7 @@ class CrossoverTable:
 
 def crossover_table(num_agents: int, m_range: Sequence[int]) -> CrossoverTable:
     """Compare both methods over a range of message counts (k = 1)."""
-    ms = sorted(set(int(m) for m in m_range))
+    ms = sorted(set(_integral(m, "m") for m in m_range))
     if not ms:
         raise ValueError("m_range must be nonempty")
     rows = []
@@ -103,8 +90,6 @@ def crossover_table(num_agents: int, m_range: Sequence[int]) -> CrossoverTable:
         shape = NetworkShape.single(m, num_agents)
         new = account(Method.ENTANGLING, shape)
         old = account(Method.GHZ_BASELINE, shape)
-        ops_new = new.hadamards_per_agent + new.measurements_per_agent
-        ops_old = old.hadamards_per_agent + old.measurements_per_agent
         rows.append(CrossoverRow(
             m=m,
             aux_entangling=new.aux_qubits,
@@ -113,6 +98,6 @@ def crossover_table(num_agents: int, m_range: Sequence[int]) -> CrossoverTable:
             ops_per_agent_baseline=old.hadamards_per_agent,
             aux_equal=new.aux_qubits == old.aux_qubits,
             aux_advantage=new.aux_qubits < old.aux_qubits,
-            ops_advantage=ops_new < ops_old,
+            ops_advantage=new.hadamards_per_agent < old.hadamards_per_agent,
         ))
     return CrossoverTable(num_agents=int(num_agents), rows=tuple(rows))

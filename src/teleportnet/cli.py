@@ -498,7 +498,8 @@ def _selftest_checks():
         for m in (1, 2):
             for n in (1, 2):
                 spec = MessageSpec.random(m, rng)
-                table = _transcript_table(*_baseline_branches(spec, NetworkShape.single(m, n)), [spec], sender=False)
+                branches = _baseline_branches(spec, NetworkShape.single(m, n))
+                table = _transcript_table(*branches, [spec], copies=len(spec))
                 summary = _transcript_summary(table)
                 if not summary["all_fidelities_pass"]:
                     return f"baseline fidelity {summary['min_fidelity']} below bar at m={m} n={n}"

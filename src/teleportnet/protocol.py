@@ -340,7 +340,7 @@ class _TranscriptTable(NamedTuple):
     probs: np.ndarray
     fids: list[np.ndarray]  # per receiver
     counts: tuple[int, ...]  # message qubits per receiver
-    sender: bool  # whether the last outcome column is the sender's GHZ bit
+    copies: int | None  # the GHZ baseline's copies; None in a network run, whose last outcome is the sender's bit
 
 
 def _transcript_table(
@@ -350,22 +350,22 @@ def _transcript_table(
     specs: Sequence[MessageSpec],
     table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None = None,
     *,
-    sender: bool = True,
+    copies: int | None = None,
 ) -> _TranscriptTable:
     """The columns of the transcripts of ``measure_all``'s branches.
 
     Outcome columns are the Bell outcomes, flattened over receivers, then the
-    agent bits, then the sender's GHZ bit when ``sender`` is set.  Without it the table is the GHZ
+    agent bits, then the sender's GHZ bit unless ``copies`` is given.  With it the table is the GHZ
     baseline's: its rows are one equal block per copy, copy-major, and copy i receives qubit i of ``specs[0]``.
     """
-    counts = tuple(len(s) for s in specs) if sender else (1,)
+    counts = tuple(len(s) for s in specs) if copies is None else (1,)
     total = sum(counts)
     parity = outcomes[:, total:].sum(axis=1) & 1
     table = table or CORRECTIONS
     index = np.array([[_PAULI_ORDER.index(op) for op in table[o]] for o in _BELL_ORDER])
     ops = index[outcomes[:, :total], parity[:, None]]
     fids = _fidelities(kept, ops, counts, [q for s in specs for q in s.qubits])
-    return _TranscriptTable(outcomes, parity, ops, probs, fids, counts, sender)
+    return _TranscriptTable(outcomes, parity, ops, probs, fids, counts, copies)
 
 
 def _record(cls, fields: dict):
@@ -376,22 +376,22 @@ def _record(cls, fields: dict):
     return record
 
 
-def _transcripts(t: _TranscriptTable, copies: int | None = None) -> list[tuple[ProtocolTranscript, ...]]:
-    """One tuple of transcripts (one per receiver) per row of the table, in the GHZ baseline's table of
-    ``copies`` copies with the row's copy as its ``message_index``.  The rows share the parts they have
+def _transcripts(t: _TranscriptTable) -> list[tuple[ProtocolTranscript, ...]]:
+    """One tuple of transcripts (one per receiver) per row of the table, in the GHZ baseline's table
+    with the row's copy as its ``message_index``.  The rows share the parts they have
     in common: each distinct agents' and sender's part, and each receiver's distinct part, is built once."""
-    total = sum(t.counts)
+    total, copies, sender = sum(t.counts), t.copies, t.copies is None
     copy = np.arange(copies or 1)  # the copies, whose rows are equal blocks, copy-major
     block = len(t.probs) // len(copy)
-    num_agents = t.outcomes.shape[1] - total - int(t.sender)
+    num_agents = t.outcomes.shape[1] - total - sender
     # the message that each column after the Bell outcomes (each agent's bit, then the
     # sender's) sends for each bit value
     messages = [[ClassicalMessage(f"agent{j}", bit, f"agent{j}") for bit in (0, 1)] for j in range(num_agents)]
-    if t.sender:
+    if sender:
         messages.append([ClassicalMessage("sender", bit, "ghz_s") for bit in (0, 1)])
     digits = t.outcomes[:, total:]
     first, at = _distinct(digits @ (1 << np.arange(digits.shape[1] - 1, -1, -1)))  # each row's bits as one number
-    sender, branches = t.sender, (Branch.EVEN, Branch.ODD)
+    branches = (Branch.EVEN, Branch.ODD)
     # (agent bits, sender bit, their messages, branch) of each distinct part
     shared = [(tuple(row[:num_agents]), row[-1] if sender else None, tuple(map(list.__getitem__, messages, row)),
                branches[odd]) for row, odd in zip(t.outcomes[first, total:].tolist(), t.parity[first].tolist())]
@@ -579,5 +579,5 @@ def run_baseline_ghz(
     copy.  The correction is the usual table with the branch given by the
     parity of that copy's agent bits.
     """
-    table = _transcript_table(*_baseline_branches(spec, shape, _sampling_rng(mode, seed)), [spec], sender=False)
-    return [t for t, in _transcripts(table, len(spec))]
+    table = _transcript_table(*_baseline_branches(spec, shape, _sampling_rng(mode, seed)), [spec], copies=len(spec))
+    return [t for t, in _transcripts(table)]

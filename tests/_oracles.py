@@ -745,8 +745,8 @@ def _partial_trace_stack(rhos: np.ndarray, n: int, kept) -> np.ndarray:
 
 def row_transcripts(t, message_index=None) -> list[tuple[ProtocolTranscript, ...]]:
     """One tuple of transcripts (one per receiver) per row of the table."""
-    total = sum(t.counts)
-    num_agents = t.outcomes.shape[1] - total - int(t.sender)
+    total, sender = sum(t.counts), t.copies is None
+    num_agents = t.outcomes.shape[1] - total - sender
     labels = [f"pair{r}.{i if message_index is None else message_index}"
               for r, m in enumerate(t.counts) for i in range(m)]
     bell_messages = [[ClassicalMessage("sender", o, label) for o in _BELL_ORDER] for label in labels]
@@ -760,9 +760,9 @@ def row_transcripts(t, message_index=None) -> list[tuple[ProtocolTranscript, ...
         t.outcomes.tolist(), t.ops.tolist(), t.parity.tolist(), t.probs.tolist(), *(f.tolist() for f in t.fids)
     ):
         bits = tuple(row[total:total + num_agents])
-        sender_bit = row[-1] if t.sender else None
+        sender_bit = row[-1] if sender else None
         shared = tuple(agent_messages[j][b] for j, b in enumerate(bits))
-        if t.sender:
+        if sender:
             shared += (sender_messages[sender_bit],)
         per_receiver = []
         start = 0

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import teleportnet as tn
-from teleportnet import Method, NetworkShape, account, crossover_table
+from teleportnet import Method, NetworkShape, ResourceReport, account, crossover_table
 from teleportnet.protocol import baseline_resource_sizes
 
 
@@ -21,14 +22,16 @@ class TestAccount:
         assert account(Method.ENTANGLING, shape).aux_qubits == 7  # n + 5
         assert account(Method.GHZ_BASELINE, shape).aux_qubits == 8  # 2n + 4
 
-    def test_per_agent_columns(self):
-        shape = NetworkShape.single(5, 2)
-        new = account(Method.ENTANGLING, shape)
-        old = account(Method.GHZ_BASELINE, shape)
-        assert (new.qubits_per_agent, new.hadamards_per_agent, new.measurements_per_agent) == (1, 1, 1)
-        assert (old.qubits_per_agent, old.hadamards_per_agent, old.measurements_per_agent) == (5, 5, 5)
-        assert new.classical_bits_per_agent == (1,)
-        assert old.classical_bits_per_agent == (5,)
+    @pytest.mark.parametrize("counts,n", [((5,), 2), ((2, 3), 1), ((1, 1, 1), 4)])
+    def test_per_agent_columns(self, counts, n):
+        """Every field of both ledgers against the paper's closed forms: each agent holds, rotates and
+        measures one qubit in the entangling protocol and one per message qubit in the baseline."""
+        shape = NetworkShape(counts, n)
+        total, k = sum(counts), len(counts)
+        assert account(Method.ENTANGLING, shape) == ResourceReport(
+            Method.ENTANGLING, 2 * total + n + 1, 1, 1, 1, (1,) * k, total)
+        assert account(Method.GHZ_BASELINE, shape) == ResourceReport(
+            Method.GHZ_BASELINE, total * (n + 2), total, total, total, counts, total)
 
     def test_classical_bits_per_receiver(self):
         shape = NetworkShape((2, 3), 1)
@@ -90,3 +93,19 @@ class TestCrossoverTable:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             crossover_table(1, [])
+
+    @pytest.mark.parametrize("m", [2.5, True, np.True_, "3"], ids=["2.5", "True", "np.True_", "str"])
+    def test_non_integral_m_is_refused(self, m):
+        """A message count is refused as ``NetworkShape`` refuses it, not truncated to a row."""
+        with pytest.raises(ValueError, match="m takes integers, got"):
+            crossover_table(1, [m])
+
+    def test_integral_m_of_any_type_is_accepted(self):
+        assert [row.m for row in crossover_table(2, [np.int64(4), 3.0, 1]).rows] == [1, 3, 4]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_flags_follow_the_reported_counts(self, n):
+        for row in crossover_table(n, range(1, 13)).rows:
+            assert row.ops_advantage == (row.ops_per_agent_entangling < row.ops_per_agent_baseline)
+            assert row.aux_advantage == (row.aux_entangling < row.aux_baseline)
+            assert row.dominates == (row.aux_advantage and row.ops_advantage)

@@ -351,7 +351,7 @@ class TestRunCommand:
         reconstruction bar of 1e-10."""
         table = _TranscriptTable(outcomes=np.zeros((2, 3), dtype=np.int64), parity=np.zeros(2, dtype=np.int64),
                                  ops=np.zeros((2, 1), dtype=np.int64), probs=np.full(2, 0.5),
-                                 fids=[np.array([1.0, 1.0 - gap])], counts=(1,), sender=True)
+                                 fids=[np.array([1.0, 1.0 - gap])], counts=(1,), copies=None)
         assert cli._transcript_summary(table)["all_fidelities_pass"] is passes
 
     def test_fidelity_verdict_reads_every_receiver(self, tmp_path, monkeypatch):
@@ -360,7 +360,7 @@ class TestRunCommand:
         and ``run``'s verdict both fail."""
         table = _TranscriptTable(outcomes=np.zeros((2, 4), dtype=np.int64), parity=np.zeros(2, dtype=np.int64),
                                  ops=np.zeros((2, 2), dtype=np.int64), probs=np.full(2, 0.5),
-                                 fids=[np.ones(2), np.array([1.0, 0.5])], counts=(1, 1), sender=True)
+                                 fids=[np.ones(2), np.array([1.0, 0.5])], counts=(1, 1), copies=None)
         summary = cli._transcript_summary(table)
         assert (summary["min_fidelity"], summary["all_fidelities_pass"]) == (0.5, False)
         monkeypatch.setattr(cli, "_network_table", lambda *args: table)

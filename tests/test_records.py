@@ -86,7 +86,7 @@ class TestTranscripts:
         want = []
         copies = zip(*(np.split(a, len(spec)) for a in _baseline_branches(spec, shape, _sampling_rng(mode, seed))))
         for index, (pair, (outcomes, probs, kept)) in enumerate(zip(spec.qubits, copies)):
-            table = _transcript_table(outcomes, probs, kept, [MessageSpec((pair,))], sender=False)
+            table = _transcript_table(outcomes, probs, kept, [MessageSpec((pair,))], copies=1)
             want += [t for t, in row_transcripts(table, index)]
         got = tn.run_baseline_ghz(spec, shape, mode, seed=seed)
         _assert_same_records(got, want)
@@ -100,7 +100,7 @@ class TestTranscripts:
         want = []
         for index, pair in enumerate(spec.qubits):
             table = _transcript_table(*measure_all(ghz, StateVector(pair), groups, [2], rng), [MessageSpec((pair,))],
-                                      sender=False)
+                                      copies=1)
             want += [t for t, in row_transcripts(table, index)]
         _assert_same_records(tn.run_baseline_ghz(spec, shape, "sampled", seed=seed), want)
 
