@@ -99,8 +99,15 @@ MUTANTS = [
            "selftest takes a corrupted correction table for a working one", ("tests/test_cli.py",)),
     Mutant("summary_min_fidelity_first_receiver", CLI, "min_fid = min(np.stack(t.fids, axis=1).ravel().tolist())",
            "min_fid = min(t.fids[0].tolist())", "run's fidelity verdict reads receiver 0 only", ("tests/test_cli.py",)),
-    Mutant("lone_operator_pad", DEFECTION, "if len(rhos) % _BLOCK == 1 else rhos", "if False else rhos",
-           "a lone operator in a last block is searched unpadded", ("tests/test_defection.py",)),
+    Mutant("lone_operator_pad", DEFECTION, "np.concatenate([rhos, rhos[-1:]])", "rhos",
+           "the stack is searched unpadded, so a lone operator in a last block rounds apart", ("tests/test_defection.py",)),
+    Mutant("branch_bits_mod_2", PROTOCOL,
+           'bits = [_integral(b, "infer_branch") for b in (*agent_bits, sender_bit)]\n'
+           "    if bad := sorted(set(bits) - {0, 1}):",
+           "bits = [int(b) & 1 for b in (*agent_bits, sender_bit)]\n    if bad := []:",
+           "infer_branch reads any number as a bit, mod 2", ("tests/test_protocol.py",)),
+    Mutant("branch_not_member", PROTOCOL, "if not isinstance(branch, Branch):", "if False:",
+           "correction_for reads the odd column for any branch that is not Branch.EVEN", ("tests/test_protocol.py",)),
     Mutant("lone_row_pad", PROTOCOL, "rows = max(len(cols), min(2, 1 << n))", "rows = len(cols)",
            "a lone row of the support is rotated unpadded", ("tests/test_executor.py",)),
     Mutant("plan_key_keep", PROTOCOL, _PLAN_CACHE, _plan_memo("qubits, indices, m, groups, tuple(sorted(keep))"),

@@ -149,11 +149,11 @@ _BLOCK = 64
 def _best_recovery(rhos: np.ndarray, target: Sequence[complex], unitaries: np.ndarray) -> np.ndarray:
     """Best fidelity over the grid for each operator of a (count, 2, 2) stack: one einsum
     over the whole grid per block, on the stack in C order, since the einsum rounds by layout.
-    A lone operator in a last block, which a grid of one unitary rounds apart, is searched twice."""
+    The last operator is searched twice, so none is alone in a block: one grid unitary rounds that apart."""
     t = np.asarray(target, dtype=np.complex128).reshape(2)
     t = t / np.linalg.norm(t)
     w = np.einsum("gba,b->ga", unitaries.conj(), t)  # w_g = U_g^dag |t>
-    padded = np.ascontiguousarray(np.concatenate([rhos, rhos[-1:]]) if len(rhos) % _BLOCK == 1 else rhos)
+    padded = np.ascontiguousarray(np.concatenate([rhos, rhos[-1:]]))
     return np.concatenate([np.einsum("ga,bac,gc->bg", w.conj(), padded[i:i + _BLOCK], w).real.max(axis=1)
                            for i in range(0, len(padded), _BLOCK)])[:len(rhos)]
 

@@ -64,11 +64,11 @@ FIDELITY_ATOL = 1e-10
 
 
 def infer_branch(agent_bits: Sequence[int], sender_bit: int) -> Branch:
-    """Branch selected by the agents' bits and the sender's GHZ bit."""
-    parity = int(sender_bit) & 1
-    for b in agent_bits:
-        parity ^= int(b) & 1
-    return Branch.EVEN if parity == 0 else Branch.ODD
+    """Branch selected by the agents' bits and the sender's GHZ bit, each 0 or 1."""
+    bits = [_integral(b, "infer_branch") for b in (*agent_bits, sender_bit)]
+    if bad := sorted(set(bits) - {0, 1}):
+        raise ValueError(f"infer_branch takes bits 0 or 1, got {bad[0]}")
+    return Branch.EVEN if sum(bits) % 2 == 0 else Branch.ODD
 
 
 def correction_for(
@@ -77,6 +77,8 @@ def correction_for(
     table: Mapping[BellOutcome, tuple[PauliOp, PauliOp]] | None = None,
 ) -> PauliOp:
     """Receiver-side Pauli correction for one qubit."""
+    if not isinstance(branch, Branch):
+        raise ValueError(f"branch must be a Branch, got {branch!r}")
     pair = (table or CORRECTIONS)[outcome]
     return pair[0] if branch is Branch.EVEN else pair[1]
 

@@ -137,63 +137,57 @@ class ParityClass(enum.Enum):
 class QubitRegistry:
     """Maps protocol roles to simulator qubit indices.
 
-    Layout (ascending index): message blocks per receiver, sender-side EPR
-    blocks per receiver, receiver-side EPR blocks per receiver, agent qubits,
-    sender's GHZ qubit.  With ``include_messages=False`` the same layout is
-    used without the message block (the raw control resource).
+    The layout is four blocks in ascending index, the first three per
+    receiver in turn: 0 the message qubits, 1 the sender's EPR halves, 2 the
+    receivers' halves, 3 the agents' GHZ qubits followed by the sender's.
+    Block k starts at k * M, M the total message count; with
+    ``include_messages=False`` (the raw control resource) block 0 is absent
+    and block k starts at (k - 1) * M.
     """
 
     shape: NetworkShape
     include_messages: bool = True
 
-    def _block(self, receiver: int, offset: int, index: int) -> int:
+    def _start(self, block: int) -> int:
+        return (block - 1 + bool(self.include_messages)) * self.shape.total_messages
+
+    def _block(self, block: int, receiver: int, index: int) -> int:
         counts = self.shape.message_counts
         if not 0 <= receiver < len(counts):
             raise IndexError(f"receiver {receiver} out of range")
         if not 0 <= index < counts[receiver]:
             raise IndexError(f"message index {index} out of range for receiver {receiver}")
-        return offset + sum(counts[:receiver]) + index
+        return self._start(block) + sum(counts[:receiver]) + index
 
     def message(self, receiver: int, index: int) -> int:
         if not self.include_messages:
             raise LookupError("registry has no message qubits")
-        return self._block(receiver, 0, index)
+        return self._block(0, receiver, index)
 
     def sender_epr(self, receiver: int, index: int) -> int:
-        offset = self.shape.total_messages if self.include_messages else 0
-        return self._block(receiver, offset, index)
+        return self._block(1, receiver, index)
 
     def receiver_epr(self, receiver: int, index: int) -> int:
-        base = self.shape.total_messages if self.include_messages else 0
-        return self._block(receiver, base + self.shape.total_messages, index)
+        return self._block(2, receiver, index)
 
     def agent(self, agent: int) -> int:
         if not 0 <= agent < self.shape.num_agents:
             raise IndexError(f"agent {agent} out of range")
-        base = (3 if self.include_messages else 2) * self.shape.total_messages
-        return base + agent
+        return self._start(3) + agent
 
     @property
     def sender_ghz(self) -> int:
-        base = (3 if self.include_messages else 2) * self.shape.total_messages
-        return base + self.shape.num_agents
+        return self._start(3) + self.shape.num_agents
 
     @property
     def num_qubits(self) -> int:
-        return self.shape.total_qubits if self.include_messages else self.shape.resource_qubits
+        return self.sender_ghz + 1
 
     def role_labels(self) -> tuple[str, ...]:
-        labels = []
-        if self.include_messages:
-            for r, m in enumerate(self.shape.message_counts):
-                labels += [f"msg{r}.{i}" for i in range(m)]
-        for r, m in enumerate(self.shape.message_counts):
-            labels += [f"epr_s{r}.{i}" for i in range(m)]
-        for r, m in enumerate(self.shape.message_counts):
-            labels += [f"epr_r{r}.{i}" for i in range(m)]
-        labels += [f"agent{j}" for j in range(self.shape.num_agents)]
-        labels.append("ghz_s")
-        return tuple(labels)
+        counts = self.shape.message_counts
+        roles = [role for k, role in enumerate(("msg", "epr_s", "epr_r")) if self._start(k) >= 0]  # blocks 0-2 present
+        labels = [f"{role}{r}.{i}" for role in roles for r, m in enumerate(counts) for i in range(m)]
+        return (*labels, *(f"agent{j}" for j in range(self.shape.num_agents)), "ghz_s")
 
 
 def prepare_message_state(spec: MessageSpec) -> StateVector:
@@ -241,11 +235,12 @@ def _control_support(shape: NetworkShape) -> tuple[int, np.ndarray, np.ndarray]:
     all s of 2^(-M/2) |s>|s>|p...p>, p = parity(s).  Each value is
     sqrt(0.5 ** M), the bits of the two-term build normalized as a whole.
     Cached per shape, so both arrays are read-only."""
-    total = shape.total_messages
+    total, reg = shape.total_messages, QubitRegistry(shape, include_messages=False)
     s = np.arange(1 << total)
     ghz = _bit_parity(s) * ((2 << shape.num_agents) - 1)
     vals = np.full(1 << total, np.sqrt(0.5 ** total), dtype=np.complex128)
-    return shape.resource_qubits, _read_only(s | s << total | ghz << 2 * total), _read_only(vals)
+    indices = s << reg.sender_epr(0, 0) | s << reg.receiver_epr(0, 0) | ghz << reg.agent(0)
+    return reg.num_qubits, _read_only(indices), _read_only(vals)
 
 
 def prepare_control_resource(shape: NetworkShape) -> tuple[StateVector, QubitRegistry]:

@@ -43,6 +43,12 @@ class TestCorrectionRule:
         assert tn.correction_for(BellOutcome.PHI_PLUS, Branch.ODD) is PauliOp.Z
         assert tn.correction_for(BellOutcome.PSI_MINUS, Branch.EVEN) is PauliOp.Y
 
+    @pytest.mark.parametrize("branch", [0, 1, "even", "odd", None, True])
+    def test_a_branch_that_is_no_member_is_refused(self, branch):
+        # 0 and "even" name the even branch, whose correction is I: none of them may read the odd column
+        with pytest.raises(ValueError, match=f"branch must be a Branch, got {re.escape(repr(branch))}"):
+            tn.correction_for(BellOutcome.PHI_PLUS, branch)
+
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_corrections_restore_conditional_states(self, seed):
@@ -119,6 +125,20 @@ class TestInferBranch:
     def test_is_xor(self, bits, sender):
         want = Branch.EVEN if (sum(bits) + sender) % 2 == 0 else Branch.ODD
         assert tn.infer_branch(bits, sender) is want
+
+    def test_integral_bits_of_any_type_are_read(self):
+        assert tn.infer_branch([np.int64(1), 1.0], np.uint8(1)) is Branch.ODD
+
+    @pytest.mark.parametrize("agents, sender, got", [([2], 0, "2"), ([0, -1], 0, "-1"), ([], 3, "3")])
+    def test_a_bit_that_is_not_0_or_1_is_refused(self, agents, sender, got):
+        # read mod 2, 2 would pass for 0 and 3 for 1
+        with pytest.raises(ValueError, match=f"infer_branch takes bits 0 or 1, got {got}$"):
+            tn.infer_branch(agents, sender)
+
+    @pytest.mark.parametrize("agents, sender, got", [([1.5], 0, "1.5"), ([True], 0, "True"), ([0], False, "False")])
+    def test_a_bit_that_is_no_integer_is_refused(self, agents, sender, got):
+        with pytest.raises(ValueError, match=f"infer_branch takes integers, got {got}$"):
+            tn.infer_branch(agents, sender)
 
 
 class TestParties:

@@ -122,6 +122,16 @@ def test_zero_signs_and_bool_int_float_stay_apart():
     assert "".join(_report_pieces({"branches": [skeleton]}, "branches")) == report_text({"branches": records}) + "\n"
 
 
+def test_a_value_json_cannot_hold_raises_the_stdlib_error():
+    with pytest.raises(TypeError) as want:
+        json.dumps(np.int64(1))
+    assert str(want.value) == "Object of type int64 is not JSON serializable"
+    skeleton = {"b": _Column(_BITS, np.array([0, 1])), "x": np.int64(1)}
+    for report, key in (({"x": np.int64(1)}, None), ({"branches": [skeleton]}, "branches")):
+        with pytest.raises(TypeError, match=f"^{want.value}$"):
+            "".join(_report_pieces(report, key))
+
+
 def test_a_nul_in_a_key_or_constant_is_written_as_the_stdlib_writes_it():
     # columns are holes by position among the walk's pieces, so no character of the text is reserved
     bits = [0, 1, 1]
