@@ -84,6 +84,10 @@ MUTANTS = [
            "run's (0,0) diagonal bar loosened", ("tests/test_cli.py",)),
     Mutant("diagonal_11", CLI, "np.where(preserved, b2, a2)) < 1e-12", "np.where(preserved, b2, a2)) < 1",
            "run's (1,1) diagonal bar loosened", ("tests/test_cli.py",)),
+    Mutant("from_bits_mod_2", STATES,
+           'bits = [_integral(b, "from_bits") for b in bits]\n        if bad := sorted(set(bits) - {0, 1}):',
+           "bits = [int(b) & 1 for b in bits]\n        if bad := []:", "from_bits reads any number as a bit, mod 2",
+           ("tests/test_states.py",)),
     Mutant("density_hermitian", STATES, "HERMITIAN_ATOL = 1e-12", "HERMITIAN_ATOL = 1e-2",
            "DensityMatrix admits a non-Hermitian operator", ("tests/test_states.py",)),
     Mutant("density_trace", STATES, "TRACE_ATOL = 1e-12", "TRACE_ATOL = 1e-2",
@@ -106,6 +110,12 @@ MUTANTS = [
            "    if bad := sorted(set(bits) - {0, 1}):",
            "bits = [int(b) & 1 for b in (*agent_bits, sender_bit)]\n    if bad := []:",
            "infer_branch reads any number as a bit, mod 2", ("tests/test_protocol.py",)),
+    Mutant("empty_table_default_lookup", PROTOCOL, "pair = (CORRECTIONS if table is None else table)[outcome]",
+           "pair = (table or CORRECTIONS)[outcome]", "correction_for reads an empty table as the default one",
+           ("tests/test_protocol.py",)),
+    Mutant("empty_table_default_run", PROTOCOL, "table = CORRECTIONS if table is None else table",
+           "table = table or CORRECTIONS", "a run reads an empty correction table as the default one",
+           ("tests/test_protocol.py",)),
     Mutant("branch_not_member", PROTOCOL, "if not isinstance(branch, Branch):", "if False:",
            "correction_for reads the odd column for any branch that is not Branch.EVEN", ("tests/test_protocol.py",)),
     Mutant("lone_row_pad", PROTOCOL, "rows = max(len(cols), min(2, 1 << n))", "rows = len(cols)",

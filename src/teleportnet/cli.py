@@ -31,7 +31,7 @@ from .protocol import (
     _transcript_table,
     _TranscriptTable,
 )
-from .resources import MessageSpec, NetworkShape, ParityClass, _integral, parity_decompose, prepare_ghz
+from .resources import MessageSpec, NetworkShape, ParityClass, QubitRegistry, _integral, parity_decompose, prepare_ghz
 from .states import BellOutcome, PauliOp, apply_hadamard
 
 SCHEMA_VERSION = 1
@@ -177,7 +177,7 @@ def _load_spec_file(path: str) -> dict:
 
 
 def _as_int(value: Any, name: str) -> int:
-    """``value`` as an int: a string read by ``int()``, anything else by ``resources._integral``."""
+    """``value`` as an int: a string read by ``int()``, anything else by ``states._integral``."""
     try:
         return int(value) if isinstance(value, str) else _integral(value, name)
     except ValueError:
@@ -199,25 +199,19 @@ def _resolve_shape(args, config: dict, simulate: bool = True) -> NetworkShape:
     if ml is not None and m is not None:
         raise ConfigError("give either --m or --ml, not both")
     k = None if k is None else _as_int(k, "k")
-    copies = 1  # receivers are counts repeated this often; a huge k builds no list before it is refused
-    if ml is not None:
-        if not isinstance(ml, list):
-            raise ConfigError(f"ml must be a list of message counts, got {ml!r}")
-        counts = [_as_int(x, "ml") for x in ml]
-        if k is not None:
-            if len(counts) == 1:
-                copies = k
-            elif len(counts) != k:
-                raise ConfigError(f"--ml lists {len(counts)} receivers but --k is {k}")
-    elif m is not None:
-        counts, copies = [_as_int(m, "m")], (1 if k is None else k)
-    else:
+    if ml is None and m is None:
         raise ConfigError("message count is required (--m or --ml)")
+    if ml is not None and not isinstance(ml, list):
+        raise ConfigError(f"ml must be a list of message counts, got {ml!r}")
+    counts = [_as_int(m, "m")] if ml is None else [_as_int(x, "ml") for x in ml]
+    if k is not None and len(counts) not in (1, k):
+        raise ConfigError(f"--ml lists {len(counts)} receivers but --k is {k}")
+    copies = k if k is not None and len(counts) == 1 else 1  # a lone count repeated; a huge k builds no list
     try:
         shape = NetworkShape(tuple(counts * min(copies, 1)), _as_int(n, "n"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    qubits = 3 * shape.total_messages * copies + shape.num_agents + 1
+    qubits = QubitRegistry(NetworkShape((shape.total_messages * copies,), shape.num_agents)).num_qubits
     if simulate and qubits > MAX_TOTAL_QUBITS:
         raise ConfigError(f"shape exceeds simulator capacity: {qubits} qubits > {MAX_TOTAL_QUBITS}")
     if len(counts) * copies > MAX_M_RANGE:

@@ -79,7 +79,7 @@ def correction_for(
     """Receiver-side Pauli correction for one qubit."""
     if not isinstance(branch, Branch):
         raise ValueError(f"branch must be a Branch, got {branch!r}")
-    pair = (table or CORRECTIONS)[outcome]
+    pair = (CORRECTIONS if table is None else table)[outcome]
     return pair[0] if branch is Branch.EVEN else pair[1]
 
 
@@ -363,7 +363,7 @@ def _transcript_table(
     counts = tuple(len(s) for s in specs) if copies is None else (1,)
     total = sum(counts)
     parity = outcomes[:, total:].sum(axis=1) & 1
-    table = table or CORRECTIONS
+    table = CORRECTIONS if table is None else table
     index = np.array([[_PAULI_ORDER.index(op) for op in table[o]] for o in _BELL_ORDER])
     ops = index[outcomes[:, :total], parity[:, None]]
     fids = _fidelities(kept, ops, counts, [q for s in specs for q in s.qubits])
@@ -464,12 +464,12 @@ def _network_branches(
     for spec, m in zip(specs, shape.message_counts):
         if len(spec) != m:
             raise ValueError(f"spec length {len(spec)} does not match shape count {m}")
-    _measurable(shape.total_qubits)  # before the events are listed or the support's indices overflow
+    registry = QubitRegistry(shape)
+    _measurable(registry.num_qubits)  # before the events are listed or the support's indices overflow
     events = [e for e in protocol_events(shape) if e != ("ghz", defector)]
     order = _draw_order(event_order, events)  # a malformed order is refused in both modes
     if rng is None:
         order.sort()
-    registry = QubitRegistry(shape)
     groups = [_event_qubits(events[g], registry) for g in order]
     keep = [registry.receiver_epr(r, i) for r, m in enumerate(shape.message_counts) for i in range(m)]
     keep += [] if defector is None else _event_qubits(("ghz", defector), registry)

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .states import _SQRT_HALF, NORM_ATOL, StateVector, _read_only
+from .states import _SQRT_HALF, NORM_ATOL, StateVector, _integral, _read_only
 
 _LAYOUTS_CACHED = 32  # control supports and measure_all plans kept per process; a small sweep makes 16 plans
 
@@ -74,17 +74,6 @@ class MessageSpec:
         ))
 
 
-def _integral(value, name: str) -> int:
-    """``value`` as an int; bools and non-integral numbers are refused, not truncated."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if isinstance(value, (bool, np.bool_)) or as_int is None or as_int != value:
-        raise ValueError(f"{name} takes integers, got {value!r}")
-    return as_int
-
-
 @dataclass(frozen=True)
 class NetworkShape:
     """Sizes of the teleportation network: per-receiver message counts and
@@ -116,14 +105,6 @@ class NetworkShape:
     @property
     def total_messages(self) -> int:
         return sum(self.message_counts)
-
-    @property
-    def resource_qubits(self) -> int:
-        return 2 * self.total_messages + self.num_agents + 1
-
-    @property
-    def total_qubits(self) -> int:
-        return 3 * self.total_messages + self.num_agents + 1
 
 
 class ParityClass(enum.Enum):
@@ -202,7 +183,7 @@ def _ghz_support(num_qubits: int, sign: int = +1) -> tuple[int, np.ndarray, np.n
     """The GHZ state's qubit count, and the indices and amplitudes of its two
     nonzeros: 0 and 2^q - 1, with sqrt(1/2) and sign * sqrt(1/2), the bits of
     the dense vector normalized as a whole."""
-    if num_qubits < 2:
+    if (num_qubits := _integral(num_qubits, "num_qubits")) < 2:
         raise ValueError("GHZ state needs at least 2 qubits")
     if _integral(sign, "sign") not in (+1, -1):
         raise ValueError("sign must be +1 or -1")

@@ -28,6 +28,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are refused, not truncated."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if isinstance(value, (bool, np.bool_)) or as_int is None or as_int != value:
+        raise ValueError(f"{name} takes integers, got {value!r}")
+    return as_int
+
+
 HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT_HALF)
 
 
@@ -128,6 +139,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
+        num_qubits, index = _integral(num_qubits, "num_qubits"), _integral(index, "index")
         if num_qubits < 0 or not 0 <= index < (1 << num_qubits):
             raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -137,10 +149,10 @@ class StateVector:
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "StateVector":
         """Computational basis state; ``bits[k]`` is qubit k's value."""
-        index = 0
-        for k, b in enumerate(bits):
-            index |= (int(b) & 1) << k
-        return cls.basis(len(bits), index)
+        bits = [_integral(b, "from_bits") for b in bits]
+        if bad := sorted(set(bits) - {0, 1}):
+            raise ValueError(f"from_bits takes bits 0 or 1, got {bad[0]}")
+        return cls.basis(len(bits), sum(b << k for k, b in enumerate(bits)))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

@@ -115,9 +115,14 @@ class TestRunCommand:
         assert run_cli("run", "--m", "1", "--n", "1") == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_capacity_guard(self, capsys):
-        assert run_cli("run", "--m", "1", "--n", "30", "--enumerate") == 2
-        assert "exceeds simulator capacity" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, qubits", [
+        ("--m 1 --n 30", 34), ("--m 8 --n 2", 27), ("--ml 1 2 --n 17", 27), ("--ml 2 --k 3 --n 8", 27),
+    ])
+    def test_capacity_guard(self, argv, qubits, capsys, monkeypatch):
+        # one qubit over the cap, with receivers and copies counted; refused before any simulation
+        monkeypatch.setattr(cli, "_network_table", lambda *a, **k: pytest.fail("simulated past the cap"))
+        assert run_cli("run", *argv.split(), "--enumerate") == 2
+        assert capsys.readouterr().err == f"error: shape exceeds simulator capacity: {qubits} qubits > 26\n"
 
     @pytest.mark.parametrize("source", ["m", "ml", "spec"])
     def test_huge_receiver_count_is_refused_before_any_list_is_built(self, source, tmp_path, capsys):

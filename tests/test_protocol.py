@@ -49,6 +49,16 @@ class TestCorrectionRule:
         with pytest.raises(ValueError, match=f"branch must be a Branch, got {re.escape(repr(branch))}"):
             tn.correction_for(BellOutcome.PHI_PLUS, branch)
 
+    @pytest.mark.parametrize("table, first_missing", [
+        ({}, "PHI_PLUS"), ({o: pair for o, pair in CORRECTIONS.items() if o is not BellOutcome.PSI_PLUS}, "PSI_PLUS"),
+    ])
+    def test_a_given_table_is_used_as_given(self, table, first_missing):
+        # an empty table was read as the default one: psi_plus in the even branch got X, and a run passed at fidelity 1
+        with pytest.raises(KeyError, match="PSI_PLUS"):
+            tn.correction_for(BellOutcome.PSI_PLUS, Branch.EVEN, table)
+        with pytest.raises(KeyError, match=first_missing):
+            tn.run_controlled_teleport(MessageSpec(((1.0, 0.0),)), NetworkShape.single(1, 1), correction_table=table)
+
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_corrections_restore_conditional_states(self, seed):
@@ -145,7 +155,7 @@ class TestParties:
     def test_holdings_are_disjoint_and_complete(self):
         shape = NetworkShape((2, 1), 2)
         all_held = [q for p in tn.parties(shape) for q in p.held_qubits]
-        assert sorted(all_held) == list(range(shape.total_qubits))
+        assert sorted(all_held) == list(range(QubitRegistry(shape).num_qubits))
 
     def test_each_agent_holds_one_qubit(self):
         for party in tn.parties(NetworkShape.single(2, 3)):
@@ -514,7 +524,7 @@ def test_initial_state_layouts_match_the_transposed_product(data):
     shape = NetworkShape(counts, data.draw(st.integers(1, 4)))
     specs = data.draw(messages(counts))
     events = tn.protocol_events(shape)
-    _assert_layouts_match(specs, shape, data.draw(st.permutations(range(shape.total_qubits))),
+    _assert_layouts_match(specs, shape, data.draw(st.permutations(range(QubitRegistry(shape).num_qubits))),
                           data.draw(st.permutations(range(len(events)))))
 
     ghz, pair = tn.prepare_ghz(shape.num_agents + 2), StateVector(specs[0].qubits[0])
@@ -528,7 +538,7 @@ def test_initial_state_matches_the_transposed_product_where_a_norm_rounds_apart(
     64 of 16,384 amplitudes differed when the laid-out state was renormalized."""
     shape = NetworkShape.single(3, 4)
     specs = [MessageSpec.random(3, np.random.default_rng(0))]
-    _assert_layouts_match(specs, shape, list(range(shape.total_qubits))[::-1],
+    _assert_layouts_match(specs, shape, list(range(QubitRegistry(shape).num_qubits))[::-1],
                           list(range(len(tn.protocol_events(shape))))[::-1])
 
 

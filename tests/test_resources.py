@@ -93,8 +93,8 @@ class TestNetworkShape:
         shape = NetworkShape((1, 2), 3)
         assert shape.num_receivers == 2
         assert shape.total_messages == 3
-        assert shape.resource_qubits == 2 * 3 + 3 + 1
-        assert shape.total_qubits == 3 * 3 + 3 + 1
+        assert QubitRegistry(shape).num_qubits == 3 * 3 + 3 + 1
+        assert QubitRegistry(shape, include_messages=False).num_qubits == 2 * 3 + 3 + 1
 
     @pytest.mark.parametrize("counts,n", [((), 1), ((0,), 1), ((1,), 0)])
     def test_rejects_degenerate(self, counts, n):
@@ -214,6 +214,18 @@ class TestPrepareGhz:
     def test_too_small(self):
         with pytest.raises(ValueError):
             tn.prepare_ghz(1)
+
+    @pytest.mark.parametrize("num_qubits", [True, np.True_, 2.5, "3"])
+    def test_a_qubit_count_that_is_no_integer_is_refused(self, num_qubits):
+        # True was refused as a count under 2, and 3.0 failed in the shift
+        with pytest.raises(ValueError, match=f"num_qubits takes integers, got {re.escape(repr(num_qubits))}$"):
+            tn.prepare_ghz(num_qubits)
+
+    def test_an_integral_qubit_count_of_any_type_is_read_as_its_int(self):
+        want = tn.prepare_ghz(3, -1).amplitudes.tobytes()
+        assert tn.prepare_ghz(3.0, -1).amplitudes.tobytes() == want
+        assert tn.prepare_ghz(np.int64(3), -1).amplitudes.tobytes() == want
+        assert type(_ghz_support(np.int64(3))[0]) is int
 
     def test_sign_other_than_plus_or_minus_one_is_refused(self):
         with pytest.raises(ValueError, match="sign must be"):

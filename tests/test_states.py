@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +58,31 @@ class TestStateVector:
     def test_from_bits_is_little_endian(self):
         # qubit 1 set -> index 2
         assert StateVector.from_bits([0, 1]).amplitudes[2] == 1.0
+
+    @pytest.mark.parametrize("num_qubits, index, name, got", [
+        (2, True, "index", "True"), (2, np.True_, "index", "np.True_"), (2, 1.5, "index", "1.5"),
+        (True, 0, "num_qubits", "True"), (2.5, 0, "num_qubits", "2.5"), ("2", 0, "num_qubits", "'2'"),
+    ])
+    def test_basis_refuses_bools_and_non_integral_values(self, num_qubits, index, name, got):
+        # a bool index was read by numpy as a mask, which set every amplitude
+        with pytest.raises(ValueError, match=f"{name} takes integers, got {re.escape(got)}$"):
+            StateVector.basis(num_qubits, index)
+
+    def test_integral_values_of_any_type_are_read_as_their_int(self):
+        want = StateVector.basis(2, 1).amplitudes.tobytes()
+        assert StateVector.basis(2.0, 1.0).amplitudes.tobytes() == want
+        assert StateVector.basis(np.int64(2), np.uint8(1)).amplitudes.tobytes() == want
+        assert StateVector.from_bits([np.int64(1), 0.0]).amplitudes.tobytes() == want
+        assert StateVector.zero(2.0).amplitudes.tobytes() == StateVector.zero(2).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("bits, error", [
+        ([2, 1], "bits 0 or 1, got 2"), ([0, -1], "bits 0 or 1, got -1"), ([3, 2], "bits 0 or 1, got 2"),
+        ([1.5], "integers, got 1.5"), ([True], "integers, got True"), ([0, np.False_], "integers, got np.False_"),
+    ])
+    def test_from_bits_refuses_a_bit_other_than_0_or_1(self, bits, error):
+        # 2 was read as 0, and 1.5 and True as 1
+        with pytest.raises(ValueError, match=f"from_bits takes {re.escape(error)}$"):
+            StateVector.from_bits(bits)
 
     def test_immutable(self):
         sv = StateVector.zero(1)
